@@ -40,14 +40,6 @@ def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
         / (a_plus - a_minus)
 
 
-def anti_diffusion(u_minus, u_plus, u_star):
-    """Built-in anti-diffusion correction minmod(U+ - U*, U* - U-)."""
-    u_minus = np.asarray(u_minus, float)
-    u_plus = np.asarray(u_plus, float)
-    u_star = np.asarray(u_star, float)
-    return minmod(u_plus - u_star, u_star - u_minus)
-
-
 def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
                      c: float = 400.0, m: int = 8):
     """Smooth cut-off H(psi) = (C psi)^m / (1 + (C psi)^m) of the scaled
@@ -72,49 +64,64 @@ def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
     return 1.0 / (1.0 + inv)
 
 
-def physical_flux(h, q, p, b, v, l):
-    """G(U) = (p, q*v, L, p*b) evaluated on one-sided values (v = p/h
-    already desingularized)."""
-    h, q, p, b, v, l = np.broadcast_arrays(*(np.asarray(x, float)
-                                             for x in (h, q, p, b, v, l)))
-    return np.stack([p, q * v, l, p * b])
+def _central_upwind_row(out, u_minus, u_plus, g_minus, g_plus, a_plus,
+                        a_minus, safe, coef, fallback, switch=None):
+    """One component of the central-upwind flux, written into ``out``:
+    (a+ G- - a- G+)/(a+ - a-) + a+ a-/(a+ - a-) * (U+ - U- - dU), with the
+    built-in anti-diffusion dU = minmod(U+ - U*, U* - U-) of the
+    intermediate state U* = (a+ U+ - a- U- - (G+ - G-)) / (a+ - a-).
+
+    ``safe`` is a+ - a- with degenerate entries set to one, ``coef`` is
+    a+ a- / safe, ``switch`` scales the diffusion term, and the interfaces
+    listed in ``fallback`` get the mean (G- + G+)/2 instead.
+    """
+    u_star = a_plus * u_plus
+    u_star -= a_minus * u_minus
+    u_star -= g_plus - g_minus
+    u_star /= safe
+    delta = u_plus - u_star
+    np.subtract(u_star, u_minus, out=u_star)
+    minmod(delta, u_star, out=delta)
+    diffusion = np.subtract(u_plus, u_minus, out=u_star)
+    diffusion -= delta
+    diffusion *= coef
+    if switch is not None:
+        diffusion *= switch
+    np.multiply(a_plus, g_minus, out=out)
+    out -= a_minus * g_plus
+    out /= safe
+    out += diffusion
+    if fallback.size:
+        out[fallback] = 0.5 * (g_minus[fallback] + g_plus[fallback])
 
 
 def numerical_flux(iface: InterfaceStates, switch):
     """Central-upwind fluxes at every interface, (4, n_interfaces).
 
-    Components h and L keep full diffusion; the q and hb diffusion terms
-    are multiplied by the switch. Degenerate speeds (a+ - a- below
-    round-off) fall back to the arithmetic mean of the physical fluxes.
+    The flux of U = (h, q, p, hb) is G = (p, q*v, L, p*b), built one
+    component at a time. Components h and L keep full diffusion; the q and
+    hb diffusion terms are multiplied by the switch. Degenerate speeds
+    (a+ - a- below round-off) fall back to the arithmetic mean of the
+    one-sided fluxes.
 
     Returns (fluxes, a_plus, a_minus).
     """
+    h_m, h_p, b_m, b_p = iface.h_minus, iface.h_plus, iface.b_minus, iface.b_plus
+    q_m, q_p, p_m, p_p = iface.q_minus, iface.q_plus, iface.p_minus, iface.p_plus
     a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus,
-                                   iface.h_minus, iface.h_plus,
-                                   iface.b_minus, iface.b_plus)
-    u_minus = np.stack([iface.h_minus, iface.q_minus, iface.p_minus,
-                        iface.h_minus * iface.b_minus])
-    u_plus = np.stack([iface.h_plus, iface.q_plus, iface.p_plus,
-                       iface.h_plus * iface.b_plus])
-    g_minus = physical_flux(iface.h_minus, iface.q_minus, iface.p_minus,
-                            iface.b_minus, iface.v_minus, iface.l_minus)
-    g_plus = physical_flux(iface.h_plus, iface.q_plus, iface.p_plus,
-                           iface.b_plus, iface.v_plus, iface.l_plus)
-
+                                   h_m, h_p, b_m, b_p)
     denom = a_plus - a_minus
     degenerate = denom < _DEGENERATE
     safe = np.where(degenerate, 1.0, denom)
+    common = (a_plus, a_minus, safe, a_plus * a_minus / safe,
+              np.flatnonzero(degenerate))
 
-    u_star = (a_plus * u_plus - a_minus * u_minus - (g_plus - g_minus)) / safe
-    delta_u = anti_diffusion(u_minus, u_plus, u_star)
-
-    central = (a_plus * g_minus - a_minus * g_plus) / safe
-    diffusion = (a_plus * a_minus / safe) * (u_plus - u_minus - delta_u)
-    diffusion[1] *= switch
-    diffusion[3] *= switch
-
-    flux = central + diffusion
-    if np.any(degenerate):
-        mean = 0.5 * (g_minus + g_plus)
-        flux[:, degenerate] = mean[:, degenerate]
+    flux = np.empty((4, denom.size))
+    _central_upwind_row(flux[0], h_m, h_p, p_m, p_p, *common)
+    _central_upwind_row(flux[1], q_m, q_p, q_m * iface.v_minus,
+                        q_p * iface.v_plus, *common, switch)
+    _central_upwind_row(flux[2], p_m, p_p, iface.l_minus, iface.l_plus,
+                        *common)
+    _central_upwind_row(flux[3], h_m * b_m, h_p * b_p, p_m * b_m, p_p * b_p,
+                        *common, switch)
     return flux, a_plus, a_minus

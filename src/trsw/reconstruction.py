@@ -21,19 +21,24 @@ GHOST = 2  # edge-copied ghost cells per side; enough for the slope stencil
 _TINY = 1.0e-300
 
 
-def minmod(*args):
+def minmod(*args, out=None):
     """Componentwise minmod: min of the arguments if all positive, max if
-    all negative, zero otherwise. Accepts scalars or equally shaped arrays."""
+    all negative, zero otherwise. Accepts scalars or equally shaped arrays;
+    ``out`` receives the result and may be one of the arguments.
+
+    Evaluated branch-free as max(min(args), 0) + min(max(args), 0), so a
+    NaN argument gives NaN.
+    """
     arrs = [np.asarray(a, float) for a in args]
-    lo = arrs[0]
-    hi = arrs[0]
+    lo = hi = arrs[0]
     for a in arrs[1:]:
         lo = np.minimum(lo, a)
         hi = np.maximum(hi, a)
-    out = np.where(lo > 0, lo, 0.0) + np.where(hi < 0, hi, 0.0)
-    if all(np.ndim(a) == 0 for a in args):
-        return float(out)
-    return out
+    res = np.maximum(lo, 0.0, out=out)
+    res += np.minimum(hi, 0.0)
+    if out is None and all(np.ndim(a) == 0 for a in args):
+        return float(res)
+    return res
 
 
 def minmod_slopes(values: np.ndarray, sigma: float, dy: float) -> np.ndarray:
@@ -43,10 +48,13 @@ def minmod_slopes(values: np.ndarray, sigma: float, dy: float) -> np.ndarray:
     neighbour); sigma in [1, 2] trades diffusion against oscillation.
     """
     v = np.asarray(values, float)
-    left = (v[1:-1] - v[:-2]) / dy
-    right = (v[2:] - v[1:-1]) / dy
-    central = (v[2:] - v[:-2]) / (2.0 * dy)
-    return minmod(sigma * left, central, sigma * right)
+    # one-sided differences: the left slope of cell i is the right of i-1
+    sided = v[1:] - v[:-1]
+    sided /= dy
+    sided *= sigma
+    central = v[2:] - v[:-2]
+    central /= 2.0 * dy
+    return minmod(sided[:-1], central, sided[1:], out=central)
 
 
 def interface_values(padded: np.ndarray, sigma: float, dy: float):
@@ -55,9 +63,10 @@ def interface_values(padded: np.ndarray, sigma: float, dy: float):
     For a physical grid of n cells (padded length n+4) returns the left
     ("minus") and right ("plus") limits at the n+1 physical interfaces.
     """
-    s = minmod_slopes(padded, sigma, dy)
-    minus = padded[1:-2] + 0.5 * dy * s[:-1]
-    plus = padded[2:-1] - 0.5 * dy * s[1:]
+    half = minmod_slopes(padded, sigma, dy)
+    half *= 0.5 * dy
+    minus = padded[1:-2] + half[:-1]
+    plus = np.subtract(padded[2:-1], half[1:], out=half[1:])
     return minus, plus
 
 
@@ -160,13 +169,16 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
 
     ok = b > _TINY
     b_safe = np.where(ok, b, 1.0)
-    rootable = ok & (p ** 4 <= 8.0 * d ** 3 / (27.0 * b_safe))
+    p2 = p * p
+    # d > 0 is tested on its own because p^4 and d^3 can both underflow to
+    # zero; the powers are products, several times cheaper than pow
+    rootable = ok & (d > 0.0) & (p2 * p2 <= 8.0 * (d * d * d) / (27.0 * b_safe))
 
-    m_sqrt = rootable & (p == 0.0) & (d > 0.0)
+    m_sqrt = rootable & (p == 0.0)
     if np.any(m_sqrt):
         h[m_sqrt] = np.sqrt(2.0 * d[m_sqrt] / b[m_sqrt])
 
-    m_trig = rootable & (p != 0.0)  # implies d > 0
+    m_trig = rootable & (p != 0.0)
     if np.any(m_trig):
         dm, bm, pm, fbm = d[m_trig], b[m_trig], p[m_trig], fb[m_trig]
         y = 2.0 * dm / (3.0 * bm)

@@ -105,16 +105,15 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
     interfaces.
     """
     flux = flux.copy()
-    n_iface = flux.shape[1]
-    idx = np.arange(n_iface)
-    limited = np.zeros(n_iface, dtype=bool)
+    limited = np.zeros(flux.shape[1], dtype=bool)
     for row, quantity in ((0, padded[0]), (3, padded[3])):
         f = flux[row]
         f_ext = np.concatenate(([0.0], f, [0.0]))
         outgoing = np.maximum(f_ext[1:], 0.0) + np.maximum(-f_ext[:-1], 0.0)
         t_drain = _DRAIN_SAFETY * dy * quantity[1:-1] / np.maximum(outgoing, _TINY)
-        donor = np.where(f > 0.0, idx, idx + 1)
-        scale = np.minimum(dt, t_drain[donor]) / dt
+        # the donor is the upwind cell: left of the interface when f > 0
+        donor_t = np.where(f > 0.0, t_drain[:-1], t_drain[1:])
+        scale = np.minimum(dt, donor_t) / dt
         flux[row] = f * scale
         limited |= scale < 1.0
     return flux, int(np.count_nonzero(limited))
@@ -231,6 +230,11 @@ def run_simulation(scenario: Scenario,
     exactly (no output interpolation). ``on_step(state, report)`` fires
     after every accepted step, ``on_snapshot(t, state)`` at snapshot times.
     Deterministic: identical scenarios produce identical outputs.
+
+    A step that cannot be completed (non-finite wave speeds or solution,
+    or negative h or h*b in a stage) ends the run with ``failed`` set; the
+    result keeps the last good state, its time, and the snapshots and
+    records collected so far.
     """
     from .diagnostics import ConservationLedger, make_record
 
@@ -263,6 +267,8 @@ def run_simulation(scenario: Scenario,
                 scenario.grid, scenario.numerics)
             dt = cfl_dt(a_plus, a_minus, scenario.grid.dy,
                         scenario.numerics.cfl, next_event - t)
+            if not 0.0 < dt < np.inf:  # a_max is NaN or infinite
+                raise IntegrationError(t, "non-finite wave speed")
             landed = dt >= (next_event - t) * (1.0 - 1.0e-12)
             if landed:
                 dt = next_event - t
@@ -271,9 +277,11 @@ def run_simulation(scenario: Scenario,
                       a_plus, a_minus)
             state, report = _combine_and_report(state.array, stage1,
                                                 scenario, dt, t_after)
-        except IntegrationError as err:
+        except (IntegrationError, ValueError) as err:
             result.failed = True
             result.failure_message = str(err)
+            if isinstance(err, ValueError):  # h or h*b < 0 inside the step
+                result.failure_message += f" at t={t:.6g}"
             result.state = state
             result.t = t
             return result

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trsw.model import (ConservedState, CoriolisSpec, build_grid,
                         flat_topography, Numerics, sample_topography)
@@ -29,6 +30,12 @@ def bisect_phi(p, b, d, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+# signed zeros, ties and mixed signs are drawn often, beside general floats
+_MINMOD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+    st.floats(allow_nan=False))
+
+
 class TestMinmod:
     def test_all_positive(self):
         assert minmod(1.0, 2.0, 3.0) == 1.0
@@ -42,6 +49,37 @@ class TestMinmod:
     def test_vectorized(self):
         out = minmod(np.array([1.0, -1.0, 2.0]), np.array([2.0, -3.0, -1.0]))
         assert np.array_equal(out, [1.0, -1.0, 0.0])
+
+    @staticmethod
+    def _definition(*xs):
+        if all(x > 0 for x in xs):
+            return min(xs)
+        if all(x < 0 for x in xs):
+            return max(xs)
+        return 0.0
+
+    @staticmethod
+    def _same_bits(a, b):
+        return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+    @given(st.integers(2, 3), st.data())
+    def test_scalars_match_definition(self, k, data):
+        xs = data.draw(st.lists(_MINMOD_VALUES, min_size=k, max_size=k))
+        out = minmod(*xs)
+        assert type(out) is float
+        assert self._same_bits(out, self._definition(*xs))
+
+    @given(st.integers(2, 3), st.integers(1, 12), st.data())
+    def test_arrays_match_definition(self, k, n, data):
+        cols = [data.draw(st.lists(_MINMOD_VALUES, min_size=k, max_size=k))
+                for _ in range(n)]
+        args = [np.array(col) for col in zip(*cols)]
+        expected = [self._definition(*col) for col in cols]
+        assert self._same_bits(minmod(*args), expected)
+        # writing into one of the arguments gives the same result
+        target = args[-1].copy()
+        minmod(*args[:-1], target, out=target)
+        assert self._same_bits(target, expected)
 
 
 class TestCellBuoyancy:
@@ -287,6 +325,31 @@ class TestDepthFromEquilibrium:
 
     def test_vanishing_buoyancy_returns_fallback(self):
         assert depth_from_equilibrium(0.3, 0.0, 2.0, 0.0, 0.9) == 0.9
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1e3),
+           st.floats(0.0, 1e3))
+    def test_zero_momentum_branch(self, b, l, r, fb):
+        h = depth_from_equilibrium(np.zeros(1), b, l, r, fb)
+        d = l - r
+        expected = np.sqrt(2.0 * d / b) if b > 1e-300 and d > 0.0 else fb
+        assert h.tobytes() == np.array([expected]).tobytes()
+
+    @settings(deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.floats(-1e3, 1e3),
+           st.floats(0.0, 1e3), st.floats(0.0, 1e3))
+    def test_nonpositive_d_or_vanishing_b_returns_fallback(self, p, b, l,
+                                                           delta, fb):
+        # r = l + delta makes D = l - r <= 0; b = 0 leaves D as drawn. Tiny
+        # p and D, whose p^4 and D^3 underflow to zero, used to reach the
+        # cubic branch and return NaN or 0.
+        for b_side, r in ((b, l + delta), (0.0, l - delta)):
+            h = depth_from_equilibrium(np.array([p]), b_side, l, r, fb)
+            assert h.tobytes() == np.array([fb]).tobytes()
+
+    def test_underflowing_powers_return_fallback(self):
+        assert depth_from_equilibrium(1e-90, 1.0, -1e-120, 0.0, 0.7) == 0.7
+        assert depth_from_equilibrium(1e-90, 1.0, 0.0, 0.0, 0.7) == 0.7
 
 
 class TestBuildInterfaceStates:

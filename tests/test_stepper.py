@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
-                        build_grid, flat_topography)
+                        Topography, build_grid, flat_topography)
 from trsw.reconstruction import build_interface_states, interface_values
 from trsw.scenarios import make_scenario
 from trsw.stepper import (apply_boundary, assemble_fluxes, cfl_dt,
@@ -237,6 +237,44 @@ class TestRunSimulation:
             res = run_simulation(s)
         assert res.failed
         assert "t=" in res.failure_message
+
+    def test_negative_depth_in_a_stage_flagged(self):
+        # a subnormal depth over a bump beside dry cells: round-off in the
+        # draining limiter leaves h < 0 in a stage of the third step
+        g = build_grid(0.0, 1.0, 6)
+        h = np.array([1.0, 0.0, 0.0, 0.0, 1e-318, 0.0])
+        s = Scenario(name="subnormal", grid=g, coriolis=CoriolisSpec(0.0),
+                     topography=Topography(np.array([0.0, 0.1, 0.0, 0.0,
+                                                     0.1, 0.0, 0.0])),
+                     height=lambda y: h, b0=np.ones_like, t_final=1.0,
+                     snapshots=(0.01,))
+        accepted = []
+        res = run_simulation(
+            s, on_step=lambda state, report: accepted.append((report.t,
+                                                              state)))
+        assert res.failed
+        assert res.failure_message == \
+            f"negative depth in conserved state at t={res.t:.6g}"
+        assert res.steps == len(accepted) == 2
+        assert res.t == accepted[-1][0] and res.state is accepted[-1][1]
+        assert [t for t, _ in res.snapshots] == [0.01]
+        assert len(res.records) == res.steps + 1
+
+    def test_non_finite_wave_speed_flagged_at_finite_time(self):
+        # p^2/h overflows in L, so the interface speeds are NaN; the step
+        # size would be NaN and the clock with it
+        g = build_grid(0.0, 1.0, 6)
+        s = Scenario(name="overflow", grid=g, coriolis=CoriolisSpec(0.0),
+                     topography=flat_topography(g), height=np.ones_like,
+                     b0=np.ones_like,
+                     v0=lambda y: np.where(np.arange(6) == 2, 1e155, 0.0),
+                     t_final=1.0)
+        with np.errstate(all="ignore"):
+            res = run_simulation(s)
+        assert res.failed and res.steps == 0
+        assert res.t == 0.0
+        assert res.failure_message == "non-finite wave speed at t=0"
+        assert np.array_equal(res.state.array, res.initial_state.array)
 
     def test_positivity_through_dam_break(self):
         s = make_scenario("ex2", cells=100, t_final=0.1)
