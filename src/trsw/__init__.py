@@ -19,8 +19,8 @@ from .reconstruction import (GlobalPrimitive, InterfaceStates,
 from .flux import (diffusion_switch, intermediate_state, local_speeds,
                    numerical_flux)
 from .stepper import (IntegrationError, SimulationResult, StepReport,
-                      apply_boundary, assemble_fluxes, cfl_dt, draining_limit,
-                      rhs, run_simulation, source_term, ssp_rk3_combine,
+                      assemble_fluxes, cfl_dt, draining_limit, rhs,
+                      run_simulation, source_term, ssp_rk3_combine,
                       ssp_rk3_step)
 from .scenarios import SCENARIO_IDS, make_scenario, perturbation_bump
 from .diagnostics import (BalanceTimeAverager, ConservationLedger,
@@ -43,9 +43,9 @@ __all__ = [
     "minmod", "source_potential",
     "diffusion_switch", "intermediate_state", "local_speeds",
     "numerical_flux",
-    "IntegrationError", "SimulationResult", "StepReport", "apply_boundary",
-    "assemble_fluxes", "cfl_dt", "draining_limit", "rhs", "run_simulation",
-    "source_term", "ssp_rk3_combine", "ssp_rk3_step",
+    "IntegrationError", "SimulationResult", "StepReport", "assemble_fluxes",
+    "cfl_dt", "draining_limit", "rhs", "run_simulation", "source_term",
+    "ssp_rk3_combine", "ssp_rk3_step",
     "SCENARIO_IDS", "make_scenario", "perturbation_bump",
     "BalanceTimeAverager", "ConservationLedger", "DiagnosticsRecord",
     "balance_residual", "energy", "equatorial_eigenfrequency",

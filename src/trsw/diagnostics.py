@@ -188,7 +188,8 @@ def make_record(t: float, state: ConservedState, scenario: Scenario,
                 ledger: ConservationLedger) -> DiagnosticsRecord:
     grid, topo = scenario.grid, scenario.topography
     eps = scenario.numerics.eps
-    _, v, _, w = primitives_from_state(state, topo, eps)
+    v = desingularized_ratio(state.h, state.p, eps)
+    w = state.h + topo.z_center
     mass_drift, hb_drift = ledger.drifts(state)
     flat = not np.any(topo.z_iface != 0.0)
     return DiagnosticsRecord(

@@ -144,6 +144,15 @@ class Numerics:
             raise ValueError("switch constants must be positive")
 
 
+def check_nonnegative(u: np.ndarray) -> None:
+    """Raise ValueError if a (4, n) array of cell averages (h, q, p, hb)
+    holds a negative depth or depth-weighted buoyancy."""
+    if np.any(u[0] < 0.0):
+        raise ValueError("negative depth in conserved state")
+    if np.any(u[3] < 0.0):
+        raise ValueError("negative depth-weighted buoyancy in conserved state")
+
+
 @dataclass(frozen=True, eq=False)
 class ConservedState:
     """Cell averages of (h, q, p, hb) stored as a read-only (4, n) array.
@@ -158,10 +167,7 @@ class ConservedState:
         arr = _readonly(self.array)
         if arr.ndim != 2 or arr.shape[0] != 4:
             raise ValueError(f"expected a (4, n) array, got shape {arr.shape}")
-        if np.any(arr[0] < 0.0):
-            raise ValueError("negative depth in conserved state")
-        if np.any(arr[3] < 0.0):
-            raise ValueError("negative depth-weighted buoyancy in conserved state")
+        check_nonnegative(arr)
         object.__setattr__(self, "array", arr)
 
     @classmethod

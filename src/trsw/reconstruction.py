@@ -71,8 +71,14 @@ def interface_values(padded: np.ndarray, sigma: float, dy: float):
 
 
 def pad_cells(values: np.ndarray) -> np.ndarray:
-    """Edge-replicate GHOST cells on both sides (zero-order extrapolation)."""
-    return np.pad(np.asarray(values, float), GHOST, mode="edge")
+    """Edge-replicate GHOST cells at both ends of the last axis (zero-order
+    extrapolation) into a fresh array; any leading shape is kept."""
+    v = np.asarray(values, float)
+    out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * GHOST,))
+    out[..., GHOST:-GHOST] = v
+    out[..., :GHOST] = v[..., :1]
+    out[..., -GHOST:] = v[..., -1:]
+    return out
 
 
 def cell_buoyancy(h_bar, hb_bar, eps: float) -> np.ndarray:
@@ -84,14 +90,17 @@ def source_potential(state: ConservedState, topo: Topography,
                      coriolis: CoriolisSpec, grid: Grid):
     """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces.
 
+    ``state`` is a ConservedState or its (4, n) array.
+
     The interface recursion uses the cell value of f*q and hb times the
     interface jump of Z; the center recursion uses trapezoidal averages.
     The datum is R = 0 at the left boundary interface, and the first center
     value is the average of the two enclosing interface values.
     """
     dy = grid.dy
-    fq = coriolis.values(grid.centers) * state.q
-    hb = state.hb
+    u = getattr(state, "array", state)
+    fq = coriolis.values(grid.centers) * u[1]
+    hb = u[3]
 
     r_iface = np.zeros(grid.n + 1)
     r_iface[1:] = np.cumsum(fq * dy + hb * np.diff(topo.z_iface))
@@ -134,15 +143,6 @@ def global_primitive(state: ConservedState, topo: Topography,
         r_center=r_center, r_iface=r_iface,
         l_center=equilibrium_centers(state, r_center, eps),
         b_center=cell_buoyancy(state.h, state.hb, eps))
-
-
-def fallback_interface_depth(h_pad: np.ndarray, z_center_pad: np.ndarray,
-                             z_iface: np.ndarray, sigma: float, dy: float):
-    """Surface-based one-sided depths: reconstruct w = h + Z like any other
-    field and subtract the interface bottom, clipped at zero."""
-    w_minus, w_plus = interface_values(h_pad + z_center_pad, sigma, dy)
-    return (np.maximum(w_minus - z_iface, 0.0),
-            np.maximum(w_plus - z_iface, 0.0))
 
 
 def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
@@ -202,7 +202,10 @@ class InterfaceStates:
     ``minus`` quantities are limits from the left cell, ``plus`` from the
     right; p has been recomputed as h*v after desingularization, so
     p = h*v holds exactly. ``l_cell_left/right`` carry the cell-centered L
-    on either side for the diffusion switch.
+    on either side for the diffusion switch. ``h_hb_padded`` holds the h
+    and hb rows of the edge-padded state, (2, n+4), for the draining
+    limiter (the rest of that padding is not kept alive); it is None when
+    the interface values were assembled by hand.
     """
 
     h_minus: np.ndarray
@@ -221,6 +224,7 @@ class InterfaceStates:
     r_iface: np.ndarray
     l_cell_left: np.ndarray
     l_cell_right: np.ndarray
+    h_hb_padded: np.ndarray | None = None
 
 
 def build_interface_states(state: ConservedState, topo: Topography,
@@ -229,30 +233,40 @@ def build_interface_states(state: ConservedState, topo: Topography,
                            r_datum: float = 0.0) -> InterfaceStates:
     """Full reconstruction pipeline from cell averages to interface states.
 
+    ``state`` is a ConservedState or its (4, n) array; it is not checked
+    here. The cell values of b, L and the surface w = h + Z are formed on
+    the n cells and then edge-padded like the state itself, which gives
+    the same ghost values as forming them on the padded state.
     ``r_datum`` shifts the (arbitrary) integration constant of R; it is
     exposed for datum-invariance checks and is zero in production use.
     """
     sigma, dy, eps = numerics.sigma, grid.dy, numerics.eps
 
-    pad = np.pad(state.array, ((0, 0), (GHOST, GHOST)), mode="edge")
-    h_pad, q_pad, p_pad, hb_pad = pad
-    b_pad = cell_buoyancy(h_pad, hb_pad, eps)
+    u = getattr(state, "array", state)
+    h, p, hb = u[0], u[2], u[3]
+    padded = pad_cells(u)
+    b_pad = pad_cells(cell_buoyancy(h, hb, eps))
 
-    r_center, r_iface = source_potential(state, topo, coriolis, grid)
+    r_center, r_iface = source_potential(u, topo, coriolis, grid)
     if r_datum != 0.0:
         r_center = r_center + r_datum
         r_iface = r_iface + r_datum
-    kinetic = p_pad * desingularized_ratio(h_pad, p_pad, eps)
-    l_pad = kinetic + 0.5 * hb_pad * h_pad + pad_cells(r_center)
+    l_cell = p * desingularized_ratio(h, p, eps)
+    l_cell += 0.5 * hb * h
+    l_cell += r_center
+    l_pad = pad_cells(l_cell)
 
-    q_minus, q_plus = interface_values(q_pad, sigma, dy)
-    p_minus, p_plus = interface_values(p_pad, sigma, dy)
+    q_minus, q_plus = interface_values(padded[1], sigma, dy)
+    p_minus, p_plus = interface_values(padded[2], sigma, dy)
     l_minus, l_plus = interface_values(l_pad, sigma, dy)
     b_minus, b_plus = interface_values(b_pad, sigma, dy)
     b_mid = 0.5 * (b_minus + b_plus)
 
-    fb_minus, fb_plus = fallback_interface_depth(
-        h_pad, pad_cells(topo.z_center), topo.z_iface, sigma, dy)
+    # surface-based fallback depths: w reconstructed like any other field,
+    # less the interface bottom, clipped at zero
+    w_minus, w_plus = interface_values(pad_cells(h + topo.z_center), sigma, dy)
+    fb_minus = np.maximum(w_minus - topo.z_iface, 0.0)
+    fb_plus = np.maximum(w_plus - topo.z_iface, 0.0)
     h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface, fb_minus)
     h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface, fb_plus)
 
@@ -269,4 +283,5 @@ def build_interface_states(state: ConservedState, topo: Topography,
         l_minus=l_minus, l_plus=l_plus,
         v_minus=v_minus, v_plus=v_plus,
         b_mid=b_mid, r_iface=r_iface,
-        l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1])
+        l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1],
+        h_hb_padded=padded[::3].copy())

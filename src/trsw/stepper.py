@@ -3,7 +3,10 @@ SSP-RK3 time stepping, and the simulation driver.
 
 Boundary conditions are zero-order extrapolation: two ghost cells per side
 copy the outermost physical cells (one feeds the boundary-cell slopes, one
-spare for the stencil).
+spare for the stencil). Each RK stage pads its (4, n) state once, in the
+reconstruction, and the draining limiter reads the h and hb rows of that
+padding. Stage states are plain arrays checked for h, hb >= 0; a
+ConservedState is built only for the accepted step.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from .flux import diffusion_switch, numerical_flux
 from .model import (ConservedState, CoriolisSpec, Grid, Numerics, Scenario,
-                    Topography)
-from .reconstruction import GHOST, InterfaceStates, build_interface_states
+                    Topography, check_nonnegative)
+from .reconstruction import InterfaceStates, build_interface_states
 
 _TINY = 1.0e-300
 # keeps the limited update strictly nonnegative under round-off
@@ -31,25 +34,21 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
-def apply_boundary(state: ConservedState) -> np.ndarray:
-    """Pad all four conserved fields with two edge-copied ghost cells per
-    side; returns a (4, n+4) array."""
-    return np.pad(state.array, ((0, 0), (GHOST, GHOST)), mode="edge")
-
-
 def source_term(state: ConservedState, iface: InterfaceStates,
                 coriolis: CoriolisSpec, grid: Grid) -> np.ndarray:
     """Coriolis source for the q component.
 
     Constant f uses f * p_bar directly; variable f integrates f*p over the
     cell with Simpson's rule on the inner one-sided interface values.
+    ``state`` is a ConservedState or its (4, n) array.
     """
+    p = getattr(state, "array", state)[2]
     if coriolis.is_constant:
-        return coriolis.f0 * state.p
+        return coriolis.f0 * p
     f_iface = coriolis.values(grid.interfaces)
     f_center = coriolis.values(grid.centers)
     return (f_iface[:-1] * iface.p_plus[:-1]
-            + 4.0 * f_center * state.p
+            + 4.0 * f_center * p
             + f_iface[1:] * iface.p_minus[1:]) / 6.0
 
 
@@ -98,6 +97,10 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
     """Rescale the h and hb flux components so no cell loses more of either
     quantity than it holds within dt.
 
+    ``padded`` holds the cell values with two edge-copied ghosts per side,
+    h in its first row and hb in its last: the (4, n+4) padded state or
+    its (2, n+4) h and hb rows.
+
     Each cell's drain time is dy*rho / (sum of its outgoing fluxes); every
     interface flux is scaled by min(dt, drain time of the donor cell)/dt,
     the donor being the upwind cell by flux sign. Momentum fluxes are left
@@ -106,7 +109,7 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
     """
     flux = flux.copy()
     limited = np.zeros(flux.shape[1], dtype=bool)
-    for row, quantity in ((0, padded[0]), (3, padded[3])):
+    for row, quantity in ((0, padded[0]), (3, padded[-1])):
         f = flux[row]
         f_ext = np.concatenate(([0.0], f, [0.0]))
         outgoing = np.maximum(f_ext[1:], 0.0) + np.maximum(-f_ext[:-1], 0.0)
@@ -144,33 +147,37 @@ class StepReport:
     bflux_hb: Tuple[float, float] = (0.0, 0.0)
 
 
-def _finish_stage(arr: np.ndarray, flux: np.ndarray, iface: InterfaceStates,
+def _finish_stage(u: np.ndarray, flux: np.ndarray, iface: InterfaceStates,
                   scenario: Scenario, dt: float):
-    """Drain the raw fluxes at step dt and form the stage tendencies."""
+    """Drain the raw fluxes at step dt and form the stage tendencies of
+    the (4, n) stage state ``u``."""
     grid = scenario.grid
-    padded = np.pad(arr, ((0, 0), (GHOST, GHOST)), mode="edge")
-    flux, n_limited = draining_limit(padded, flux, dt, grid.dy)
+    flux, n_limited = draining_limit(iface.h_hb_padded, flux, dt, grid.dy)
     tend = -(flux[:, 1:] - flux[:, :-1]) / grid.dy
-    tend[1] += source_term(ConservedState(arr), iface, scenario.coriolis, grid)
+    tend[1] += source_term(u, iface, scenario.coriolis, grid)
     boundary = (flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1])
     return tend, boundary, n_limited
 
 
-def _stage(arr: np.ndarray, scenario: Scenario, dt: float):
+def _stage(u: np.ndarray, scenario: Scenario, dt: float):
+    """One RK stage on a (4, n) state that has already been checked."""
     flux, a_plus, a_minus, iface = assemble_fluxes(
-        ConservedState(arr), scenario.topography, scenario.coriolis,
+        u, scenario.topography, scenario.coriolis,
         scenario.grid, scenario.numerics)
-    tend, boundary, n_limited = _finish_stage(arr, flux, iface, scenario, dt)
+    tend, boundary, n_limited = _finish_stage(u, flux, iface, scenario, dt)
     return tend, boundary, n_limited, a_plus, a_minus
 
 
 def _combine_and_report(u0, stage1, scenario, dt, t_after):
     """Run stages 2 and 3 on top of a finished first stage and assemble
-    the report; raises IntegrationError on non-finite output."""
+    the report. Each stage state is checked once for h, hb >= 0 before it
+    is used (ValueError); non-finite output raises IntegrationError."""
     k0, b0, n0, a_plus, a_minus = stage1
     u1 = u0 + dt * k0
+    check_nonnegative(u1)
     k1, b1, n1, _, _ = _stage(u1, scenario, dt)
     u2 = 0.75 * u0 + 0.25 * (u1 + dt * k1)
+    check_nonnegative(u2)
     k2, b2, n2, _, _ = _stage(u2, scenario, dt)
     u_new = u0 / 3.0 + (2.0 / 3.0) * (u2 + dt * k2)
 
@@ -178,12 +185,14 @@ def _combine_and_report(u0, stage1, scenario, dt, t_after):
         raise IntegrationError(t_after)
 
     weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(b0, b1, b2)]
+    a_max = float(max(np.max(a_plus, initial=0.0),
+                      np.max(-a_minus, initial=0.0)))
     report = StepReport(
         t=t_after, dt=dt,
-        dt_cfl=cfl_dt(a_plus, a_minus, scenario.grid.dy,
-                      scenario.numerics.cfl, np.inf),
-        a_max=float(max(np.max(a_plus, initial=0.0),
-                        np.max(-a_minus, initial=0.0))),
+        # cfl_dt of the stage-1 speeds, with no remaining time to clip to
+        dt_cfl=(np.inf if a_max <= 0.0
+                else scenario.numerics.cfl * scenario.grid.dy / a_max),
+        a_max=a_max,
         n_limited=n0 + n1 + n2,
         min_h=float(min(u1[0].min(), u2[0].min(), u_new[0].min())),
         min_hb=float(min(u1[3].min(), u2[3].min(), u_new[3].min())),
@@ -196,9 +205,11 @@ def ssp_rk3_step(state: ConservedState, t: float, dt: float,
                  scenario: Scenario) -> Tuple[ConservedState, StepReport]:
     """Advance one SSP-RK3 step of size dt.
 
-    Every stage rebuilds the boundary padding, reassembles fluxes, and
-    applies the draining limiter, so h and hb stay nonnegative after each
-    stage and hence after the convex combinations.
+    Every stage pads its state once, reconstructs, assembles the fluxes
+    and applies the draining limiter at dt, so h and hb stay nonnegative
+    after each stage and hence after the convex combinations. The stage
+    states are checked for that (ValueError) but are not wrapped in a
+    ConservedState; only the new state is.
     """
     stage1 = _stage(state.array, scenario, dt)
     return _combine_and_report(state.array, stage1, scenario, dt, t + dt)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trsw.model import (ConservedState, CoriolisSpec, build_grid,
-                        flat_topography, Numerics, sample_topography)
+from trsw import reconstruction
+from trsw.model import (ConservedState, CoriolisSpec, Topography,
+                        build_grid, desingularized_ratio, flat_topography,
+                        Numerics, sample_topography)
 from trsw.reconstruction import (build_interface_states, cell_buoyancy,
                                  depth_from_equilibrium,
-                                 equilibrium_centers,
-                                 fallback_interface_depth, interface_values,
+                                 equilibrium_centers, interface_values,
                                  minmod, minmod_slopes, pad_cells,
                                  source_potential)
 from trsw.scenarios import _ex1_bottom, _ex2_bottom, make_scenario
@@ -234,37 +235,70 @@ class TestInterfaceValues:
         assert np.all(plus >= lo - 1e-12) and np.all(plus <= hi + 1e-12)
 
 
+class TestPadCells:
+    @settings(deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_edge_mode_pad(self, rows, n, seed):
+        # rows == 0 draws a 1-D field; the edge copies must be exact, signed
+        # zeros and infinities included
+        rng = np.random.default_rng(seed)
+        shape = (n,) if rows == 0 else (rows, n)
+        vals = rng.choice([0.0, -0.0, np.inf, -np.inf, 1e-320, -2.5],
+                          size=shape)
+        vals = np.where(rng.uniform(size=shape) < 0.5,
+                        rng.normal(size=shape), vals)
+        width = 2 if rows == 0 else ((0, 0), (2, 2))
+        want = np.pad(vals, width, mode="edge")
+        got = pad_cells(vals)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, vals)
+
+
+def _fallback_depths(monkeypatch, h, topo, grid):
+    """The surface-based fallback depths (minus, plus) that
+    build_interface_states hands to the depth solve, for a state at rest
+    with depth h and b = 1, at sigma = 1.3."""
+    seen = []
+    solve = reconstruction.depth_from_equilibrium
+
+    def spy(p_side, b_mid, l_side, r_iface, h_fallback):
+        seen.append(h_fallback)
+        return solve(p_side, b_mid, l_side, r_iface, h_fallback)
+
+    monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
+    zero = np.zeros_like(h)
+    build_interface_states(ConservedState.from_fields(h, zero, zero, h),
+                           topo, CoriolisSpec(0.0), grid, Numerics(sigma=1.3))
+    assert len(seen) == 2
+    return seen
+
+
 class TestFallbackDepth:
-    def test_flat_lake_over_hump(self):
+    def test_flat_lake_over_hump(self, monkeypatch):
         g = build_grid(-1.0, 1.0, 200)
         topo = sample_topography(_ex2_bottom, None, g)
         h = 5.0 - topo.z_center
-        h_pad = pad_cells(h)
-        fm, fp = fallback_interface_depth(h_pad, pad_cells(topo.z_center),
-                                          topo.z_iface, 1.3, g.dy)
+        fm, fp = _fallback_depths(monkeypatch, h, topo, g)
         assert np.all(fm >= 1.0 - 1e-12) and np.all(fp >= 1.0 - 1e-12)
         assert fm == pytest.approx(5.0 - topo.z_iface, rel=1e-12)
 
-    def test_dry_at_hump_peak(self):
+    def test_dry_at_hump_peak(self, monkeypatch):
         g = build_grid(-1.0, 1.0, 200)
         topo = sample_topography(_ex2_bottom, None, g)
         h = np.maximum(1.0 - topo.z_center, 0.0)
-        fm, fp = fallback_interface_depth(pad_cells(h),
-                                          pad_cells(topo.z_center),
-                                          topo.z_iface, 1.3, g.dy)
+        fm, fp = _fallback_depths(monkeypatch, h, topo, g)
         j = np.argmin(np.abs(g.interfaces - 0.3))  # peak, Z = 1
         assert topo.z_iface[j] == pytest.approx(1.0, rel=1e-13)
         assert fm[j] == pytest.approx(0.0, abs=1e-13)
         assert np.all(fm >= 0.0) and np.all(fp >= 0.0)
 
-    def test_flat_bottom_reduces_to_plain_reconstruction(self):
+    def test_flat_bottom_reduces_to_plain_reconstruction(self, monkeypatch):
         rng = np.random.default_rng(5)
         h = rng.uniform(0.5, 2.0, 30)
         g = build_grid(0.0, 3.0, 30)
         topo = flat_topography(g)
-        fm, fp = fallback_interface_depth(pad_cells(h),
-                                          pad_cells(topo.z_center),
-                                          topo.z_iface, 1.3, g.dy)
+        fm, fp = _fallback_depths(monkeypatch, h, topo, g)
         m2, p2 = interface_values(pad_cells(h), 1.3, g.dy)
         assert np.array_equal(fm, m2) and np.array_equal(fp, p2)
 
@@ -395,6 +429,68 @@ class TestBuildInterfaceStates:
                                    np.full(2, 72.0), np.zeros(2),
                                    np.array([6.0, 4.0]))
         assert h[0] == h[1]
+
+
+def _pad_then_compute(state, topo, cor, grid, num, r_datum):
+    """The reconstruction as it was once written: pad the whole state with
+    np.pad, then form b, L and w = h + Z on the padded cells."""
+    sigma, dy, eps = num.sigma, grid.dy, num.eps
+    pad = np.pad(state.array, ((0, 0), (2, 2)), mode="edge")
+    h_pad, q_pad, p_pad, hb_pad = pad
+    b_pad = cell_buoyancy(h_pad, hb_pad, eps)
+    r_center, r_iface = source_potential(state, topo, cor, grid)
+    r_center = r_center + r_datum
+    r_iface = r_iface + r_datum
+    kinetic = p_pad * desingularized_ratio(h_pad, p_pad, eps)
+    l_pad = (kinetic + 0.5 * hb_pad * h_pad
+             + np.pad(r_center, 2, mode="edge"))
+    q_minus, q_plus = interface_values(q_pad, sigma, dy)
+    p_minus, p_plus = interface_values(p_pad, sigma, dy)
+    l_minus, l_plus = interface_values(l_pad, sigma, dy)
+    b_minus, b_plus = interface_values(b_pad, sigma, dy)
+    b_mid = 0.5 * (b_minus + b_plus)
+    w_minus, w_plus = interface_values(
+        h_pad + np.pad(topo.z_center, 2, mode="edge"), sigma, dy)
+    h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface,
+                                     np.maximum(w_minus - topo.z_iface, 0.0))
+    h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface,
+                                    np.maximum(w_plus - topo.z_iface, 0.0))
+    v_minus = desingularized_ratio(h_minus, p_minus, eps)
+    v_plus = desingularized_ratio(h_plus, p_plus, eps)
+    return dict(h_minus=h_minus, h_plus=h_plus, q_minus=q_minus,
+                q_plus=q_plus, p_minus=h_minus * v_minus,
+                p_plus=h_plus * v_plus, b_minus=b_minus, b_plus=b_plus,
+                l_minus=l_minus, l_plus=l_plus, v_minus=v_minus,
+                v_plus=v_plus, b_mid=b_mid, r_iface=r_iface,
+                l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1],
+                h_hb_padded=pad[::3])
+
+
+class TestOnePadPipeline:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 40), st.integers(0, 2 ** 32 - 1),
+           st.floats(-2.0, 2.0), st.floats(0.05, 1.0),
+           st.floats(1.0, 100.0) | st.floats(-100.0, -1.0),
+           st.floats(1.0, 2.0))
+    def test_matches_pad_then_compute_bit_for_bit(self, n, seed, f0, beta,
+                                                   r_datum, sigma):
+        # dry cells, a random bottom, a beta-plane and a shifted datum
+        rng = np.random.default_rng(seed)
+        g = build_grid(-1.0, 1.0 + rng.uniform(), n)
+        h = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)
+        h[rng.uniform(size=n) < 0.1] = 1e-10
+        st_ = ConservedState.from_fields(
+            h, h * rng.normal(size=n), h * rng.normal(size=n),
+            h * rng.uniform(0.0, 3.0, n))
+        topo = Topography(rng.uniform(-0.5, 0.5, n + 1))
+        cor = CoriolisSpec(f0, beta)
+        num = Numerics(sigma=sigma)
+        with np.errstate(all="ignore"):
+            got = build_interface_states(st_, topo, cor, g, num,
+                                         r_datum=r_datum)
+            want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
+        for name, value in want.items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
 
 
 class TestDatumInvariance:

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from trsw import stepper
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
                         Topography, build_grid, flat_topography)
-from trsw.reconstruction import build_interface_states, interface_values
+from trsw.reconstruction import (build_interface_states, interface_values,
+                                 pad_cells)
 from trsw.scenarios import make_scenario
-from trsw.stepper import (apply_boundary, assemble_fluxes, cfl_dt,
-                          draining_limit, rhs, run_simulation, source_term,
-                          ssp_rk3_combine, ssp_rk3_step)
+from trsw.stepper import (assemble_fluxes, cfl_dt, draining_limit, rhs,
+                          run_simulation, source_term, ssp_rk3_combine,
+                          ssp_rk3_step)
 
 
 def _rest_scenario(n=8, t_final=0.0, **kw):
@@ -27,14 +29,14 @@ class TestApplyBoundary:
     def test_two_ghosts_copy_edges(self):
         st = ConservedState.from_fields([1.0, 2.0, 3.0, 4.0], [0.0] * 4,
                                         [0.0] * 4, [1.0] * 4)
-        padded = apply_boundary(st)
+        padded = pad_cells(st.array)
         assert padded.shape == (4, 8)
         assert list(padded[0]) == [1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0, 4.0]
 
     def test_constant_state_padded_constant(self):
         st = ConservedState.from_fields([2.0] * 5, [1.0] * 5, [0.5] * 5,
                                         [4.0] * 5)
-        padded = apply_boundary(st)
+        padded = pad_cells(st.array)
         for row, value in zip(padded, (2.0, 1.0, 0.5, 4.0)):
             assert np.all(row == value)
 
@@ -178,6 +180,57 @@ class TestSspRk3:
         assert report.dt_cfl == pytest.approx(
             s.numerics.cfl * s.grid.dy / report.a_max)
         assert report.min_h >= 0.0 and report.min_hb >= 0.0
+
+
+class TestStageCheck:
+    """Each RK stage state is checked once for h, hb >= 0, before it is
+    reconstructed; only the accepted step becomes a ConservedState."""
+
+    @staticmethod
+    def _step_with_outflow(monkeypatch, row):
+        # a draining limiter that lets cell 0 export far more of one
+        # quantity than it holds, so the first stage state goes negative
+        def unlimited(padded, flux, dt, dy):
+            out = np.zeros_like(flux)
+            out[row, 1] = 1e3
+            return out, 0
+
+        reconstructions = []
+
+        def counted(*args, **kwargs):
+            reconstructions.append(1)
+            return build_interface_states(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "draining_limit", unlimited)
+        monkeypatch.setattr(stepper, "build_interface_states", counted)
+        s = _rest_scenario(t_final=1.0)
+        with pytest.raises(ValueError) as err:
+            ssp_rk3_step(s.initial_state(), 0.0, 0.01, s)
+        # raised by the check of the first stage state, before stage 2
+        assert len(reconstructions) == 1
+        return str(err.value)
+
+    def test_negative_depth_in_stage_raises(self, monkeypatch):
+        assert self._step_with_outflow(monkeypatch, 0) == \
+            "negative depth in conserved state"
+
+    def test_negative_buoyancy_in_stage_raises(self, monkeypatch):
+        assert self._step_with_outflow(monkeypatch, 3) == \
+            "negative depth-weighted buoyancy in conserved state"
+
+    def test_one_conserved_state_per_accepted_step(self, monkeypatch):
+        built = []
+        check = ConservedState.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(ConservedState, "__post_init__", counted)
+        res = run_simulation(make_scenario("ex2", cells=64, t_final=0.02))
+        assert not res.failed and res.steps > 1
+        # the initial state, then one per accepted step
+        assert len(built) == res.steps + 1
 
 
 class TestRhs:
