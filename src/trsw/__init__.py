@@ -16,8 +16,7 @@ from .reconstruction import (GlobalPrimitive, InterfaceStates,
                              build_interface_states, depth_from_equilibrium,
                              equilibrium_centers, global_primitive, minmod,
                              source_potential)
-from .flux import (diffusion_switch, intermediate_state, local_speeds,
-                   numerical_flux)
+from .flux import diffusion_switch, local_speeds, numerical_flux
 from .stepper import (IntegrationError, SimulationResult, StepReport,
                       assemble_fluxes, cfl_dt, draining_limit, rhs,
                       run_simulation, source_term, ssp_rk3_combine,
@@ -41,8 +40,7 @@ __all__ = [
     "GlobalPrimitive", "InterfaceStates", "build_interface_states",
     "depth_from_equilibrium", "equilibrium_centers", "global_primitive",
     "minmod", "source_potential",
-    "diffusion_switch", "intermediate_state", "local_speeds",
-    "numerical_flux",
+    "diffusion_switch", "local_speeds", "numerical_flux",
     "IntegrationError", "SimulationResult", "StepReport", "assemble_fluxes",
     "cfl_dt", "draining_limit", "rhs", "run_simulation", "source_term",
     "ssp_rk3_combine", "ssp_rk3_step",

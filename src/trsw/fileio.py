@@ -1,8 +1,8 @@
 """CSV snapshot and diagnostics files, plus solution comparison helpers.
 
 Snapshots are plot-ready text: metadata in leading ``# key: value``
-comments, a header row, one data row per cell with 17 significant digits,
-so identical runs produce byte-identical files.
+comments, a header row, one data row per cell, real values as ``%.16e``
+(17 significant digits), so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .diagnostics import DiagnosticsRecord
 from .model import ConservedState, Grid, Numerics, Topography, \
     primitives_from_state
 
 SNAPSHOT_COLUMNS = ("y", "h", "q", "p", "hb", "u", "v", "b", "w", "Z")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+_NUM = "%.16e"
 
 
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
@@ -33,15 +31,15 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
     lines = [
         f"# scenario: {scenario_name}",
         f"# N: {grid.n}",
-        f"# y_min: {_fmt(grid.y_min)}",
-        f"# y_max: {_fmt(grid.y_max)}",
-        f"# t: {_fmt(t)}",
-        f"# cfl: {_fmt(numerics.cfl)}",
-        f"# sigma: {_fmt(numerics.sigma)}",
+        f"# y_min: {_NUM % grid.y_min}",
+        f"# y_max: {_NUM % grid.y_max}",
+        f"# t: {_NUM % t}",
+        f"# cfl: {_NUM % numerics.cfl}",
+        f"# sigma: {_NUM % numerics.sigma}",
         ",".join(SNAPSHOT_COLUMNS),
     ]
-    lines += [",".join(_fmt(col[k]) for col in columns)
-              for k in range(grid.n)]
+    row = ",".join([_NUM] * len(columns))
+    lines += [row % tuple(r) for r in np.column_stack(columns).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -52,7 +50,7 @@ def read_snapshot(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
     header = None
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -62,9 +60,18 @@ def read_snapshot(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
             elif header is None:
                 header = line.split(",")
             else:
-                rows.append([float(x) for x in line.split(",")])
+                try:
+                    row = [float(x) for x in line.split(",")]
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: {len(row)} fields "
+                                     f"under a {len(header)}-column header")
+                rows.append(row)
     if header is None:
         raise ValueError(f"{path}: no header row")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, float)
     if data.shape[0] != int(meta.get("N", data.shape[0])):
         raise ValueError(f"{path}: row count does not match N")
@@ -73,10 +80,9 @@ def read_snapshot(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
 
 def write_diagnostics(path, records) -> None:
     """Diagnostics time series CSV: one row per recorded step."""
-    from .diagnostics import DiagnosticsRecord
-
     lines = [",".join(DiagnosticsRecord.FIELDS)]
-    lines += [",".join(_fmt(x) for x in rec.row()) for rec in records]
+    row = ",".join([_NUM] * len(DiagnosticsRecord.FIELDS))
+    lines += [row % rec.row() for rec in records]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -111,25 +117,28 @@ def compare_fields(a: np.ndarray, b: np.ndarray, dy_coarse: float
     return float(diff.sum() * dy_coarse), float(diff.max())
 
 
+def _comparable(path):
+    """(N, y_min, y_max, columns) of a snapshot file, all of them present."""
+    meta, data = read_snapshot(path)
+    missing = [key for key in ("N", "y_min", "y_max") if key not in meta]
+    missing += [name for name in SNAPSHOT_COLUMNS if name not in data]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    return int(meta["N"]), float(meta["y_min"]), float(meta["y_max"]), data
+
+
 def compare_solutions(path_a, path_b) -> Dict[str, Tuple[float, float]]:
     """Per-column (L1, Linf) differences between two snapshot files whose
     grids coincide or are nested by an integer factor."""
-    meta_a, data_a = read_snapshot(path_a)
-    meta_b, data_b = read_snapshot(path_b)
-    for key in ("y_min", "y_max"):
-        if not np.isclose(float(meta_a[key]), float(meta_b[key]),
-                          rtol=0.0, atol=1e-12):
+    n_a, lo_a, hi_a, data_a = _comparable(path_a)
+    n_b, lo_b, hi_b, data_b = _comparable(path_b)
+    for key, x_a, x_b in (("y_min", lo_a, lo_b), ("y_max", hi_a, hi_b)):
+        if not np.isclose(x_a, x_b, rtol=0.0, atol=1e-12):
             raise ValueError(f"snapshots cover different domains ({key})")
-    n_a, n_b = int(meta_a["N"]), int(meta_b["N"])
     _refinement_factor(n_a, n_b)
-    length = float(meta_a["y_max"]) - float(meta_a["y_min"])
-    dy_coarse = length / min(n_a, n_b)
-    out = {}
-    for name in SNAPSHOT_COLUMNS:
-        if name == "y":
-            continue
-        out[name] = compare_fields(data_a[name], data_b[name], dy_coarse)
-    return out
+    dy_coarse = (hi_a - lo_a) / min(n_a, n_b)
+    return {name: compare_fields(data_a[name], data_b[name], dy_coarse)
+            for name in SNAPSHOT_COLUMNS[1:]}
 
 
 def snapshot_filename(scenario_name: str, n: int, t: float) -> str:

@@ -32,14 +32,6 @@ def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus):
     return a_plus, a_minus
 
 
-def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
-    """Intermediate state (a+ U+ - a- U- - (G+ - G-)) / (a+ - a-)."""
-    return (a_plus * np.asarray(u_plus, float)
-            - a_minus * np.asarray(u_minus, float)
-            - (np.asarray(g_plus, float) - np.asarray(g_minus, float))) \
-        / (a_plus - a_minus)
-
-
 def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
                      c: float = 400.0, m: int = 8):
     """Smooth cut-off H(psi) = (C psi)^m / (1 + (C psi)^m) of the scaled

@@ -2,14 +2,20 @@
 command-line interface."""
 
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trsw.cli import ConfigError, convergence_mode, main, parse_config
-from trsw.fileio import (compare_solutions, read_snapshot,
-                         restrict_average, snapshot_filename, write_snapshot)
-from trsw.model import ConservedState, Numerics, build_grid, flat_topography
+from trsw.diagnostics import DiagnosticsRecord
+from trsw.fileio import (SNAPSHOT_COLUMNS, compare_solutions, read_snapshot,
+                         restrict_average, snapshot_filename,
+                         write_diagnostics, write_snapshot)
+from trsw.model import (ConservedState, Numerics, build_grid,
+                        flat_topography, primitives_from_state)
 from trsw.scenarios import make_scenario
 from trsw.stepper import run_simulation
 
@@ -54,6 +60,88 @@ class TestSnapshotFiles:
         _toy_snapshot(a)
         _toy_snapshot(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _old_fmt(x):
+    # the per-field formatter the writers used before the row templates
+    return f"{x:.16e}"
+
+
+def _old_row(values):
+    return ",".join(_old_fmt(x) for x in values)
+
+
+def _old_snapshot_text(state, topo, grid, t, name, numerics):
+    u, v, b, w = primitives_from_state(state, topo, numerics.eps)
+    columns = (grid.centers, state.h, state.q, state.p, state.hb,
+               u, v, b, w, topo.z_center)
+    lines = [f"# scenario: {name}", f"# N: {grid.n}",
+             f"# y_min: {_old_fmt(grid.y_min)}",
+             f"# y_max: {_old_fmt(grid.y_max)}", f"# t: {_old_fmt(t)}",
+             f"# cfl: {_old_fmt(numerics.cfl)}",
+             f"# sigma: {_old_fmt(numerics.sigma)}",
+             ",".join(SNAPSHOT_COLUMNS)]
+    lines += [_old_row(col[k] for col in columns) for k in range(grid.n)]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+            2.2250738585072009e-308, 2.2250738585072014e-308,
+            np.finfo(float).max, -np.finfo(float).max, 1e16, 0.1)
+_FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(
+        lambda i: struct.unpack("<d", struct.pack("<Q", i))[0]),
+    st.sampled_from(_SPECIAL))
+
+
+class TestNumberFormat:
+    """The writers' row templates against the per-field formatter, byte for
+    byte, on arbitrary float64 bit patterns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FLOAT64, min_size=9, max_size=9))
+    def test_diagnostics_row(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "diag.csv")
+            write_diagnostics(path, [DiagnosticsRecord(*values)] * 2)
+            with open(path) as fh:
+                lines = fh.read().split("\n")
+        assert lines[1:] == [_old_row(values)] * 2 + [""]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_FLOAT64, _FLOAT64, _FLOAT64, _FLOAT64),
+                    min_size=4, max_size=8), _FLOAT64)
+    def test_snapshot_rows(self, cells, t):
+        h, q, p, hb = (np.abs(a) if k in (0, 3) else a
+                       for k, a in enumerate(np.array(cells).T))
+        grid = build_grid(-1.0, 3.0, len(cells))
+        topo = flat_topography(grid)
+        state = ConservedState.from_fields(h, q, p, hb)
+        numerics = Numerics()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.csv")
+            with np.errstate(all="ignore"):
+                write_snapshot(path, state, topo, grid, t, "bits", numerics)
+                expected = _old_snapshot_text(state, topo, grid, t, "bits",
+                                              numerics)
+            with open(path) as fh:
+                assert fh.read() == expected
+
+    def test_ex2_run_files_match_per_field_format(self, tmp_path):
+        # a non-flat bottom, so every diagnostics row carries energy = NaN
+        s = make_scenario("ex2", cells=64, t_final=0.02)
+        res = run_simulation(s)
+        assert len(res.records) > 2
+        assert all(np.isnan(rec.energy) for rec in res.records)
+        snap, diag = tmp_path / "snap.csv", tmp_path / "diag.csv"
+        write_snapshot(snap, res.state, s.topography, s.grid, res.t, s.name,
+                       s.numerics)
+        write_diagnostics(diag, res.records)
+        assert snap.read_text() == _old_snapshot_text(
+            res.state, s.topography, s.grid, res.t, s.name, s.numerics)
+        expected = [",".join(DiagnosticsRecord.FIELDS)]
+        expected += [_old_row(rec.row()) for rec in res.records]
+        assert diag.read_text() == "\n".join(expected) + "\n"
 
 
 class TestRestriction:
@@ -109,6 +197,63 @@ class TestCompare:
         _toy_snapshot(a, y_max=2.0)
         _toy_snapshot(b, y_max=4.0)
         with pytest.raises(ValueError, match="domain"):
+            compare_solutions(a, b)
+
+
+class TestMalformedReference:
+    """A reference snapshot that cannot be compared is a ValueError that
+    names the file (and the line of a bad row), never another exception."""
+
+    def test_header_only(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "header_only.csv"
+        _toy_snapshot(a)
+        b.write_text(",".join(SNAPSHOT_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match=f"{b}: no data rows"):
+            compare_solutions(a, b)
+
+    @pytest.mark.parametrize("key", ["y_min", "y_max", "N"])
+    def test_missing_domain_line(self, tmp_path, key):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _toy_snapshot(a)
+        _toy_snapshot(b)
+        b.write_text("".join(line for line in b.read_text().splitlines(True)
+                             if not line.startswith(f"# {key}:")))
+        with pytest.raises(ValueError, match=f"{b}: missing {key}"):
+            compare_solutions(a, b)
+
+    def test_missing_column(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _toy_snapshot(a)
+        _toy_snapshot(b)
+        # drop the trailing Z column from the header and every row
+        b.write_text("".join(line if line.startswith("#")
+                             else line.rsplit(",", 1)[0] + "\n"
+                             for line in b.read_text().splitlines(True)))
+        with pytest.raises(ValueError, match=f"{b}: missing Z"):
+            compare_solutions(a, b)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_short_or_long_row(self, tmp_path, cut):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _toy_snapshot(a)
+        _toy_snapshot(b)
+        lines = b.read_text().splitlines(True)
+        fields = lines[9].rstrip("\n").split(",")
+        fields = fields[:cut] if cut < 0 else fields + ["0.0"]
+        lines[9] = ",".join(fields) + "\n"
+        b.write_text("".join(lines))
+        # line 10: seven comment lines, the header, then the second row
+        with pytest.raises(ValueError, match=f"{b}:10: {len(fields)} fields"):
+            compare_solutions(a, b)
+
+    def test_non_numeric_field(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _toy_snapshot(a)
+        _toy_snapshot(b)
+        lines = b.read_text().splitlines(True)
+        lines[9] = "abc" + lines[9][lines[9].index(","):]
+        b.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{b}:10: .*'abc'"):
             compare_solutions(a, b)
 
 
@@ -196,6 +341,16 @@ class TestCliMain:
         assert code == 0
         text = capsys.readouterr().out
         assert "L1" in text and "0.00000e+00" in text
+
+    def test_malformed_reference_exit_code(self, tmp_path, capsys):
+        ref = tmp_path / "header_only.csv"
+        ref.write_text(",".join(SNAPSHOT_COLUMNS) + "\n")
+        code = main(["--scenario", "ex2", "--cells", "20",
+                     "--t-final", "0.001", "--out", str(tmp_path / "out"),
+                     "--compare-with", str(ref)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ref) in err
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trsw.flux import (diffusion_switch, intermediate_state, local_speeds,
-                       numerical_flux)
+from trsw import flux
+from trsw.flux import diffusion_switch, local_speeds, numerical_flux
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, build_grid,
                         flat_topography)
-from trsw.reconstruction import InterfaceStates
+from trsw.reconstruction import InterfaceStates, minmod
 from trsw.stepper import rhs
 
 
@@ -112,7 +112,31 @@ class TestLocalSpeeds:
             local_speeds(0.0, 0.0, -1.0, 1.0, 1.0, 1.0)
 
 
+def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
+    """U* = (a+ U+ - a- U- - (G+ - G-)) / (a+ - a-) as the flux row builds
+    it, read back from the second argument, U* - U-, of its minmod call."""
+    u_minus, u_plus, g_minus, g_plus = (
+        np.asarray(x, float) for x in (u_minus, u_plus, g_minus, g_plus))
+    seen = []
+
+    def spy(x, y, out=None):
+        seen.append(u_minus + y)
+        return minmod(x, y, out=out)
+
+    safe = a_plus - a_minus
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flux, "minmod", spy)
+        flux._central_upwind_row(np.empty(u_minus.size), u_minus, u_plus,
+                                 g_minus, g_plus, a_plus, a_minus, safe,
+                                 a_plus * a_minus / safe,
+                                 np.array([], dtype=int))
+    (u_star,) = seen
+    return u_star
+
+
 class TestIntermediateState:
+    """The intermediate state inside the production flux row."""
+
     def test_identical_states(self):
         u = np.array([1.0, 2.0, 3.0, 4.0])
         g = np.array([0.5, 0.5, 0.5, 0.5])
