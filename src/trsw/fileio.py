@@ -3,6 +3,15 @@
 Snapshots are plot-ready text: metadata in leading ``# key: value``
 comments, a header row, one data row per cell, real values as ``%.16e``
 (17 significant digits), so identical runs produce byte-identical files.
+
+Both writers format each distinct float64 bit pattern of a table once. A
+well-balanced run repeats values bit for bit (resting far fields, zero
+momenta, constant b and Z): an ex6 snapshot at N = 4000 holds about 5,000
+distinct values in 40,000 fields, 4,000 of them the cell centres y. The
+string of a field is the ``%.16e`` of the same float it always was, so
+the files keep their bytes. The key is the bit pattern, not the float
+value: ``0.0 == -0.0`` although they print differently, and no NaN
+equals itself.
 """
 
 from __future__ import annotations
@@ -18,6 +27,19 @@ from .model import ConservedState, Grid, Numerics, Topography, \
 
 SNAPSHOT_COLUMNS = ("y", "h", "q", "p", "hb", "u", "v", "b", "w", "Z")
 _NUM = "%.16e"
+
+
+def _csv_rows(columns):
+    """Comma-joined ``%.16e`` rows of a table given as equal-length float
+    columns. Each distinct bit pattern of the table is formatted once, and
+    the strings are gathered back by the inverse index."""
+    table = np.asarray(columns, dtype=np.float64)
+    values = table.ravel()
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    strings = np.array([_NUM % x for x in values[first].tolist()], object)
+    fields = strings[inverse.reshape(table.shape)].tolist()
+    return map(",".join, zip(*fields))
 
 
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
@@ -38,8 +60,7 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
         f"# sigma: {_NUM % numerics.sigma}",
         ",".join(SNAPSHOT_COLUMNS),
     ]
-    row = ",".join([_NUM] * len(columns))
-    lines += [row % tuple(r) for r in np.column_stack(columns).tolist()]
+    lines += _csv_rows(columns)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -73,16 +94,25 @@ def read_snapshot(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, float)
-    if data.shape[0] != int(meta.get("N", data.shape[0])):
+    if "N" in meta and data.shape[0] != _meta_value(path, meta, "N", int):
         raise ValueError(f"{path}: row count does not match N")
     return meta, {name: data[:, i] for i, name in enumerate(header)}
 
 
+def _meta_value(path, meta: Dict[str, str], key: str, kind):
+    """``kind(meta[key])``, or a ValueError that names the file."""
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ValueError(f"{path}: malformed {key}: {meta[key]!r}") from None
+
+
 def write_diagnostics(path, records) -> None:
     """Diagnostics time series CSV: one row per recorded step."""
+    width = len(DiagnosticsRecord.FIELDS)
+    table = np.array([rec.row() for rec in records], float).reshape(-1, width)
     lines = [",".join(DiagnosticsRecord.FIELDS)]
-    row = ",".join([_NUM] * len(DiagnosticsRecord.FIELDS))
-    lines += [row % rec.row() for rec in records]
+    lines += _csv_rows(table.T)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -124,7 +154,9 @@ def _comparable(path):
     missing += [name for name in SNAPSHOT_COLUMNS if name not in data]
     if missing:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
-    return int(meta["N"]), float(meta["y_min"]), float(meta["y_max"]), data
+    return (_meta_value(path, meta, "N", int),
+            _meta_value(path, meta, "y_min", float),
+            _meta_value(path, meta, "y_max", float), data)
 
 
 def compare_solutions(path_a, path_b) -> Dict[str, Tuple[float, float]]:

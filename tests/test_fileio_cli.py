@@ -14,7 +14,7 @@ from trsw.diagnostics import DiagnosticsRecord
 from trsw.fileio import (SNAPSHOT_COLUMNS, compare_solutions, read_snapshot,
                          restrict_average, snapshot_filename,
                          write_diagnostics, write_snapshot)
-from trsw.model import (ConservedState, Numerics, build_grid,
+from trsw.model import (ConservedState, Numerics, Topography, build_grid,
                         flat_topography, primitives_from_state)
 from trsw.scenarios import make_scenario
 from trsw.stepper import run_simulation
@@ -63,7 +63,7 @@ class TestSnapshotFiles:
 
 
 def _old_fmt(x):
-    # the per-field formatter the writers used before the row templates
+    # the per-field formatter: the reference the writers must match
     return f"{x:.16e}"
 
 
@@ -85,18 +85,21 @@ def _old_snapshot_text(state, topo, grid, t, name, numerics):
     return "\n".join(lines) + "\n"
 
 
+def _from_bits(i):
+    return struct.unpack("<d", struct.pack("<Q", i))[0]
+
+
 _SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
             2.2250738585072009e-308, 2.2250738585072014e-308,
             np.finfo(float).max, -np.finfo(float).max, 1e16, 0.1)
 _FLOAT64 = st.one_of(
-    st.integers(0, 2**64 - 1).map(
-        lambda i: struct.unpack("<d", struct.pack("<Q", i))[0]),
+    st.integers(0, 2**64 - 1).map(_from_bits),
     st.sampled_from(_SPECIAL))
 
 
 class TestNumberFormat:
-    """The writers' row templates against the per-field formatter, byte for
-    byte, on arbitrary float64 bit patterns."""
+    """The writers against the per-field formatter, byte for byte, on
+    arbitrary float64 bit patterns and on whole runs."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_FLOAT64, min_size=9, max_size=9))
@@ -133,15 +136,79 @@ class TestNumberFormat:
         res = run_simulation(s)
         assert len(res.records) > 2
         assert all(np.isnan(rec.energy) for rec in res.records)
-        snap, diag = tmp_path / "snap.csv", tmp_path / "diag.csv"
-        write_snapshot(snap, res.state, s.topography, s.grid, res.t, s.name,
-                       s.numerics)
-        write_diagnostics(diag, res.records)
-        assert snap.read_text() == _old_snapshot_text(
-            res.state, s.topography, s.grid, res.t, s.name, s.numerics)
+        _assert_run_files_match(tmp_path, s, res)
+
+    def test_lake_at_rest_files_match_per_field_format(self, tmp_path):
+        # an equilibrium: whole columns (q, u, the mass ledger) hold one
+        # value, and b and w two or three
+        s = make_scenario("lake-at-rest", cells=64)
+        res = run_simulation(s)
+        assert len(res.records) > 2
+        assert np.all(res.state.q == 0.0)
+        assert len({rec.mass for rec in res.records}) == 1
+        _assert_run_files_match(tmp_path, s, res)
+
+
+def _assert_run_files_match(tmp_path, s, res):
+    """The snapshot and diagnostics files of a run, byte for byte against
+    the per-field formatter."""
+    snap, diag = tmp_path / "snap.csv", tmp_path / "diag.csv"
+    write_snapshot(snap, res.state, s.topography, s.grid, res.t, s.name,
+                   s.numerics)
+    write_diagnostics(diag, res.records)
+    assert snap.read_text() == _old_snapshot_text(
+        res.state, s.topography, s.grid, res.t, s.name, s.numerics)
+    expected = [",".join(DiagnosticsRecord.FIELDS)]
+    expected += [_old_row(rec.row()) for rec in res.records]
+    assert diag.read_text() == "\n".join(expected) + "\n"
+
+
+# a few bit patterns, so that values repeat inside a column: both zeros
+# (equal as floats, printed differently), NaNs with distinct payloads and
+# signs, both infinities, both smallest subnormals and ordinary values
+_POOL = (0.0, -0.0, _from_bits(0x7FF8000000000000),
+         _from_bits(0xFFF8000000000000), _from_bits(0x7FF0000000000123),
+         np.inf, -np.inf, 5e-324, -5e-324, 1.0, -2.5, 0.1, 1e16)
+# h and hb must not be < 0, which still leaves -0.0 and the signed NaN
+_NONNEG = tuple(x for x in _POOL if not x < 0)
+
+
+class TestRepeatedBitPatterns:
+    """Columns drawn from a small pool of bit patterns, against the
+    per-field formatter: the writers format each distinct pattern once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(4, 12))
+    def test_snapshot_file(self, data, n):
+        def column(pool, size=n):
+            return data.draw(st.lists(st.sampled_from(pool), min_size=size,
+                                      max_size=size))
+        state = ConservedState.from_fields(column(_NONNEG), column(_POOL),
+                                           column(_POOL), column(_NONNEG))
+        grid, numerics = build_grid(-1.0, 3.0, n), Numerics()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.csv")
+            with np.errstate(all="ignore"):
+                topo = Topography(np.array(column(_POOL, n + 1)))
+                write_snapshot(path, state, topo, grid, 0.0, "pool", numerics)
+                expected = _old_snapshot_text(state, topo, grid, 0.0, "pool",
+                                              numerics)
+            with open(path) as fh:
+                assert fh.read() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(_POOL), min_size=9, max_size=9),
+                    max_size=10))
+    def test_diagnostics_file(self, rows):
+        records = [DiagnosticsRecord(*values) for values in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "diag.csv")
+            write_diagnostics(path, records)
+            with open(path) as fh:
+                text = fh.read()
         expected = [",".join(DiagnosticsRecord.FIELDS)]
-        expected += [_old_row(rec.row()) for rec in res.records]
-        assert diag.read_text() == "\n".join(expected) + "\n"
+        expected += [_old_row(values) for values in rows]
+        assert text == "\n".join(expected) + "\n"
 
 
 class TestRestriction:
@@ -200,6 +267,13 @@ class TestCompare:
             compare_solutions(a, b)
 
 
+def _spoil_meta(path, key):
+    """Replace the value of the ``# key:`` line of a snapshot by 'abc'."""
+    path.write_text("".join(f"# {key}: abc\n" if line.startswith(f"# {key}:")
+                            else line
+                            for line in path.read_text().splitlines(True)))
+
+
 class TestMalformedReference:
     """A reference snapshot that cannot be compared is a ValueError that
     names the file (and the line of a bad row), never another exception."""
@@ -219,6 +293,15 @@ class TestMalformedReference:
         b.write_text("".join(line for line in b.read_text().splitlines(True)
                              if not line.startswith(f"# {key}:")))
         with pytest.raises(ValueError, match=f"{b}: missing {key}"):
+            compare_solutions(a, b)
+
+    @pytest.mark.parametrize("key", ["y_min", "y_max", "N"])
+    def test_non_numeric_domain_line(self, tmp_path, key):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _toy_snapshot(a)
+        _toy_snapshot(b)
+        _spoil_meta(b, key)
+        with pytest.raises(ValueError, match=f"{b}: malformed {key}: 'abc'"):
             compare_solutions(a, b)
 
     def test_missing_column(self, tmp_path):
@@ -351,6 +434,19 @@ class TestCliMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ref) in err
+
+    @pytest.mark.parametrize("key", ["y_min", "y_max", "N"])
+    def test_non_numeric_reference_meta_exit_code(self, tmp_path, capsys,
+                                                  key):
+        ref = tmp_path / "ref.csv"
+        _toy_snapshot(ref, n=20)
+        _spoil_meta(ref, key)
+        code = main(["--scenario", "ex2", "--cells", "20",
+                     "--t-final", "0.001", "--out", str(tmp_path / "out"),
+                     "--compare-with", str(ref)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ref}: malformed {key}")
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []
