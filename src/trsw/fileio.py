@@ -4,14 +4,17 @@ Snapshots are plot-ready text: metadata in leading ``# key: value``
 comments, a header row, one data row per cell, real values as ``%.16e``
 (17 significant digits), so identical runs produce byte-identical files.
 
-Both writers format each distinct float64 bit pattern of a table once. A
-well-balanced run repeats values bit for bit (resting far fields, zero
-momenta, constant b and Z): an ex6 snapshot at N = 4000 holds about 5,000
-distinct values in 40,000 fields, 4,000 of them the cell centres y. The
-string of a field is the ``%.16e`` of the same float it always was, so
-the files keep their bytes. The key is the bit pattern, not the float
-value: ``0.0 == -0.0`` although they print differently, and no NaN
-equals itself.
+Both writers format each run of equal float64 bit patterns down a column
+once. A well-balanced run holds equilibria fixed to round-off, so whole
+stretches of cells repeat bit for bit (resting far fields, zero momenta,
+constant b and Z): an ex6 snapshot at N = 4000 has about 1,500 runs in
+the 36,000 fields outside the cell centres y. A column with at most half
+as many runs as rows gets one ``%.16e`` string per run, repeated down the
+run; any other column is formatted field by field in the row template, as
+before, so a table without repeats costs what it did. The string of a
+field is the ``%.16e`` of the same float it always was, so the files keep
+their bytes. Runs are cut where the bit pattern changes, not the float
+value: ``0.0 == -0.0`` although they print differently.
 """
 
 from __future__ import annotations
@@ -31,15 +34,25 @@ _NUM = "%.16e"
 
 def _csv_rows(columns):
     """Comma-joined ``%.16e`` rows of a table given as equal-length float
-    columns. Each distinct bit pattern of the table is formatted once, and
-    the strings are gathered back by the inverse index."""
-    table = np.asarray(columns, dtype=np.float64)
-    values = table.ravel()
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    strings = np.array([_NUM % x for x in values[first].tolist()], object)
-    fields = strings[inverse.reshape(table.shape)].tolist()
-    return map(",".join, zip(*fields))
+    columns (see the module docstring for the runs)."""
+    n = len(columns[0])
+    specs, fields = [], []
+    for col in columns:
+        col = np.asarray(col, dtype=np.float64)
+        bits = col.view(np.int64)
+        changed = bits[1:] != bits[:-1]
+        if 2 * (1 + np.count_nonzero(changed)) <= n:
+            starts = np.flatnonzero(np.concatenate(([True], changed)))
+            strings = np.array([_NUM % x for x in col[starts].tolist()],
+                               object)
+            fields.append(np.repeat(strings, np.diff(starts, append=n))
+                          .tolist())
+            specs.append("%s")
+        else:
+            fields.append(col.tolist())
+            specs.append(_NUM)
+    row = ",".join(specs)
+    return [row % r for r in zip(*fields)]
 
 
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,

@@ -163,7 +163,7 @@ def _assert_run_files_match(tmp_path, s, res):
     assert diag.read_text() == "\n".join(expected) + "\n"
 
 
-# a few bit patterns, so that values repeat inside a column: both zeros
+# a few bit patterns, so that values repeat down a column: both zeros
 # (equal as floats, printed differently), NaNs with distinct payloads and
 # signs, both infinities, both smallest subnormals and ordinary values
 _POOL = (0.0, -0.0, _from_bits(0x7FF8000000000000),
@@ -173,16 +173,24 @@ _POOL = (0.0, -0.0, _from_bits(0x7FF8000000000000),
 _NONNEG = tuple(x for x in _POOL if not x < 0)
 
 
+def _runs(pool, size):
+    """Columns of ``size`` values from ``pool`` in runs of 1 to 6 equal
+    neighbours: a column of short runs is formatted field by field, one of
+    long runs run by run."""
+    return st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 6)),
+                    min_size=size, max_size=size).map(
+        lambda runs: [x for x, k in runs for _ in range(k)][:size])
+
+
 class TestRepeatedBitPatterns:
-    """Columns drawn from a small pool of bit patterns, against the
-    per-field formatter: the writers format each distinct pattern once."""
+    """Columns of runs drawn from a small pool of bit patterns, against the
+    per-field formatter: the writers format each run once."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.integers(4, 12))
+    @given(st.data(), st.integers(4, 24))
     def test_snapshot_file(self, data, n):
         def column(pool, size=n):
-            return data.draw(st.lists(st.sampled_from(pool), min_size=size,
-                                      max_size=size))
+            return data.draw(_runs(pool, size))
         state = ConservedState.from_fields(column(_NONNEG), column(_POOL),
                                            column(_POOL), column(_NONNEG))
         grid, numerics = build_grid(-1.0, 3.0, n), Numerics()
@@ -197,9 +205,9 @@ class TestRepeatedBitPatterns:
                 assert fh.read() == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.sampled_from(_POOL), min_size=9, max_size=9),
-                    max_size=10))
-    def test_diagnostics_file(self, rows):
+    @given(st.data(), st.integers(0, 16))
+    def test_diagnostics_file(self, data, m):
+        rows = list(zip(*[data.draw(_runs(_POOL, m)) for _ in range(9)]))
         records = [DiagnosticsRecord(*values) for values in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "diag.csv")
@@ -209,6 +217,17 @@ class TestRepeatedBitPatterns:
         expected = [",".join(DiagnosticsRecord.FIELDS)]
         expected += [_old_row(values) for values in rows]
         assert text == "\n".join(expected) + "\n"
+
+    def test_signed_zeros_cut_a_run(self, tmp_path):
+        # 0.0 == -0.0, so a run cut by float value would print 0.0 four
+        # times; cut by bit pattern, each zero keeps its sign
+        column = [0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0]
+        records = [DiagnosticsRecord(*[x] * 9) for x in column]
+        path = tmp_path / "diag.csv"
+        write_diagnostics(path, records)
+        lines = path.read_text().splitlines()[1:]
+        assert lines == [_old_row([x] * 9) for x in column]
+        assert lines[2].startswith("-0.0000000000000000e+00,")
 
 
 class TestRestriction:

@@ -1,8 +1,8 @@
 """SHA-256 digests of every CSV the CLI writes, scenario by scenario.
 
 Runs ``python -m trsw.cli --scenario S --cells N --diagnostics`` for each
-named scenario, with the ``src/`` of the checkout this file sits in, into
-``OUTDIR/S``. For each run it prints the exit code and any ``error:`` or
+scenario S of ``trsw.scenarios.SCENARIO_IDS``, with the ``src/`` of the
+checkout this file sits in, into ``OUTDIR/S``. For each run it prints the exit code and any ``error:`` or
 ``integration failed:`` line the CLI wrote, then one ``sha256  path`` line
 per CSV (paths relative to OUTDIR) and one for the CLI's standard output.
 Two checkouts give the same listing exactly when their CLIs wrote the same
@@ -59,21 +59,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("outdir", help="directory for the CLI outputs")
     parser.add_argument("--cells", type=int, required=True)
-    parser.add_argument("--scenarios",
-                        help="comma-separated scenario ids (default: all)")
     args = parser.parse_args(argv)
-    if args.scenarios:
-        scenarios = args.scenarios.split(",")
-    else:
-        sys.path.insert(0, _SRC)
-        from trsw.scenarios import SCENARIO_IDS
-        scenarios = list(SCENARIO_IDS)
-    for scenario in scenarios:
+    sys.path.insert(0, _SRC)
+    from trsw.scenarios import SCENARIO_IDS
+    for scenario in SCENARIO_IDS:
         if os.path.exists(os.path.join(args.outdir, scenario)):
             parser.error(f"{os.path.join(args.outdir, scenario)} exists; "
                          "give a fresh OUTDIR so no old file is listed")
     os.makedirs(args.outdir, exist_ok=True)
-    for scenario in scenarios:
+    for scenario in SCENARIO_IDS:
         for line in digest_run(args.outdir, scenario, args.cells):
             print(line, flush=True)
     return 0
