@@ -236,6 +236,11 @@ def _print_convergence(rows: List[dict]) -> None:
 
 def _run_and_write(cfg: RunConfig) -> int:
     scenario = _scenario_from_config(cfg)
+    reference = None
+    if cfg.compare_with:  # checked before the run, so a bad one costs none
+        reference = fileio.read_comparable(cfg.compare_with)
+        grid = scenario.grid
+        fileio.check_nested((grid.n, grid.y_min, grid.y_max), reference)
     fileio.ensure_outdir(cfg.out)
 
     written: List[str] = []
@@ -261,7 +266,7 @@ def _run_and_write(cfg: RunConfig) -> int:
     for path in written:
         print(path)
 
-    if cfg.compare_with:
+    if reference is not None:
         final_path = os.path.join(cfg.out, fileio.snapshot_filename(
             scenario.name, scenario.grid.n, result.t))
         if final_path not in written:
@@ -269,7 +274,8 @@ def _run_and_write(cfg: RunConfig) -> int:
                                   scenario.topography, scenario.grid,
                                   result.t, scenario.name, scenario.numerics)
             print(final_path)
-        table = fileio.compare_solutions(final_path, cfg.compare_with)
+        table = fileio.compare_snapshots(fileio.read_comparable(final_path),
+                                         reference)
         print(f"{'field':>6} {'L1':>13} {'Linf':>13}")
         for name, (l1, linf) in table.items():
             print(f"{name:>6} {l1:13.5e} {linf:13.5e}")

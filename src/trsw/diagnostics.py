@@ -18,8 +18,13 @@ from .model import (DEFAULT_EPS, ConservedState, CoriolisSpec, Grid,
                     primitives_from_state)
 
 
+def flat_bottom(topo: Topography) -> bool:
+    """Z = 0 everywhere, where the balance residual and energy apply."""
+    return not np.any(topo.z_iface != 0.0)
+
+
 def _require_flat(topo: Topography, what: str):
-    if np.any(topo.z_iface != 0.0):
+    if not flat_bottom(topo):
         raise ValueError(f"{what} is defined for a flat bottom (Z = 0) only")
 
 
@@ -191,14 +196,14 @@ def make_record(t: float, state: ConservedState, scenario: Scenario,
     v = desingularized_ratio(state.h, state.p, eps)
     w = state.h + topo.z_center
     mass_drift, hb_drift = ledger.drifts(state)
-    flat = not np.any(topo.z_iface != 0.0)
     return DiagnosticsRecord(
         t=t,
         mass=float(np.sum(state.h) * grid.dy),
         hb_total=float(np.sum(state.hb) * grid.dy),
         mass_drift=mass_drift,
         hb_drift=hb_drift,
-        energy=energy(state, grid, topo, eps) if flat else float("nan"),
+        energy=(energy(state, grid, topo, eps) if flat_bottom(topo)
+                else float("nan")),
         max_abs_v=float(np.max(np.abs(v), initial=0.0)),
         max_grad_v=gradient_max(v, grid.dy),
         tv_w=total_variation(w))

@@ -160,7 +160,7 @@ def compare_fields(a: np.ndarray, b: np.ndarray, dy_coarse: float
     return float(diff.sum() * dy_coarse), float(diff.max())
 
 
-def _comparable(path):
+def read_comparable(path):
     """(N, y_min, y_max, columns) of a snapshot file, all of them present."""
     meta, data = read_snapshot(path)
     missing = [key for key in ("N", "y_min", "y_max") if key not in meta]
@@ -172,18 +172,29 @@ def _comparable(path):
             _meta_value(path, meta, "y_max", float), data)
 
 
-def compare_solutions(path_a, path_b) -> Dict[str, Tuple[float, float]]:
-    """Per-column (L1, Linf) differences between two snapshot files whose
-    grids coincide or are nested by an integer factor."""
-    n_a, lo_a, hi_a, data_a = _comparable(path_a)
-    n_b, lo_b, hi_b, data_b = _comparable(path_b)
+def check_nested(a, b) -> None:
+    """ValueError unless two grids, each given as (N, y_min, y_max, ...),
+    cover the same domain with cell counts nested by an integer factor."""
+    (n_a, lo_a, hi_a), (n_b, lo_b, hi_b) = a[:3], b[:3]
     for key, x_a, x_b in (("y_min", lo_a, lo_b), ("y_max", hi_a, hi_b)):
         if not np.isclose(x_a, x_b, rtol=0.0, atol=1e-12):
             raise ValueError(f"snapshots cover different domains ({key})")
     _refinement_factor(n_a, n_b)
+
+
+def compare_snapshots(a, b) -> Dict[str, Tuple[float, float]]:
+    """Per-column (L1, Linf) differences between two read_comparable
+    snapshots whose grids coincide or are nested by an integer factor."""
+    check_nested(a, b)
+    (n_a, lo_a, hi_a, data_a), (n_b, _, _, data_b) = a, b
     dy_coarse = (hi_a - lo_a) / min(n_a, n_b)
     return {name: compare_fields(data_a[name], data_b[name], dy_coarse)
             for name in SNAPSHOT_COLUMNS[1:]}
+
+
+def compare_solutions(path_a, path_b) -> Dict[str, Tuple[float, float]]:
+    """compare_snapshots of two snapshot files."""
+    return compare_snapshots(read_comparable(path_a), read_comparable(path_b))
 
 
 def snapshot_filename(scenario_name: str, n: int, t: float) -> str:

@@ -76,10 +76,6 @@ class Topography:
         object.__setattr__(self, "z_iface", zi)
         object.__setattr__(self, "z_center", _readonly(0.5 * (zi[:-1] + zi[1:])))
 
-    @property
-    def is_flat(self) -> bool:
-        return bool(np.all(self.z_iface == self.z_iface[0]))
-
 
 def sample_topography(
     z_left: Callable[[np.ndarray], np.ndarray],

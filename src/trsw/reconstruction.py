@@ -81,11 +81,6 @@ def pad_cells(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_buoyancy(h_bar, hb_bar, eps: float) -> np.ndarray:
-    """Cell buoyancy b = hb/h through the desingularized ratio."""
-    return desingularized_ratio(h_bar, hb_bar, eps)
-
-
 def source_potential(state: ConservedState, topo: Topography,
                      coriolis: CoriolisSpec, grid: Grid):
     """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces.
@@ -112,37 +107,6 @@ def source_potential(state: ConservedState, topo: Topography,
                + 0.5 * (hb[:-1] + hb[1:]) * np.diff(topo.z_center))
         r_center[1:] = r_center[0] + np.cumsum(inc)
     return r_center, r_iface
-
-
-def equilibrium_centers(state: ConservedState, r_center: np.ndarray,
-                        eps: float) -> np.ndarray:
-    """Cell values of L = p^2/h + (hb/2) h + R, with the kinetic term
-    desingularized so dry cells contribute zero."""
-    kinetic = state.p * desingularized_ratio(state.h, state.p, eps)
-    return kinetic + 0.5 * state.hb * state.h + np.asarray(r_center, float)
-
-
-@dataclass(frozen=True, eq=False)
-class GlobalPrimitive:
-    """Cell and interface values of the global variables: the source
-    potential R (datum zero at the left boundary interface), the
-    equilibrium variable L, and the cell buoyancy."""
-
-    r_center: np.ndarray
-    r_iface: np.ndarray
-    l_center: np.ndarray
-    b_center: np.ndarray
-
-
-def global_primitive(state: ConservedState, topo: Topography,
-                     coriolis: CoriolisSpec, grid: Grid,
-                     eps: float) -> GlobalPrimitive:
-    """Assemble R, L, and b for a state in one pass."""
-    r_center, r_iface = source_potential(state, topo, coriolis, grid)
-    return GlobalPrimitive(
-        r_center=r_center, r_iface=r_iface,
-        l_center=equilibrium_centers(state, r_center, eps),
-        b_center=cell_buoyancy(state.h, state.hb, eps))
 
 
 def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
@@ -229,28 +193,24 @@ class InterfaceStates:
 
 def build_interface_states(state: ConservedState, topo: Topography,
                            coriolis: CoriolisSpec, grid: Grid,
-                           numerics: Numerics,
-                           r_datum: float = 0.0) -> InterfaceStates:
+                           numerics: Numerics) -> InterfaceStates:
     """Full reconstruction pipeline from cell averages to interface states.
 
     ``state`` is a ConservedState or its (4, n) array; it is not checked
     here. The cell values of b, L and the surface w = h + Z are formed on
     the n cells and then edge-padded like the state itself, which gives
     the same ghost values as forming them on the padded state.
-    ``r_datum`` shifts the (arbitrary) integration constant of R; it is
-    exposed for datum-invariance checks and is zero in production use.
     """
     sigma, dy, eps = numerics.sigma, grid.dy, numerics.eps
 
     u = getattr(state, "array", state)
     h, p, hb = u[0], u[2], u[3]
     padded = pad_cells(u)
-    b_pad = pad_cells(cell_buoyancy(h, hb, eps))
+    b_pad = pad_cells(desingularized_ratio(h, hb, eps))
 
+    # L = p^2/h + (hb/2) h + R, the kinetic term desingularized so dry
+    # cells contribute zero
     r_center, r_iface = source_potential(u, topo, coriolis, grid)
-    if r_datum != 0.0:
-        r_center = r_center + r_datum
-        r_iface = r_iface + r_datum
     l_cell = p * desingularized_ratio(h, p, eps)
     l_cell += 0.5 * hb * h
     l_cell += r_center

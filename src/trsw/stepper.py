@@ -53,14 +53,12 @@ def source_term(state: ConservedState, iface: InterfaceStates,
 
 
 def assemble_fluxes(state: ConservedState, topo: Topography,
-                    coriolis: CoriolisSpec, grid: Grid, numerics: Numerics,
-                    r_datum: float = 0.0):
+                    coriolis: CoriolisSpec, grid: Grid, numerics: Numerics):
     """Interface states plus central-upwind fluxes for the current state.
 
     Returns (fluxes, a_plus, a_minus, iface).
     """
-    iface = build_interface_states(state, topo, coriolis, grid, numerics,
-                                   r_datum=r_datum)
+    iface = build_interface_states(state, topo, coriolis, grid, numerics)
     switch = diffusion_switch(iface.l_cell_left, iface.l_cell_right,
                               grid.dy, grid.length,
                               numerics.switch_c, numerics.switch_m)
@@ -68,18 +66,23 @@ def assemble_fluxes(state: ConservedState, topo: Topography,
     return flux, a_plus, a_minus, iface
 
 
+def _tendency(state, flux: np.ndarray, iface: InterfaceStates,
+              coriolis: CoriolisSpec, grid: Grid) -> np.ndarray:
+    """Flux divergence plus the Coriolis source on q, per cell, (4, n)."""
+    tend = -(flux[:, 1:] - flux[:, :-1]) / grid.dy
+    tend[1] += source_term(state, iface, coriolis, grid)
+    return tend
+
+
 def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
-        grid: Grid, numerics: Numerics, r_datum: float = 0.0) -> np.ndarray:
+        grid: Grid, numerics: Numerics) -> np.ndarray:
     """Semi-discrete tendencies d/dt (h, q, p, hb) per cell, (4, n).
 
     Flux divergence plus the Coriolis source on q; no positivity limiting
     (that is time-step dependent and belongs to the stepper).
     """
-    flux, _, _, iface = assemble_fluxes(state, topo, coriolis, grid,
-                                        numerics, r_datum=r_datum)
-    tend = -(flux[:, 1:] - flux[:, :-1]) / grid.dy
-    tend[1] += source_term(state, iface, coriolis, grid)
-    return tend
+    flux, _, _, iface = assemble_fluxes(state, topo, coriolis, grid, numerics)
+    return _tendency(state, flux, iface, coriolis, grid)
 
 
 def cfl_dt(a_plus, a_minus, dy: float, cfl: float, t_remaining: float) -> float:
@@ -124,7 +127,8 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
 
 def ssp_rk3_combine(u, dt: float, f: Callable):
     """Three-stage third-order strong-stability-preserving Runge-Kutta
-    update of u' = f(u); works on scalars and arrays alike."""
+    update of u' = f(u) (Shu-Osher form); works on scalars and arrays
+    alike. f is called once per stage, on u, u1 and u2 in that order."""
     u1 = u + dt * f(u)
     u2 = 0.75 * u + 0.25 * (u1 + dt * f(u1))
     return u / 3.0 + (2.0 / 3.0) * (u2 + dt * f(u2))
@@ -147,51 +151,46 @@ class StepReport:
     bflux_hb: Tuple[float, float] = (0.0, 0.0)
 
 
-def _finish_stage(u: np.ndarray, flux: np.ndarray, iface: InterfaceStates,
-                  scenario: Scenario, dt: float):
-    """Drain the raw fluxes at step dt and form the stage tendencies of
-    the (4, n) stage state ``u``."""
-    grid = scenario.grid
-    flux, n_limited = draining_limit(iface.h_hb_padded, flux, dt, grid.dy)
-    tend = -(flux[:, 1:] - flux[:, :-1]) / grid.dy
-    tend[1] += source_term(u, iface, scenario.coriolis, grid)
-    boundary = (flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1])
-    return tend, boundary, n_limited
+def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
+              t_after: float) -> Tuple[ConservedState, StepReport]:
+    """One SSP-RK3 step of size dt from the (4, n) state ``u0`` and its
+    assemble_fluxes output. Every stage drains its fluxes at dt, so h and
+    hb stay nonnegative; each later stage state is checked for that once
+    (ValueError) before it is reconstructed. Non-finite output raises
+    IntegrationError."""
+    grid, coriolis = scenario.grid, scenario.coriolis
+    # (state, boundary fluxes, limited count, tendency) per stage; holding
+    # the tendencies to the end of the step keeps malloc from trimming the
+    # heap and faulting it in again (about 10% of the time at N = 25600)
+    stages = []
 
+    def stage(u):
+        flux, _, _, iface = fluxes
+        if stages:  # a later stage: check and reconstruct its state
+            check_nonnegative(u)
+            flux, _, _, iface = assemble_fluxes(
+                u, scenario.topography, coriolis, grid, scenario.numerics)
+        flux, limited = draining_limit(iface.h_hb_padded, flux, dt, grid.dy)
+        tend = _tendency(u, flux, iface, coriolis, grid)
+        stages.append((u, (flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]),
+                       limited, tend))
+        return tend
 
-def _stage(u: np.ndarray, scenario: Scenario, dt: float):
-    """One RK stage on a (4, n) state that has already been checked."""
-    flux, a_plus, a_minus, iface = assemble_fluxes(
-        u, scenario.topography, scenario.coriolis,
-        scenario.grid, scenario.numerics)
-    tend, boundary, n_limited = _finish_stage(u, flux, iface, scenario, dt)
-    return tend, boundary, n_limited, a_plus, a_minus
-
-
-def _combine_and_report(u0, stage1, scenario, dt, t_after):
-    """Run stages 2 and 3 on top of a finished first stage and assemble
-    the report. Each stage state is checked once for h, hb >= 0 before it
-    is used (ValueError); non-finite output raises IntegrationError."""
-    k0, b0, n0, a_plus, a_minus = stage1
-    u1 = u0 + dt * k0
-    check_nonnegative(u1)
-    k1, b1, n1, _, _ = _stage(u1, scenario, dt)
-    u2 = 0.75 * u0 + 0.25 * (u1 + dt * k1)
-    check_nonnegative(u2)
-    k2, b2, n2, _, _ = _stage(u2, scenario, dt)
-    u_new = u0 / 3.0 + (2.0 / 3.0) * (u2 + dt * k2)
-
+    u_new = ssp_rk3_combine(u0, dt, stage)
     if not np.all(np.isfinite(u_new)):
         raise IntegrationError(t_after)
 
+    (_, b0, n0, _), (u1, b1, n1, _), (u2, b2, n2, _) = stages
+    # the weights 1/6, 1/6, 2/3 with which each stage's fluxes enter u_new
     weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(b0, b1, b2)]
+    _, a_plus, a_minus, _ = fluxes
     a_max = float(max(np.max(a_plus, initial=0.0),
                       np.max(-a_minus, initial=0.0)))
     report = StepReport(
         t=t_after, dt=dt,
         # cfl_dt of the stage-1 speeds, with no remaining time to clip to
         dt_cfl=(np.inf if a_max <= 0.0
-                else scenario.numerics.cfl * scenario.grid.dy / a_max),
+                else scenario.numerics.cfl * grid.dy / a_max),
         a_max=a_max,
         n_limited=n0 + n1 + n2,
         min_h=float(min(u1[0].min(), u2[0].min(), u_new[0].min())),
@@ -203,16 +202,11 @@ def _combine_and_report(u0, stage1, scenario, dt, t_after):
 
 def ssp_rk3_step(state: ConservedState, t: float, dt: float,
                  scenario: Scenario) -> Tuple[ConservedState, StepReport]:
-    """Advance one SSP-RK3 step of size dt.
-
-    Every stage pads its state once, reconstructs, assembles the fluxes
-    and applies the draining limiter at dt, so h and hb stay nonnegative
-    after each stage and hence after the convex combinations. The stage
-    states are checked for that (ValueError) but are not wrapped in a
-    ConservedState; only the new state is.
-    """
-    stage1 = _stage(state.array, scenario, dt)
-    return _combine_and_report(state.array, stage1, scenario, dt, t + dt)
+    """Advance one SSP-RK3 step of size dt (see _rk3_step)."""
+    fluxes = assemble_fluxes(state.array, scenario.topography,
+                             scenario.coriolis, scenario.grid,
+                             scenario.numerics)
+    return _rk3_step(state.array, fluxes, scenario, dt, t + dt)
 
 
 @dataclass
@@ -273,9 +267,10 @@ def run_simulation(scenario: Scenario,
     while t < t_final:
         next_event = events[ev]
         try:
-            flux, a_plus, a_minus, iface = assemble_fluxes(
-                state, scenario.topography, scenario.coriolis,
-                scenario.grid, scenario.numerics)
+            fluxes = assemble_fluxes(state, scenario.topography,
+                                     scenario.coriolis, scenario.grid,
+                                     scenario.numerics)
+            _, a_plus, a_minus, _ = fluxes
             dt = cfl_dt(a_plus, a_minus, scenario.grid.dy,
                         scenario.numerics.cfl, next_event - t)
             if not 0.0 < dt < np.inf:  # a_max is NaN or infinite
@@ -284,10 +279,8 @@ def run_simulation(scenario: Scenario,
             if landed:
                 dt = next_event - t
             t_after = next_event if landed else t + dt
-            stage1 = (*_finish_stage(state.array, flux, iface, scenario, dt),
-                      a_plus, a_minus)
-            state, report = _combine_and_report(state.array, stage1,
-                                                scenario, dt, t_after)
+            state, report = _rk3_step(state.array, fluxes, scenario, dt,
+                                      t_after)
         except (IntegrationError, ValueError) as err:
             result.failed = True
             result.failure_message = str(err)

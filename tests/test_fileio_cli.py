@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trsw import cli
 from trsw.cli import ConfigError, convergence_mode, main, parse_config
 from trsw.diagnostics import DiagnosticsRecord
 from trsw.fileio import (SNAPSHOT_COLUMNS, compare_solutions, read_snapshot,
@@ -466,6 +467,33 @@ class TestCliMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ref}: malformed {key}")
+
+    @pytest.mark.parametrize("case,message", [
+        ("header_only", "no data rows"),
+        ("non_numeric_N", "malformed N"),
+        ("not_nested", "grids with 20 and 6 cells are not nested"),
+        ("other_domain", "snapshots cover different domains (y_min)")])
+    def test_bad_reference_fails_before_the_run(self, tmp_path, capsys,
+                                                monkeypatch, case, message):
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        ref = tmp_path / f"{case}.csv"
+        if case == "header_only":
+            ref.write_text(",".join(SNAPSHOT_COLUMNS) + "\n")
+        else:  # ex2 runs on [-1, 1]
+            _toy_snapshot(ref, n=6 if case == "not_nested" else 20,
+                          y_min=-2.0 if case == "other_domain" else -1.0,
+                          y_max=1.0)
+            if case == "non_numeric_N":
+                _spoil_meta(ref, "N")
+        out = tmp_path / "out"
+        code = main(["--scenario", "ex2", "--cells", "20",
+                     "--t-final", "0.001", "--out", str(out),
+                     "--compare-with", str(ref)])
+        assert code == 1 and runs == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trsw.diagnostics import flat_bottom
 from trsw.model import (ConservedState, CoriolisSpec, Grid, Numerics,
                         Scenario, Topography, build_grid,
                         desingularized_ratio, flat_topography,
@@ -53,7 +54,9 @@ class TestTopography:
         g = build_grid(0.0, 1.0, 8)
         topo = flat_topography(g)
         assert np.all(topo.z_iface == 0.0) and np.all(topo.z_center == 0.0)
-        assert topo.is_flat
+        assert flat_bottom(topo)
+        # a constant bottom is not flat: the energy integral needs Z = 0
+        assert not flat_bottom(Topography(np.full(9, 0.5)))
 
     def test_linear_function_reproduced(self):
         g = Grid(0.0, 1.0, 4)

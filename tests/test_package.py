@@ -1,0 +1,75 @@
+"""Tests of the package surface: the names public as ``trsw.X``, and the
+module attributes that the benchmark's tracer (``perfbench/spans.py``)
+rebinds to time each layer."""
+
+import glob
+import importlib.util
+import os
+import re
+
+import trsw
+import trsw.cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _reached_as_trsw_x():
+    """Every X written as ``trsw.X`` in the README's library example, the
+    benchmark's modules and the acceptance gate, less the submodules."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        library = fh.read().split("## Library use", 1)[1]
+    texts = [re.search(r"```python\n(.*?)```", library, re.S).group(1)]
+    for path in (sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+                 + [os.path.join(ROOT, "tests", "test_acceptance.py")]):
+        with open(path) as fh:
+            texts.append(fh.read())
+    names = set()
+    for text in texts:
+        names.update(re.findall(r"\btrsw\.([A-Za-z_]\w*)", text))
+    return {name for name in names if not name.startswith("__")
+            and importlib.util.find_spec(f"trsw.{name}") is None}
+
+
+class TestPublicApi:
+    def test_every_public_name_resolves(self):
+        assert len(set(trsw.__all__)) == len(trsw.__all__)
+        for name in trsw.__all__:
+            assert hasattr(trsw, name), name
+
+    def test_names_reached_as_trsw_x_are_public(self):
+        reached = _reached_as_trsw_x()
+        assert {"make_scenario", "run_simulation", "Scenario"} <= reached
+        assert sorted(reached - set(trsw.__all__)) == []
+
+
+def _load_spans():
+    """perfbench/spans.py as a module of its own name, leaving sys.path
+    alone."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSpanTargets:
+    def test_every_target_records_a_call(self, tmp_path, capsys):
+        # a call that stops going through a rebound name would leave its
+        # span at 0 s in every traced benchmark run
+        spans = _load_spans()
+        tracer = spans.Tracer()
+        with tracer.installed(trsw):
+            with tracer.call():
+                # ex6 has variable f, so the Simpson source runs; snapshots
+                # and diagnostics make both writers run
+                assert trsw.cli.main([
+                    "--scenario", "ex6", "--cells", "40", "--t-final", "1.0",
+                    "--snapshots", "0.5,1.0", "--diagnostics",
+                    "--out", str(tmp_path)]) == 0
+            with tracer.call():
+                scenario = trsw.make_scenario("ex3b", cells=40, t_final=0.05)
+                assert not trsw.run_simulation(scenario).failed
+        calls = tracer.layer_times(0, len(tracer.start))
+        silent = sorted({name for _, _, name, _ in spans.TARGETS
+                         if name not in calls})
+        assert silent == []

@@ -1,5 +1,7 @@
 """Tests for the equilibrium-variable reconstruction pipeline."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +10,38 @@ from trsw import reconstruction
 from trsw.model import (ConservedState, CoriolisSpec, Topography,
                         build_grid, desingularized_ratio, flat_topography,
                         Numerics, sample_topography)
-from trsw.reconstruction import (build_interface_states, cell_buoyancy,
-                                 depth_from_equilibrium,
-                                 equilibrium_centers, interface_values,
+from trsw.reconstruction import (build_interface_states,
+                                 depth_from_equilibrium, interface_values,
                                  minmod, minmod_slopes, pad_cells,
                                  source_potential)
 from trsw.scenarios import _ex1_bottom, _ex2_bottom, make_scenario
 from trsw.stepper import rhs
+
+
+@contextlib.contextmanager
+def shifted_datum(shift):
+    """Shift the integration constant of R by ``shift`` in every
+    source_potential that build_interface_states calls."""
+    original = reconstruction.source_potential
+
+    def shifted(*args):
+        r_center, r_iface = original(*args)
+        return r_center + shift, r_iface + shift
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconstruction, "source_potential", shifted)
+        yield
+
+
+def uniform_interfaces(h, p, hb, datum=0.0):
+    """Interface states of four equal cells with q = 0 on a flat f = 0
+    plane, where R is zero up to ``datum``."""
+    g = build_grid(0.0, 1.0, 4)
+    st = ConservedState.from_fields(np.full(4, h), np.zeros(4),
+                                    np.full(4, p), np.full(4, hb))
+    with shifted_datum(datum):
+        return build_interface_states(st, flat_topography(g),
+                                      CoriolisSpec(0.0), g, Numerics())
 
 
 def bisect_phi(p, b, d, lo, hi, iters=200):
@@ -84,14 +111,23 @@ class TestMinmod:
 
 
 class TestCellBuoyancy:
+    """The cell buoyancy b = hb/h, read from the reconstruction of a
+    uniform state (equal cells have zero slopes)."""
+
+    @staticmethod
+    def _b(h, hb):
+        ifs = uniform_interfaces(h, 0.0, hb)
+        assert np.array_equal(ifs.b_minus, ifs.b_plus)
+        return ifs.b_minus
+
     def test_exact_ratio(self):
-        assert cell_buoyancy(2.0, 8.0, 1e-8) == pytest.approx(4.0, abs=0.0)
+        assert np.all(self._b(2.0, 8.0) == 4.0)
 
     def test_dry(self):
-        assert cell_buoyancy(0.0, 0.0, 1e-8) == 0.0
+        assert np.all(self._b(0.0, 0.0) == 0.0)
 
     def test_left_state(self):
-        assert cell_buoyancy(6.0, 24.0, 1e-8) == pytest.approx(4.0, abs=0.0)
+        assert np.all(self._b(6.0, 24.0) == 4.0)
 
 
 class TestSourcePotential:
@@ -154,35 +190,42 @@ class TestSourcePotential:
 
 class TestGlobalPrimitive:
     def test_bundle_matches_components(self):
-        from trsw.reconstruction import global_primitive
+        # R from source_potential (datum zero at the left boundary
+        # interface) is the R behind the interface states and cell L
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
-        gp = global_primitive(st, s.topography, s.coriolis, s.grid, 1e-8)
+        ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
+                                     s.numerics)
         rc, ri = source_potential(st, s.topography, s.coriolis, s.grid)
-        assert np.array_equal(gp.r_center, rc)
-        assert np.array_equal(gp.r_iface, ri)
-        assert gp.r_iface[0] == 0.0
-        assert gp.r_center[0] == 0.5 * (gp.r_iface[0] + gp.r_iface[1])
-        assert np.array_equal(gp.l_center, equilibrium_centers(st, rc, 1e-8))
-        assert np.array_equal(gp.b_center, cell_buoyancy(st.h, st.hb, 1e-8))
-        assert np.all(np.isfinite(gp.l_center))
+        assert np.array_equal(ifs.r_iface, ri)
+        assert ri[0] == 0.0
+        assert rc[0] == 0.5 * (ri[0] + ri[1])
+        eps = s.numerics.eps
+        l_cell = (st.p * desingularized_ratio(st.h, st.p, eps)
+                  + 0.5 * st.hb * st.h + rc)
+        assert np.array_equal(ifs.l_cell_right[:-1], l_cell)
+        assert np.array_equal(ifs.l_cell_left[1:], l_cell)
+        assert np.all(np.isfinite(ifs.l_cell_left))
 
 
 class TestEquilibriumCenters:
+    """Cell L = p^2/h + (hb/2) h + R of a uniform state, on both sides of
+    every interface."""
+
+    @staticmethod
+    def _l(h, p, hb, datum=0.0):
+        ifs = uniform_interfaces(h, p, hb, datum)
+        assert np.array_equal(ifs.l_cell_left, ifs.l_cell_right)
+        return ifs.l_cell_left
+
     def test_left_state(self):
-        st = ConservedState.from_fields([6.0], [0.0], [0.0], [24.0])
-        assert equilibrium_centers(st, np.zeros(1), 1e-8)[0] == \
-            pytest.approx(72.0, abs=0.0)
+        assert np.all(self._l(6.0, 0.0, 24.0) == 72.0)
 
     def test_right_state_same_value(self):
-        st = ConservedState.from_fields([4.0], [0.0], [0.0], [36.0])
-        assert equilibrium_centers(st, np.zeros(1), 1e-8)[0] == \
-            pytest.approx(72.0, abs=0.0)
+        assert np.all(self._l(4.0, 0.0, 36.0) == 72.0)
 
     def test_kinetic_term(self):
-        st = ConservedState.from_fields([1.0], [0.0], [2.0], [1.0])
-        assert equilibrium_centers(st, np.full(1, 3.0), 1e-8)[0] == \
-            pytest.approx(7.5, abs=0.0)
+        assert np.all(self._l(1.0, 2.0, 1.0, datum=3.0) == 7.5)
 
 
 class TestInterfaceValues:
@@ -437,7 +480,7 @@ def _pad_then_compute(state, topo, cor, grid, num, r_datum):
     sigma, dy, eps = num.sigma, grid.dy, num.eps
     pad = np.pad(state.array, ((0, 0), (2, 2)), mode="edge")
     h_pad, q_pad, p_pad, hb_pad = pad
-    b_pad = cell_buoyancy(h_pad, hb_pad, eps)
+    b_pad = desingularized_ratio(h_pad, hb_pad, eps)
     r_center, r_iface = source_potential(state, topo, cor, grid)
     r_center = r_center + r_datum
     r_iface = r_iface + r_datum
@@ -485,9 +528,8 @@ class TestOnePadPipeline:
         topo = Topography(rng.uniform(-0.5, 0.5, n + 1))
         cor = CoriolisSpec(f0, beta)
         num = Numerics(sigma=sigma)
-        with np.errstate(all="ignore"):
-            got = build_interface_states(st_, topo, cor, g, num,
-                                         r_datum=r_datum)
+        with np.errstate(all="ignore"), shifted_datum(r_datum):
+            got = build_interface_states(st_, topo, cor, g, num)
             want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
         for name, value in want.items():
             assert getattr(got, name).tobytes() == value.tobytes(), name
@@ -497,17 +539,20 @@ class TestDatumInvariance:
     def test_equilibrium_values_shift_with_datum(self):
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
-        rc, _ = source_potential(st, s.topography, s.coriolis, s.grid)
-        l0 = equilibrium_centers(st, rc, 1e-8)
-        l1 = equilibrium_centers(st, rc + 5.0, 1e-8)
-        assert l1 == pytest.approx(l0 + 5.0, rel=1e-14)
+        args = (st, s.topography, s.coriolis, s.grid, s.numerics)
+        l0 = build_interface_states(*args)
+        with shifted_datum(5.0):
+            l1 = build_interface_states(*args)
+        for side in ("l_cell_left", "l_cell_right"):
+            assert getattr(l1, side) == pytest.approx(
+                getattr(l0, side) + 5.0, rel=1e-14)
 
     def test_rhs_invariant_at_steady_state(self):
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
         t0 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics)
-        t1 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics,
-                 r_datum=100.0)
+        with shifted_datum(100.0):
+            t1 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics)
         assert np.abs(t1 - t0).max() <= 1e-10
 
     def test_h_and_p_tendencies_invariant_generic(self):
@@ -526,7 +571,8 @@ class TestDatumInvariance:
         topo = sample_topography(lambda z: 0.1 * np.sin(z), None, g)
         cor = CoriolisSpec(0.7, 0.1)
         t0 = rhs(st, topo, cor, g, Numerics())
-        t1 = rhs(st, topo, cor, g, Numerics(), r_datum=1000.0)
+        with shifted_datum(1000.0):
+            t1 = rhs(st, topo, cor, g, Numerics())
         scale = np.abs(t0).max()
         assert np.abs(t1[0] - t0[0]).max() <= 1e-9 * scale
         assert np.abs(t1[2] - t0[2]).max() <= 1e-9 * scale

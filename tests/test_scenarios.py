@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trsw.reconstruction import source_potential, equilibrium_centers
+from trsw.reconstruction import build_interface_states
 from trsw.scenarios import SCENARIO_IDS, make_scenario, perturbation_bump
 from trsw.stepper import rhs
 
@@ -128,9 +128,10 @@ class TestDiscreteEquilibria:
                      topography=flat_topography(g), height=h_fn,
                      b0=lambda y: 2.0 / h_fn(y) ** 2, t_final=0.1)
         st = s.initial_state()
-        rc, _ = source_potential(st, s.topography, s.coriolis, s.grid)
-        l = equilibrium_centers(st, rc, s.numerics.eps)
-        assert np.abs(l - 1.0).max() <= 1e-14
+        ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
+                                     s.numerics)
+        for l in (ifs.l_cell_left, ifs.l_cell_right):
+            assert np.abs(l - 1.0).max() <= 1e-14
         assert max_tendency(s) <= 1e-13
 
     @pytest.mark.parametrize("sid,n_coarse,bound", [
