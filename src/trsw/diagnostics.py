@@ -20,7 +20,7 @@ from .model import (DEFAULT_EPS, ConservedState, CoriolisSpec, Grid,
 
 def flat_bottom(topo: Topography) -> bool:
     """Z = 0 everywhere, where the balance residual and energy apply."""
-    return not np.any(topo.z_iface != 0.0)
+    return not (topo.z_iface != 0.0).any()
 
 
 def _require_flat(topo: Topography, what: str):
@@ -89,8 +89,8 @@ class ConservationLedger:
 
     def __init__(self, initial: ConservedState, grid: Grid):
         self.dy = grid.dy
-        self.mass0 = float(np.sum(initial.h) * grid.dy)
-        self.hb0 = float(np.sum(initial.hb) * grid.dy)
+        self.mass0 = float(initial.h.sum() * grid.dy)
+        self.hb0 = float(initial.hb.sum() * grid.dy)
         self._outflow_h = 0.0
         self._outflow_hb = 0.0
 
@@ -99,11 +99,10 @@ class ConservationLedger:
         self._outflow_h += report.dt * (report.bflux_h[1] - report.bflux_h[0])
         self._outflow_hb += report.dt * (report.bflux_hb[1] - report.bflux_hb[0])
 
-    def drifts(self, state: ConservedState) -> Tuple[float, float]:
-        """Change of the totals minus the boundary-flux integral; zero up
-        to round-off for the conservative scheme."""
-        mass = float(np.sum(state.h) * self.dy)
-        hb = float(np.sum(state.hb) * self.dy)
+    def drifts(self, mass: float, hb: float) -> Tuple[float, float]:
+        """Change of the totals ``mass`` = sum(h) dy and ``hb`` = sum(hb) dy
+        minus the boundary-flux integral; zero up to round-off for the
+        conservative scheme."""
         return (mass - (self.mass0 - self._outflow_h),
                 hb - (self.hb0 - self._outflow_hb))
 
@@ -114,7 +113,7 @@ def energy(state: ConservedState, grid: Grid, topo: Topography,
     _require_flat(topo, "the energy integral")
     u, v, b, _ = primitives_from_state(state, topo, eps)
     h = state.h
-    return float(np.sum(0.5 * h * (u * u + v * v) + 0.5 * b * h * h) * grid.dy)
+    return float((0.5 * h * (u * u + v * v) + 0.5 * b * h * h).sum() * grid.dy)
 
 
 def potential_vorticity(state: ConservedState, coriolis: CoriolisSpec,
@@ -156,12 +155,14 @@ def equatorial_inertial_period(beta: float, b0: float, h0: float) -> float:
 
 def total_variation(field) -> float:
     """Sum of absolute cell-to-cell differences."""
-    return float(np.sum(np.abs(np.diff(np.asarray(field, float)))))
+    f = np.asarray(field, float)
+    return float(np.abs(f[..., 1:] - f[..., :-1]).sum())
 
 
 def gradient_max(field, dy: float) -> float:
     """Largest discrete gradient magnitude max |delta field| / dy."""
-    d = np.abs(np.diff(np.asarray(field, float)))
+    f = np.asarray(field, float)
+    d = np.abs(f[..., 1:] - f[..., :-1])
     return float(d.max(initial=0.0) / dy)
 
 
@@ -195,15 +196,17 @@ def make_record(t: float, state: ConservedState, scenario: Scenario,
     eps = scenario.numerics.eps
     v = desingularized_ratio(state.h, state.p, eps)
     w = state.h + topo.z_center
-    mass_drift, hb_drift = ledger.drifts(state)
+    mass = float(state.h.sum() * grid.dy)
+    hb_total = float(state.hb.sum() * grid.dy)
+    mass_drift, hb_drift = ledger.drifts(mass, hb_total)
     return DiagnosticsRecord(
         t=t,
-        mass=float(np.sum(state.h) * grid.dy),
-        hb_total=float(np.sum(state.hb) * grid.dy),
+        mass=mass,
+        hb_total=hb_total,
         mass_drift=mass_drift,
         hb_drift=hb_drift,
         energy=(energy(state, grid, topo, eps) if flat_bottom(topo)
                 else float("nan")),
-        max_abs_v=float(np.max(np.abs(v), initial=0.0)),
+        max_abs_v=float(np.abs(v).max(initial=0.0)),
         max_grad_v=gradient_max(v, grid.dy),
         tv_w=total_variation(w))

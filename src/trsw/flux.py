@@ -23,7 +23,7 @@ def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus):
     v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus."""
     hb_m = np.asarray(h_minus, float) * np.asarray(b_minus, float)
     hb_p = np.asarray(h_plus, float) * np.asarray(b_plus, float)
-    if np.any(hb_m < 0.0) or np.any(hb_p < 0.0):
+    if (hb_m < 0.0).any() or (hb_p < 0.0).any():
         raise ValueError("negative h*b in speed estimate")
     c_m = np.sqrt(hb_m)
     c_p = np.sqrt(hb_p)
@@ -102,13 +102,13 @@ def numerical_flux(iface: InterfaceStates, switch):
     q_m, q_p, p_m, p_p = iface.q_minus, iface.q_plus, iface.p_minus, iface.p_plus
     a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus,
                                    h_m, h_p, b_m, b_p)
-    denom = a_plus - a_minus
-    degenerate = denom < _DEGENERATE
-    safe = np.where(degenerate, 1.0, denom)
+    safe = a_plus - a_minus
+    degenerate = safe < _DEGENERATE
+    safe[degenerate] = 1.0
     common = (a_plus, a_minus, safe, a_plus * a_minus / safe,
-              np.flatnonzero(degenerate))
+              degenerate.nonzero()[0])
 
-    flux = np.empty((4, denom.size))
+    flux = np.empty((4, safe.size))
     _central_upwind_row(flux[0], h_m, h_p, p_m, p_p, *common)
     _central_upwind_row(flux[1], q_m, q_p, q_m * iface.v_minus,
                         q_p * iface.v_plus, *common, switch)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +20,17 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _differences(z: np.ndarray) -> np.ndarray:
+    """z[1:] - z[:-1], read-only. Differences that are all +0.0, as over a
+    flat bottom, come back as one broadcast zero: it multiplies to the same
+    bits as the full array, and a run over a flat bottom then holds no
+    n-float buffer for them."""
+    d = z[1:] - z[:-1]
+    if not d.view(np.int64).any():
+        return np.broadcast_to(0.0, d.shape)
+    return _readonly(d)
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,22 @@ class Grid:
     def centers(self) -> np.ndarray:
         return _readonly(self.y_min + (np.arange(self.n) + 0.5) * self.dy)
 
+    def coriolis_values(self, coriolis: "CoriolisSpec"
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """f of ``coriolis`` at the cell centers and at the interfaces,
+        read-only; computed once per grid and Coriolis parameter, and held
+        by the grid, so it lives exactly as long as the run's grid."""
+        if coriolis not in self._coriolis_values:
+            self._coriolis_values[coriolis] = (
+                _readonly(coriolis.values(self.centers)),
+                _readonly(coriolis.values(self.interfaces)))
+        return self._coriolis_values[coriolis]
+
+    @cached_property
+    def _coriolis_values(self) -> Dict["CoriolisSpec",
+                                       Tuple[np.ndarray, np.ndarray]]:
+        return {}
+
 
 def build_grid(y_min: float, y_max: float, n: int) -> Grid:
     return Grid(float(y_min), float(y_max), int(n))
@@ -75,6 +102,16 @@ class Topography:
         zi = _readonly(self.z_iface)
         object.__setattr__(self, "z_iface", zi)
         object.__setattr__(self, "z_center", _readonly(0.5 * (zi[:-1] + zi[1:])))
+
+    @cached_property
+    def dz_iface(self) -> np.ndarray:
+        """Jump of Z across each cell, z_iface[j+1] - z_iface[j], (n,)."""
+        return _differences(self.z_iface)
+
+    @cached_property
+    def dz_center(self) -> np.ndarray:
+        """Difference of Z between neighbouring cell centers, (n-1,)."""
+        return _differences(self.z_center)
 
 
 def sample_topography(
@@ -143,9 +180,9 @@ class Numerics:
 def check_nonnegative(u: np.ndarray) -> None:
     """Raise ValueError if a (4, n) array of cell averages (h, q, p, hb)
     holds a negative depth or depth-weighted buoyancy."""
-    if np.any(u[0] < 0.0):
+    if (u[0] < 0.0).any():
         raise ValueError("negative depth in conserved state")
-    if np.any(u[3] < 0.0):
+    if (u[3] < 0.0).any():
         raise ValueError("negative depth-weighted buoyancy in conserved state")
 
 

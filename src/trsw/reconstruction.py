@@ -29,12 +29,14 @@ def minmod(*args, out=None):
     Evaluated branch-free as max(min(args), 0) + min(max(args), 0), so a
     NaN argument gives NaN.
     """
-    arrs = [np.asarray(a, float) for a in args]
+    # callers passing ``out`` hand in float arrays already
+    arrs = args if out is not None else [np.asarray(a, float) for a in args]
     lo = hi = arrs[0]
     for a in arrs[1:]:
         lo = np.minimum(lo, a)
         hi = np.maximum(hi, a)
     res = np.maximum(lo, 0.0, out=out)
+    del lo  # one temporary fewer alive at the flux's memory peak
     res += np.minimum(hi, 0.0)
     if out is None and all(np.ndim(a) == 0 for a in args):
         return float(res)
@@ -94,18 +96,22 @@ def source_potential(state: ConservedState, topo: Topography,
     """
     dy = grid.dy
     u = getattr(state, "array", state)
-    fq = coriolis.values(grid.centers) * u[1]
+    # constant f is the scalar f0, as in the source term; a variable f is
+    # evaluated once per grid
+    f = (coriolis.f0 if coriolis.is_constant
+         else grid.coriolis_values(coriolis)[0])
+    fq = f * u[1]
     hb = u[3]
 
     r_iface = np.zeros(grid.n + 1)
-    r_iface[1:] = np.cumsum(fq * dy + hb * np.diff(topo.z_iface))
+    r_iface[1:] = (fq * dy + hb * topo.dz_iface).cumsum()
 
     r_center = np.empty(grid.n)
     r_center[0] = 0.5 * (r_iface[0] + r_iface[1])
     if grid.n > 1:
         inc = (0.5 * (fq[:-1] + fq[1:]) * dy
-               + 0.5 * (hb[:-1] + hb[1:]) * np.diff(topo.z_center))
-        r_center[1:] = r_center[0] + np.cumsum(inc)
+               + 0.5 * (hb[:-1] + hb[1:]) * topo.dz_center)
+        r_center[1:] = r_center[0] + inc.cumsum()
     return r_center, r_iface
 
 
@@ -125,11 +131,11 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
     l = np.asarray(l_side, float)
     r = np.asarray(r_iface, float)
     fb = np.asarray(h_fallback, float)
-    scalar = all(np.ndim(a) == 0 for a in (p, b, l, r, fb))
-    p, b, l, r, fb = np.broadcast_arrays(p, b, l, r, fb)
+    if not p.shape == b.shape == l.shape == r.shape == fb.shape:
+        p, b, l, r, fb = np.broadcast_arrays(p, b, l, r, fb)
 
     d = l - r
-    h = np.array(fb, dtype=float, copy=True)
+    h = fb.copy()
 
     ok = b > _TINY
     b_safe = np.where(ok, b, 1.0)
@@ -139,22 +145,22 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
     rootable = ok & (d > 0.0) & (p2 * p2 <= 8.0 * (d * d * d) / (27.0 * b_safe))
 
     m_sqrt = rootable & (p == 0.0)
-    if np.any(m_sqrt):
+    if m_sqrt.any():
         h[m_sqrt] = np.sqrt(2.0 * d[m_sqrt] / b[m_sqrt])
 
     m_trig = rootable & (p != 0.0)
-    if np.any(m_trig):
+    if m_trig.any():
         dm, bm, pm, fbm = d[m_trig], b[m_trig], p[m_trig], fb[m_trig]
         y = 2.0 * dm / (3.0 * bm)
         sq = np.sqrt(y)
-        arg = np.clip(-pm * pm / (bm * y * sq), -1.0, 1.0)
+        arg = np.minimum(np.maximum(-pm * pm / (bm * y * sq), -1.0), 1.0)
         theta = np.arccos(arg)
         # round-off in theta can push a vanishing root a hair below zero
         r_sub = np.maximum(2.0 * sq * np.cos(theta / 3.0), 0.0)
         r_sup = np.maximum(2.0 * sq * np.cos((theta + 4.0 * np.pi) / 3.0), 0.0)
         h[m_trig] = np.where(np.abs(r_sub - fbm) <= np.abs(r_sup - fbm),
                              r_sub, r_sup)
-    if scalar:
+    if h.ndim == 0:
         return float(h)
     return h
 

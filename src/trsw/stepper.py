@@ -45,8 +45,7 @@ def source_term(state: ConservedState, iface: InterfaceStates,
     p = getattr(state, "array", state)[2]
     if coriolis.is_constant:
         return coriolis.f0 * p
-    f_iface = coriolis.values(grid.interfaces)
-    f_center = coriolis.values(grid.centers)
+    f_center, f_iface = grid.coriolis_values(coriolis)
     return (f_iface[:-1] * iface.p_plus[:-1]
             + 4.0 * f_center * p
             + f_iface[1:] * iface.p_minus[1:]) / 6.0
@@ -85,14 +84,20 @@ def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
     return _tendency(state, flux, iface, coriolis, grid)
 
 
+def _wave_speed_dt(a_plus, a_minus, dy: float,
+                   cfl: float) -> Tuple[float, float]:
+    """The largest one-sided speed a_max and the step cfl*dy/a_max it
+    allows, inf when a_max <= 0 (a quiescent state)."""
+    a_max = float(max(np.asarray(a_plus).max(initial=0.0),
+                      (-np.asarray(a_minus)).max(initial=0.0)))
+    return a_max, (np.inf if a_max <= 0.0 else cfl * dy / a_max)
+
+
 def cfl_dt(a_plus, a_minus, dy: float, cfl: float, t_remaining: float) -> float:
     """Time step cfl*dy/a_max; a quiescent state (a_max = 0) uses the whole
     remaining time."""
-    a_max = float(max(np.max(a_plus, initial=0.0),
-                      np.max(-np.asarray(a_minus), initial=0.0)))
-    if a_max <= 0.0:
-        return t_remaining
-    return cfl * dy / a_max
+    a_max, dt = _wave_speed_dt(a_plus, a_minus, dy, cfl)
+    return t_remaining if a_max <= 0.0 else dt
 
 
 def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
@@ -108,10 +113,11 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
     interface flux is scaled by min(dt, drain time of the donor cell)/dt,
     the donor being the upwind cell by flux sign. Momentum fluxes are left
     untouched. Returns the adjusted fluxes and the number of limited
-    interfaces.
+    interfaces. When no donor drains within dt every scale would be
+    exactly dt/dt = 1, so ``flux`` itself comes back, uncopied, with a
+    count of 0; the input is never written to.
     """
-    flux = flux.copy()
-    limited = np.zeros(flux.shape[1], dtype=bool)
+    rows = []
     for row, quantity in ((0, padded[0]), (3, padded[-1])):
         f = flux[row]
         f_ext = np.concatenate(([0.0], f, [0.0]))
@@ -119,10 +125,17 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
         t_drain = _DRAIN_SAFETY * dy * quantity[1:-1] / np.maximum(outgoing, _TINY)
         # the donor is the upwind cell: left of the interface when f > 0
         donor_t = np.where(f > 0.0, t_drain[:-1], t_drain[1:])
+        rows.append((row, f, donor_t))
+    # written so that a NaN drain time takes the scaling path below
+    if all((donor_t >= dt).all() for _, _, donor_t in rows):
+        return flux, 0
+    limited_flux = flux.copy()
+    limited = np.zeros(flux.shape[1], dtype=bool)
+    for row, f, donor_t in rows:
         scale = np.minimum(dt, donor_t) / dt
-        flux[row] = f * scale
+        limited_flux[row] = f * scale
         limited |= scale < 1.0
-    return flux, int(np.count_nonzero(limited))
+    return limited_flux, int(np.count_nonzero(limited))
 
 
 def ssp_rk3_combine(u, dt: float, f: Callable):
@@ -177,20 +190,19 @@ def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
         return tend
 
     u_new = ssp_rk3_combine(u0, dt, stage)
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         raise IntegrationError(t_after)
 
     (_, b0, n0, _), (u1, b1, n1, _), (u2, b2, n2, _) = stages
     # the weights 1/6, 1/6, 2/3 with which each stage's fluxes enter u_new
     weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(b0, b1, b2)]
     _, a_plus, a_minus, _ = fluxes
-    a_max = float(max(np.max(a_plus, initial=0.0),
-                      np.max(-a_minus, initial=0.0)))
+    # the step cfl_dt allows from the stage-1 speeds, before event clipping
+    a_max, dt_cfl = _wave_speed_dt(a_plus, a_minus, grid.dy,
+                                   scenario.numerics.cfl)
     report = StepReport(
         t=t_after, dt=dt,
-        # cfl_dt of the stage-1 speeds, with no remaining time to clip to
-        dt_cfl=(np.inf if a_max <= 0.0
-                else scenario.numerics.cfl * grid.dy / a_max),
+        dt_cfl=dt_cfl,
         a_max=a_max,
         n_limited=n0 + n1 + n2,
         min_h=float(min(u1[0].min(), u2[0].min(), u_new[0].min())),

@@ -88,6 +88,25 @@ class TestTopography:
         # midpoint interface sits exactly on the jump: average of limits
         assert topo.z_iface[2] == pytest.approx(2.0)
 
+    def test_differences_are_np_diff_bit_exact(self):
+        z = np.random.default_rng(3).uniform(-1, 1, 17)
+        topo = Topography(z)
+        assert topo.dz_iface.tobytes() == np.diff(topo.z_iface).tobytes()
+        assert topo.dz_center.tobytes() == np.diff(topo.z_center).tobytes()
+        assert topo.dz_iface is topo.dz_iface
+        assert not topo.dz_iface.flags.writeable
+
+    def test_flat_differences_hold_no_array(self):
+        for z in (np.zeros(9), np.full(9, 0.5)):
+            topo = Topography(z)
+            for got, full in ((topo.dz_iface, np.diff(topo.z_iface)),
+                              (topo.dz_center, np.diff(topo.z_center))):
+                assert got.tobytes() == full.tobytes()
+                assert got.strides == (0,) and not got.flags.writeable
+        # a -0.0 difference keeps its sign, so it is held in full
+        topo = Topography(np.array([0.0, -0.0, 0.0, 0.0, 0.0]))
+        assert np.signbit(topo.dz_iface[0]) and topo.dz_iface.strides == (8,)
+
 
 class TestCoriolis:
     def test_constant_equals_zero_beta(self):
@@ -100,6 +119,18 @@ class TestCoriolis:
         f = CoriolisSpec(0.0, 0.1)
         assert not f.is_constant
         assert f.values(10.0) == pytest.approx(1.0)
+
+    def test_grid_values_computed_once_per_spec(self):
+        g = build_grid(-3.0, 5.0, 16)
+        f = CoriolisSpec(0.2, 0.1)
+        f_center, f_iface = g.coriolis_values(f)
+        assert f_center.tobytes() == f.values(g.centers).tobytes()
+        assert f_iface.tobytes() == f.values(g.interfaces).tobytes()
+        assert not f_center.flags.writeable
+        again = g.coriolis_values(CoriolisSpec(0.2, 0.1))
+        assert again[0] is f_center and again[1] is f_iface
+        other, _ = g.coriolis_values(CoriolisSpec(0.2))
+        assert np.array_equal(other, np.full(16, 0.2))
 
 
 class TestConservedState:

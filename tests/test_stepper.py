@@ -1,7 +1,13 @@
 """Tests for boundary handling, the Coriolis source, time stepping,
 draining positivity limiter, and the simulation driver."""
 
+import gc
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -135,6 +141,53 @@ class TestDrainingLimit:
         assert np.array_equal(out[1], flux[1])
         assert np.array_equal(out[2], flux[2])
 
+    @staticmethod
+    def _scaled(padded, flux, dt, dy):
+        """Every interface scaled by min(dt, donor drain time)/dt, written
+        out without the idle shortcut."""
+        out = flux.copy()
+        for row, quantity in ((0, padded[0]), (3, padded[-1])):
+            f = flux[row]
+            f_ext = np.concatenate(([0.0], f, [0.0]))
+            outgoing = (np.maximum(f_ext[1:], 0.0)
+                        + np.maximum(-f_ext[:-1], 0.0))
+            t_drain = ((1.0 - 1.0e-10) * dy * quantity[1:-1]
+                       / np.maximum(outgoing, 1.0e-300))
+            donor_t = np.where(f > 0.0, t_drain[:-1], t_drain[1:])
+            out[row] = f * (np.minimum(dt, donor_t) / dt)
+        return out
+
+    def test_idle_returns_the_flux_itself(self):
+        padded = np.ones((4, 9))
+        flux = np.full((4, 6), 0.01)
+        flux[0, ::2] = -0.02
+        out, n = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        assert out is flux and n == 0
+        assert np.array_equal(self._scaled(padded, flux, 0.1, 0.5), flux)
+
+    def test_limited_case_copies_and_scales(self):
+        rng = np.random.default_rng(5)
+        padded = np.zeros((4, 14))
+        padded[0] = np.pad(rng.uniform(0.0, 0.2, 10), 2, mode="edge")
+        padded[3] = np.pad(rng.uniform(0.0, 0.2, 10), 2, mode="edge")
+        flux = rng.uniform(-1.0, 1.0, (4, 11))
+        before = flux.copy()
+        out, n = draining_limit(padded, flux, 0.05, 0.1)
+        assert n > 0 and out is not flux
+        assert np.array_equal(flux, before)
+        assert self._scaled(padded, flux, 0.05, 0.1).tobytes() == out.tobytes()
+
+    def test_nan_drain_time_gives_nan_flux(self):
+        padded = np.ones((4, 9))
+        padded[0, 4] = np.nan  # the donor of interface 3 for f > 0
+        flux = np.full((4, 6), 0.01)
+        before = flux.copy()
+        out, n = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        assert np.isnan(out[0, 3]) and n == 0
+        assert np.array_equal(np.isnan(out),
+                              np.isnan(self._scaled(padded, flux, 0.1, 0.5)))
+        assert np.array_equal(flux, before)
+
 
 class TestSspRk3:
     def test_stability_polynomial_exact(self):
@@ -180,6 +233,16 @@ class TestSspRk3:
         assert report.dt_cfl == pytest.approx(
             s.numerics.cfl * s.grid.dy / report.a_max)
         assert report.min_h >= 0.0 and report.min_hb >= 0.0
+
+    def test_report_of_dry_state_has_infinite_dt_cfl(self):
+        # cfl_dt would take the whole remaining time; the report, which has
+        # none to clip to, says inf
+        s = _rest_scenario()
+        dry = ConservedState(np.zeros((4, 8)))
+        st2, report = ssp_rk3_step(dry, 0.0, 0.01, s)
+        assert report.a_max == 0.0 and report.dt_cfl == np.inf
+        assert np.array_equal(st2.array, dry.array)
+        assert cfl_dt(np.zeros(9), np.zeros(9), s.grid.dy, 0.5, 0.25) == 0.25
 
 
 class TestStageCheck:
@@ -346,3 +409,53 @@ class TestRunSimulation:
         assert len(res.records) == res.steps + 1
         assert res.records[0].t == 0.0
         assert res.records[-1].t == pytest.approx(0.02)
+
+
+def _run_digest(scenario_id, cells, t_final):
+    """sha256 of a run's final state and records, bit for bit."""
+    result = run_simulation(make_scenario(scenario_id, cells=cells,
+                                          t_final=t_final))
+    rows = np.array([r.row() for r in result.records], float)
+    return hashlib.sha256(result.state.array.tobytes()
+                          + rows.tobytes()).hexdigest()
+
+
+class TestPerRunConstants:
+    """f and the bottom differences are computed once per run and held by
+    the run's Grid and Topography, so no run sees another's values and
+    none of them outlives its run."""
+
+    RUNS = (("ex2", 40, 0.05), ("ex6", 40, 2.0), ("ex2", 40, 0.05))
+
+    def test_back_to_back_runs_match_fresh_processes(self):
+        in_process = [_run_digest(*run) for run in self.RUNS]
+        src = os.path.dirname(os.path.dirname(stepper.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = []
+        for run in self.RUNS[:2]:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; sys.path.insert(0, sys.argv[1]); "
+                 "from test_stepper import _run_digest; "
+                 f"print(_run_digest(*{run!r}))",
+                 os.path.dirname(os.path.abspath(__file__))],
+                env=env, capture_output=True, text=True, check=True)
+            fresh.append(proc.stdout.strip())
+        assert in_process == [fresh[0], fresh[1], fresh[0]]
+
+    def test_finished_run_leaves_no_grid_or_topography_alive(self):
+        scenario = make_scenario("ex6", cells=40, t_final=1.0)
+        result = run_simulation(scenario)
+        assert not result.failed
+        # the per-run constants the run used, wherever they are held
+        constants = (scenario.grid.coriolis_values(scenario.coriolis)
+                     + (scenario.topography.dz_iface,
+                        scenario.topography.dz_center))
+        names = ("grid", "topography", "f_center", "f_iface", "dz_iface",
+                 "dz_center")
+        refs = [weakref.ref(x) for x in
+                (scenario.grid, scenario.topography) + constants]
+        del scenario, result, constants
+        gc.collect()
+        assert [name for name, ref in zip(names, refs)
+                if ref() is not None] == []
