@@ -234,8 +234,25 @@ def _print_convergence(rows: List[dict]) -> None:
         print(line)
 
 
+def _check_file_names(scenario: Scenario, with_final: bool) -> None:
+    """Refuse distinct output times whose snapshot files share a name, so
+    that no snapshot overwrites another; the final time counts when its
+    state is written for a comparison."""
+    times = set(scenario.snapshots)
+    if with_final:
+        times.add(scenario.t_final)
+    seen: Dict[str, float] = {}
+    for t in sorted(times):
+        name = fileio.snapshot_filename(scenario.name, scenario.grid.n, t)
+        if name in seen:
+            raise ConfigError(f"output times {seen[name]!r} and {t!r} "
+                              f"share the file name {name}")
+        seen[name] = t
+
+
 def _run_and_write(cfg: RunConfig) -> int:
     scenario = _scenario_from_config(cfg)
+    _check_file_names(scenario, with_final=bool(cfg.compare_with))
     reference = None
     if cfg.compare_with:  # checked before the run, so a bad one costs none
         reference = fileio.read_comparable(cfg.compare_with)

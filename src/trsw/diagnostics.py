@@ -9,13 +9,12 @@ differences at the boundaries, matching the second-order scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .model import (DEFAULT_EPS, ConservedState, CoriolisSpec, Grid,
-                    Scenario, Topography, desingularized_ratio,
-                    primitives_from_state)
+from .model import (ConservedState, CoriolisSpec, Grid, Scenario,
+                    Topography, desingularized_ratio, primitives_from_state)
 
 
 def flat_bottom(topo: Topography) -> bool:
@@ -29,8 +28,8 @@ def _require_flat(topo: Topography, what: str):
 
 
 def balance_residual(state: ConservedState, coriolis: CoriolisSpec,
-                     grid: Grid, topo: Topography,
-                     eps: float = DEFAULT_EPS) -> Tuple[np.ndarray, np.ndarray]:
+                     grid: Grid, topo: Topography
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Both sides of the flat-bottom thermo-geostrophic balance
     b h_y + (h/2) b_y = -f u, evaluated per cell.
 
@@ -42,9 +41,9 @@ def balance_residual(state: ConservedState, coriolis: CoriolisSpec,
     away from equilibrium.
     """
     _require_flat(topo, "the balance residual")
-    u, _, _, _ = primitives_from_state(state, topo, eps)
+    u, _, _, _ = primitives_from_state(state, topo)
     potential = 0.5 * state.hb * state.h
-    lhs = desingularized_ratio(state.h, np.gradient(potential, grid.dy), eps)
+    lhs = desingularized_ratio(state.h, np.gradient(potential, grid.dy))
     rhs = -coriolis.values(grid.centers) * u
     return lhs, rhs
 
@@ -107,21 +106,20 @@ class ConservationLedger:
                 hb - (self.hb0 - self._outflow_hb))
 
 
-def energy(state: ConservedState, grid: Grid, topo: Topography,
-           eps: float = DEFAULT_EPS) -> float:
+def energy(state: ConservedState, grid: Grid, topo: Topography) -> float:
     """Total energy sum(h (u^2+v^2)/2 + b h^2 / 2) dy over a flat bottom."""
     _require_flat(topo, "the energy integral")
-    u, v, b, _ = primitives_from_state(state, topo, eps)
+    u, v, b, _ = primitives_from_state(state, topo)
     h = state.h
     return float((0.5 * h * (u * u + v * v) + 0.5 * b * h * h).sum() * grid.dy)
 
 
 def potential_vorticity(state: ConservedState, coriolis: CoriolisSpec,
-                        grid: Grid, eps: float = DEFAULT_EPS) -> np.ndarray:
+                        grid: Grid) -> np.ndarray:
     """Q = (f - u_y) / h per cell (desingularized in h)."""
-    u = desingularized_ratio(state.h, state.q, eps)
+    u = desingularized_ratio(state.h, state.q)
     u_y = np.gradient(u, grid.dy)
-    return desingularized_ratio(state.h, coriolis.values(grid.centers) - u_y, eps)
+    return desingularized_ratio(state.h, coriolis.values(grid.centers) - u_y)
 
 
 def rossby_burger(u0: float, length: float, h0: float, b_mean: float,
@@ -168,8 +166,7 @@ def gradient_max(field, dy: float) -> float:
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-step ledger entry; energy is NaN when the bottom is not flat.
-    Balance residual fields can be attached for plotting."""
+    """Per-step ledger entry; energy is NaN when the bottom is not flat."""
 
     t: float
     mass: float
@@ -180,8 +177,6 @@ class DiagnosticsRecord:
     max_abs_v: float
     max_grad_v: float
     tv_w: float
-    balance_lhs: Optional[np.ndarray] = None
-    balance_rhs: Optional[np.ndarray] = None
 
     FIELDS = ("t", "mass", "hb_total", "mass_drift", "hb_drift", "energy",
               "max_abs_v", "max_grad_v", "tv_w")
@@ -193,8 +188,7 @@ class DiagnosticsRecord:
 def make_record(t: float, state: ConservedState, scenario: Scenario,
                 ledger: ConservationLedger) -> DiagnosticsRecord:
     grid, topo = scenario.grid, scenario.topography
-    eps = scenario.numerics.eps
-    v = desingularized_ratio(state.h, state.p, eps)
+    v = desingularized_ratio(state.h, state.p)
     w = state.h + topo.z_center
     mass = float(state.h.sum() * grid.dy)
     hb_total = float(state.hb.sum() * grid.dy)
@@ -205,7 +199,7 @@ def make_record(t: float, state: ConservedState, scenario: Scenario,
         hb_total=hb_total,
         mass_drift=mass_drift,
         hb_drift=hb_drift,
-        energy=(energy(state, grid, topo, eps) if flat_bottom(topo)
+        energy=(energy(state, grid, topo) if flat_bottom(topo)
                 else float("nan")),
         max_abs_v=float(np.abs(v).max(initial=0.0)),
         max_grad_v=gradient_max(v, grid.dy),

@@ -60,7 +60,7 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
                    numerics: Optional[Numerics] = None) -> None:
     """Write one solution snapshot as CSV (see SNAPSHOT_COLUMNS)."""
     numerics = numerics or Numerics()
-    u, v, b, w = primitives_from_state(state, topo, numerics.eps)
+    u, v, b, w = primitives_from_state(state, topo)
     columns = (grid.centers, state.h, state.q, state.p, state.hb,
                u, v, b, w, topo.z_center)
     lines = [

@@ -16,6 +16,9 @@ from .reconstruction import InterfaceStates, minmod
 
 _DEGENERATE = 1.0e-12
 _TINY = 1.0e-300
+# constants C and m of the diffusion switch H(psi)
+_SWITCH_C = 400.0
+_SWITCH_M = 8
 
 
 def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus):
@@ -32,8 +35,7 @@ def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus):
     return a_plus, a_minus
 
 
-def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
-                     c: float = 400.0, m: int = 8):
+def diffusion_switch(l_left, l_right, dy: float, domain_length: float):
     """Smooth cut-off H(psi) = (C psi)^m / (1 + (C psi)^m) of the scaled
     local variation of L between neighbouring cells.
 
@@ -52,7 +54,8 @@ def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
     # evaluate (C psi)^m / (1 + (C psi)^m) through the reciprocal so huge
     # arguments saturate at 1 instead of overflowing
     with np.errstate(divide="ignore", over="ignore"):
-        inv = np.where(psi > 0.0, (c * psi) ** (-float(m)), np.inf)
+        inv = np.where(psi > 0.0, (_SWITCH_C * psi) ** (-float(_SWITCH_M)),
+                       np.inf)
     return 1.0 / (1.0 + inv)
 
 

@@ -13,7 +13,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-DEFAULT_EPS = 1.0e-8
+# desingularization threshold of the cell velocities (Kurganov & Petrova
+# 2007), see desingularized_ratio
+EPS = 1.0e-8
 
 
 def _readonly(a) -> np.ndarray:
@@ -157,24 +159,16 @@ class CoriolisSpec:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Scheme parameters: CFL number, minmod parameter sigma, the
-    desingularization threshold, and the diffusion-switch constants."""
+    """Scheme parameters: CFL number and minmod parameter sigma."""
 
     cfl: float = 0.5
     sigma: float = 1.3
-    eps: float = DEFAULT_EPS
-    switch_c: float = 400.0
-    switch_m: int = 8
 
     def __post_init__(self):
-        if not 0.0 < self.cfl:
-            raise ValueError(f"cfl must be positive, got {self.cfl}")
+        if not 0.0 < self.cfl < np.inf:
+            raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
         if not 1.0 <= self.sigma <= 2.0:
             raise ValueError(f"sigma must lie in [1, 2], got {self.sigma}")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not (self.switch_c > 0 and self.switch_m > 0):
-            raise ValueError("switch constants must be positive")
 
 
 def check_nonnegative(u: np.ndarray) -> None:
@@ -229,28 +223,27 @@ class ConservedState:
         return self.array[3]
 
 
-def desingularized_ratio(h, numerator, eps: float = DEFAULT_EPS) -> np.ndarray:
+def desingularized_ratio(h, numerator) -> np.ndarray:
     """Bounded evaluation of numerator/h that stays finite as h -> 0:
-    2*h*numerator / (h^2 + max(h^2, eps^2)).
+    2*h*numerator / (h^2 + max(h^2, EPS^2)).
 
-    Equals the exact ratio whenever |h| >= eps.
+    Equals the exact ratio whenever |h| >= EPS.
     """
     h = np.asarray(h, float)
     numerator = np.asarray(numerator, float)
     h2 = h * h
-    return 2.0 * h * numerator / (h2 + np.maximum(h2, eps * eps))
+    return 2.0 * h * numerator / (h2 + np.maximum(h2, EPS * EPS))
 
 
-def primitives_from_state(state: ConservedState, topo: Topography,
-                          eps: float = DEFAULT_EPS):
+def primitives_from_state(state: ConservedState, topo: Topography):
     """Recover (u, v, b, w) from cell averages.
 
     Velocities and buoyancy use the desingularized ratio so dry cells give
     zeros instead of division hazards; w = h + Z at cell centers.
     """
-    u = desingularized_ratio(state.h, state.q, eps)
-    v = desingularized_ratio(state.h, state.p, eps)
-    b = desingularized_ratio(state.h, state.hb, eps)
+    u = desingularized_ratio(state.h, state.q)
+    v = desingularized_ratio(state.h, state.p)
+    b = desingularized_ratio(state.h, state.hb)
     w = state.h + topo.z_center
     return u, v, b, w
 
@@ -279,13 +272,16 @@ class Scenario:
     snapshots: tuple = ()
 
     def __post_init__(self):
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not 0.0 <= self.t_final < np.inf:
+            raise ValueError(
+                f"t_final must be nonnegative and finite, got {self.t_final}")
         if len(self.topography.z_center) != self.grid.n:
             raise ValueError("topography does not match the grid")
         snaps = tuple(sorted(float(t) for t in self.snapshots))
-        if any(t < 0 or t > self.t_final for t in snaps):
-            raise ValueError("snapshot times must lie in [0, t_final]")
+        bad = [t for t in snaps if not 0.0 <= t <= self.t_final]
+        if bad:
+            raise ValueError(f"snapshot times must lie in [0, t_final], "
+                             f"got {bad}")
         object.__setattr__(self, "snapshots", snaps)
 
     def initial_state(self) -> ConservedState:

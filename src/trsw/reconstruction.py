@@ -172,10 +172,7 @@ class InterfaceStates:
     ``minus`` quantities are limits from the left cell, ``plus`` from the
     right; p has been recomputed as h*v after desingularization, so
     p = h*v holds exactly. ``l_cell_left/right`` carry the cell-centered L
-    on either side for the diffusion switch. ``h_hb_padded`` holds the h
-    and hb rows of the edge-padded state, (2, n+4), for the draining
-    limiter (the rest of that padding is not kept alive); it is None when
-    the interface values were assembled by hand.
+    on either side for the diffusion switch.
     """
 
     h_minus: np.ndarray
@@ -190,11 +187,8 @@ class InterfaceStates:
     l_plus: np.ndarray
     v_minus: np.ndarray
     v_plus: np.ndarray
-    b_mid: np.ndarray
-    r_iface: np.ndarray
     l_cell_left: np.ndarray
     l_cell_right: np.ndarray
-    h_hb_padded: np.ndarray | None = None
 
 
 def build_interface_states(state: ConservedState, topo: Topography,
@@ -204,26 +198,26 @@ def build_interface_states(state: ConservedState, topo: Topography,
 
     ``state`` is a ConservedState or its (4, n) array; it is not checked
     here. The cell values of b, L and the surface w = h + Z are formed on
-    the n cells and then edge-padded like the state itself, which gives
-    the same ghost values as forming them on the padded state.
+    the n cells and then edge-padded like q and p, which gives the same
+    ghost values as forming them on the padded state.
     """
-    sigma, dy, eps = numerics.sigma, grid.dy, numerics.eps
+    sigma, dy = numerics.sigma, grid.dy
 
     u = getattr(state, "array", state)
     h, p, hb = u[0], u[2], u[3]
-    padded = pad_cells(u)
-    b_pad = pad_cells(desingularized_ratio(h, hb, eps))
+    q_pad, p_pad = pad_cells(u[1:3])
+    b_pad = pad_cells(desingularized_ratio(h, hb))
 
     # L = p^2/h + (hb/2) h + R, the kinetic term desingularized so dry
     # cells contribute zero
     r_center, r_iface = source_potential(u, topo, coriolis, grid)
-    l_cell = p * desingularized_ratio(h, p, eps)
+    l_cell = p * desingularized_ratio(h, p)
     l_cell += 0.5 * hb * h
     l_cell += r_center
     l_pad = pad_cells(l_cell)
 
-    q_minus, q_plus = interface_values(padded[1], sigma, dy)
-    p_minus, p_plus = interface_values(padded[2], sigma, dy)
+    q_minus, q_plus = interface_values(q_pad, sigma, dy)
+    p_minus, p_plus = interface_values(p_pad, sigma, dy)
     l_minus, l_plus = interface_values(l_pad, sigma, dy)
     b_minus, b_plus = interface_values(b_pad, sigma, dy)
     b_mid = 0.5 * (b_minus + b_plus)
@@ -236,8 +230,8 @@ def build_interface_states(state: ConservedState, topo: Topography,
     h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface, fb_minus)
     h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface, fb_plus)
 
-    v_minus = desingularized_ratio(h_minus, p_minus, eps)
-    v_plus = desingularized_ratio(h_plus, p_plus, eps)
+    v_minus = desingularized_ratio(h_minus, p_minus)
+    v_plus = desingularized_ratio(h_plus, p_plus)
     p_minus = h_minus * v_minus
     p_plus = h_plus * v_plus
 
@@ -248,6 +242,4 @@ def build_interface_states(state: ConservedState, topo: Topography,
         b_minus=b_minus, b_plus=b_plus,
         l_minus=l_minus, l_plus=l_plus,
         v_minus=v_minus, v_plus=v_plus,
-        b_mid=b_mid, r_iface=r_iface,
-        l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1],
-        h_hb_padded=padded[::3].copy())
+        l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1])

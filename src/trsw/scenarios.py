@@ -30,8 +30,6 @@ import numpy as np
 from .model import (CoriolisSpec, Scenario, build_grid,
                     flat_topography, sample_topography)
 
-EX2_REFERENCE_CELLS = 6400  # reference-solution resolution for ex2
-
 
 def perturbation_bump(y) -> np.ndarray:
     """Surface perturbation of ex1: 0.1 on the closed interval

@@ -3,10 +3,10 @@ SSP-RK3 time stepping, and the simulation driver.
 
 Boundary conditions are zero-order extrapolation: two ghost cells per side
 copy the outermost physical cells (one feeds the boundary-cell slopes, one
-spare for the stencil). Each RK stage pads its (4, n) state once, in the
-reconstruction, and the draining limiter reads the h and hb rows of that
-padding. Stage states are plain arrays checked for h, hb >= 0; a
-ConservedState is built only for the accepted step.
+spare for the stencil). The reconstruction pads the fields it limits, and
+the draining limiter reads h and hb from the (4, n) stage state, with one
+edge-copied ghost per side. Stage states are plain arrays checked for
+h, hb >= 0; a ConservedState is built only for the accepted step.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def assemble_fluxes(state: ConservedState, topo: Topography,
     """
     iface = build_interface_states(state, topo, coriolis, grid, numerics)
     switch = diffusion_switch(iface.l_cell_left, iface.l_cell_right,
-                              grid.dy, grid.length,
-                              numerics.switch_c, numerics.switch_m)
+                              grid.dy, grid.length)
     flux, a_plus, a_minus = numerical_flux(iface, switch)
     return flux, a_plus, a_minus, iface
 
@@ -100,14 +99,14 @@ def cfl_dt(a_plus, a_minus, dy: float, cfl: float, t_remaining: float) -> float:
     return t_remaining if a_max <= 0.0 else dt
 
 
-def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
+def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float,
                    dy: float) -> Tuple[np.ndarray, int]:
     """Rescale the h and hb flux components so no cell loses more of either
     quantity than it holds within dt.
 
-    ``padded`` holds the cell values with two edge-copied ghosts per side,
-    h in its first row and hb in its last: the (4, n+4) padded state or
-    its (2, n+4) h and hb rows.
+    ``u`` is the (4, n) state; its h and hb rows are extended by one
+    edge-copied ghost cell per side, the donor of inflow at a boundary
+    interface.
 
     Each cell's drain time is dy*rho / (sum of its outgoing fluxes); every
     interface flux is scaled by min(dt, drain time of the donor cell)/dt,
@@ -118,11 +117,12 @@ def draining_limit(padded: np.ndarray, flux: np.ndarray, dt: float,
     count of 0; the input is never written to.
     """
     rows = []
-    for row, quantity in ((0, padded[0]), (3, padded[-1])):
+    for row, rho in ((0, u[0]), (3, u[3])):
         f = flux[row]
         f_ext = np.concatenate(([0.0], f, [0.0]))
         outgoing = np.maximum(f_ext[1:], 0.0) + np.maximum(-f_ext[:-1], 0.0)
-        t_drain = _DRAIN_SAFETY * dy * quantity[1:-1] / np.maximum(outgoing, _TINY)
+        rho_ext = np.concatenate((rho[:1], rho, rho[-1:]))
+        t_drain = _DRAIN_SAFETY * dy * rho_ext / np.maximum(outgoing, _TINY)
         # the donor is the upwind cell: left of the interface when f > 0
         donor_t = np.where(f > 0.0, t_drain[:-1], t_drain[1:])
         rows.append((row, f, donor_t))
@@ -183,7 +183,7 @@ def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
             check_nonnegative(u)
             flux, _, _, iface = assemble_fluxes(
                 u, scenario.topography, coriolis, grid, scenario.numerics)
-        flux, limited = draining_limit(iface.h_hb_padded, flux, dt, grid.dy)
+        flux, limited = draining_limit(u, flux, dt, grid.dy)
         tend = _tendency(u, flux, iface, coriolis, grid)
         stages.append((u, (flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]),
                        limited, tend))

@@ -73,7 +73,7 @@ def _old_row(values):
 
 
 def _old_snapshot_text(state, topo, grid, t, name, numerics):
-    u, v, b, w = primitives_from_state(state, topo, numerics.eps)
+    u, v, b, w = primitives_from_state(state, topo)
     columns = (grid.centers, state.h, state.q, state.p, state.hb,
                u, v, b, w, topo.z_center)
     lines = [f"# scenario: {name}", f"# N: {grid.n}",
@@ -494,6 +494,54 @@ class TestCliMain:
         assert code == 1 and runs == [] and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_final", "inf"), ("t_final", "nan"), ("snapshots", "0.1,nan"),
+        ("cfl", "inf")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_setting_fails_before_the_run(self, tmp_path, capsys,
+                                                     monkeypatch, key, value,
+                                                     source):
+        # a spy instead of the solver: an infinite final time would never
+        # return from a real run
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "out"
+        argv = ["--scenario", "ex2", "--cells", "40", "--out", str(out)]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 2
+        assert runs == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("t_final,snapshots,compare", [
+        ("0.2", "0.1,0.1000001", False),
+        ("0.1000001", "0.1", True)])
+    def test_times_sharing_a_file_name_fail_before_the_run(
+            self, tmp_path, capsys, monkeypatch, t_final, snapshots, compare):
+        # two output times that print alike would write one file twice;
+        # with --compare-with the final state counts as an output
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "out"
+        argv = ["--scenario", "ex2", "--cells", "40", "--t-final", t_final,
+                "--snapshots", snapshots, "--out", str(out)]
+        if compare:
+            ref = tmp_path / "ref.csv"
+            _toy_snapshot(ref, n=40, y_min=-1.0, y_max=1.0)
+            argv += ["--compare-with", str(ref)]
+        assert main(argv) == 2
+        assert runs == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "0.1 and 0.1000001" in err
+        assert snapshot_filename("ex2", 40, 0.1) in err
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

@@ -7,25 +7,20 @@ from hypothesis import given, settings, strategies as st
 from trsw import flux
 from trsw.flux import diffusion_switch, local_speeds, numerical_flux
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, build_grid,
-                        flat_topography)
+                        desingularized_ratio, flat_topography)
 from trsw.reconstruction import InterfaceStates, minmod
 from trsw.stepper import rhs
 
 
-def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p,
-                       r=None):
+def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p):
     h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p = map(
         np.atleast_1d, (h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p))
-    eps = 1e-8
-    from trsw.model import desingularized_ratio
-    v_m = desingularized_ratio(h_m, p_m, eps)
-    v_p = desingularized_ratio(h_p, p_p, eps)
+    v_m = desingularized_ratio(h_m, p_m)
+    v_p = desingularized_ratio(h_p, p_p)
     return InterfaceStates(
         h_minus=h_m, h_plus=h_p, q_minus=q_m, q_plus=q_p,
         p_minus=h_m * v_m, p_plus=h_p * v_p, b_minus=b_m, b_plus=b_p,
         l_minus=l_m, l_plus=l_p, v_minus=v_m, v_plus=v_p,
-        b_mid=0.5 * (b_m + b_p),
-        r_iface=r if r is not None else np.zeros_like(h_m),
         l_cell_left=l_m, l_cell_right=l_p)
 
 

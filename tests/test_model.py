@@ -163,7 +163,7 @@ class TestDesingularization:
         h, p, eps = 1e-12, 1e-12, 1e-8
         hf, pf, ef = Fraction(h), Fraction(p), Fraction(eps)
         exact = 2 * hf * pf / (hf * hf + max(hf * hf, ef * ef))
-        got = desingularized_ratio(h, p, eps)
+        got = desingularized_ratio(h, p)
         assert got == pytest.approx(float(exact), rel=1e-15)
         assert got == pytest.approx(2e-8, rel=1e-7)
 
@@ -171,7 +171,7 @@ class TestDesingularization:
         rng = np.random.default_rng(11)
         h = rng.uniform(1e-8, 10.0, 500)
         p = rng.uniform(-5.0, 5.0, 500)
-        v = desingularized_ratio(h, p, 1e-8)
+        v = desingularized_ratio(h, p)
         assert np.max(np.abs(v - p / h) / np.maximum(np.abs(p / h), 1e-300)) <= 1e-14
 
 
@@ -202,6 +202,23 @@ class TestNumericsAndScenario:
                      topography=flat_topography(g),
                      height=lambda y: np.ones_like(y),
                      b0=lambda y: np.ones_like(y), t_final=-1.0)
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, np.inf, np.nan])
+    def test_cfl_positive_and_finite(self, cfl):
+        with pytest.raises(ValueError, match="cfl"):
+            Numerics(cfl=cfl)
+
+    @pytest.mark.parametrize("t_final,snapshots", [
+        (np.inf, ()), (np.nan, ()), (1.0, (0.5, np.nan)),
+        (1.0, (np.inf,))])
+    def test_non_finite_times_rejected(self, t_final, snapshots):
+        g = build_grid(0.0, 1.0, 4)
+        with pytest.raises(ValueError):
+            Scenario(name="x", grid=g, coriolis=CoriolisSpec(0.0),
+                     topography=flat_topography(g),
+                     height=lambda y: np.ones_like(y),
+                     b0=lambda y: np.ones_like(y), t_final=t_final,
+                     snapshots=snapshots)
 
     def test_snapshots_sorted_and_bounded(self):
         g = build_grid(0.0, 1.0, 4)

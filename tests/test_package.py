@@ -2,6 +2,7 @@
 module attributes that the benchmark's tracer (``perfbench/spans.py``)
 rebinds to time each layer."""
 
+import dataclasses
 import glob
 import importlib.util
 import os
@@ -9,6 +10,7 @@ import re
 
 import trsw
 import trsw.cli
+from trsw.model import Numerics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +42,15 @@ class TestPublicApi:
         reached = _reached_as_trsw_x()
         assert {"make_scenario", "run_simulation", "Scenario"} <= reached
         assert sorted(reached - set(trsw.__all__)) == []
+
+
+class TestSettings:
+    def test_every_numerics_field_is_a_cli_setting(self):
+        # a scheme setting that no caller can set is a constant
+        flags = trsw.cli._build_parser()._option_string_actions
+        for f in dataclasses.fields(Numerics):
+            assert f.name in trsw.cli._CONFIG_KEYS, f.name
+            assert "--" + f.name.replace("_", "-") in flags, f.name
 
 
 def _load_spans():

@@ -189,19 +189,28 @@ class TestSourcePotential:
 
 
 class TestGlobalPrimitive:
-    def test_bundle_matches_components(self):
+    def test_bundle_matches_components(self, monkeypatch):
         # R from source_potential (datum zero at the left boundary
         # interface) is the R behind the interface states and cell L
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
+        seen = []
+        solve = reconstruction.depth_from_equilibrium
+
+        def spy(p_side, b_mid, l_side, r_iface, h_fallback):
+            seen.append(r_iface)
+            return solve(p_side, b_mid, l_side, r_iface, h_fallback)
+
+        monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
         ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
                                      s.numerics)
         rc, ri = source_potential(st, s.topography, s.coriolis, s.grid)
-        assert np.array_equal(ifs.r_iface, ri)
+        assert len(seen) == 2
+        for r_iface in seen:
+            assert np.array_equal(r_iface, ri)
         assert ri[0] == 0.0
         assert rc[0] == 0.5 * (ri[0] + ri[1])
-        eps = s.numerics.eps
-        l_cell = (st.p * desingularized_ratio(st.h, st.p, eps)
+        l_cell = (st.p * desingularized_ratio(st.h, st.p)
                   + 0.5 * st.hb * st.h + rc)
         assert np.array_equal(ifs.l_cell_right[:-1], l_cell)
         assert np.array_equal(ifs.l_cell_left[1:], l_cell)
@@ -477,14 +486,14 @@ class TestBuildInterfaceStates:
 def _pad_then_compute(state, topo, cor, grid, num, r_datum):
     """The reconstruction as it was once written: pad the whole state with
     np.pad, then form b, L and w = h + Z on the padded cells."""
-    sigma, dy, eps = num.sigma, grid.dy, num.eps
+    sigma, dy = num.sigma, grid.dy
     pad = np.pad(state.array, ((0, 0), (2, 2)), mode="edge")
     h_pad, q_pad, p_pad, hb_pad = pad
-    b_pad = desingularized_ratio(h_pad, hb_pad, eps)
+    b_pad = desingularized_ratio(h_pad, hb_pad)
     r_center, r_iface = source_potential(state, topo, cor, grid)
     r_center = r_center + r_datum
     r_iface = r_iface + r_datum
-    kinetic = p_pad * desingularized_ratio(h_pad, p_pad, eps)
+    kinetic = p_pad * desingularized_ratio(h_pad, p_pad)
     l_pad = (kinetic + 0.5 * hb_pad * h_pad
              + np.pad(r_center, 2, mode="edge"))
     q_minus, q_plus = interface_values(q_pad, sigma, dy)
@@ -498,15 +507,14 @@ def _pad_then_compute(state, topo, cor, grid, num, r_datum):
                                      np.maximum(w_minus - topo.z_iface, 0.0))
     h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface,
                                     np.maximum(w_plus - topo.z_iface, 0.0))
-    v_minus = desingularized_ratio(h_minus, p_minus, eps)
-    v_plus = desingularized_ratio(h_plus, p_plus, eps)
+    v_minus = desingularized_ratio(h_minus, p_minus)
+    v_plus = desingularized_ratio(h_plus, p_plus)
     return dict(h_minus=h_minus, h_plus=h_plus, q_minus=q_minus,
                 q_plus=q_plus, p_minus=h_minus * v_minus,
                 p_plus=h_plus * v_plus, b_minus=b_minus, b_plus=b_plus,
                 l_minus=l_minus, l_plus=l_plus, v_minus=v_minus,
-                v_plus=v_plus, b_mid=b_mid, r_iface=r_iface,
-                l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1],
-                h_hb_padded=pad[::3])
+                v_plus=v_plus, l_cell_left=l_pad[1:-2],
+                l_cell_right=l_pad[2:-1])
 
 
 class TestOnePadPipeline:

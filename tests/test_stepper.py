@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trsw import stepper
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
@@ -99,7 +100,7 @@ class TestDrainingLimit:
     def test_no_limiting_when_deep(self):
         padded = np.ones((4, 9))
         flux = np.full((4, 6), 0.01)
-        out, n = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert n == 0
         assert np.array_equal(out, flux)
 
@@ -111,7 +112,7 @@ class TestDrainingLimit:
         flux[0, 3] = 0.5   # outgoing from the dry cell to the right
         flux[0, 2] = -0.5  # outgoing to the left
         flux[3] = flux[0]
-        out, n = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert out[0, 3] == 0.0 and out[0, 2] == 0.0
         assert out[3, 3] == 0.0 and out[3, 2] == 0.0
         assert n > 0
@@ -128,7 +129,7 @@ class TestDrainingLimit:
             flux = np.zeros((4, 11))
             flux[0] = rng.uniform(-1.0, 1.0, 11)
             flux[3] = rng.uniform(-1.0, 1.0, 11)
-            out, _ = draining_limit(padded, flux, dt, dy)
+            out, _ = draining_limit(padded[:, 2:-2], flux, dt, dy)
             h_new = h - dt / dy * (out[0, 1:] - out[0, :-1])
             hb_new = hb - dt / dy * (out[3, 1:] - out[3, :-1])
             assert np.all(h_new >= 0.0)
@@ -137,15 +138,15 @@ class TestDrainingLimit:
     def test_momentum_fluxes_untouched(self):
         padded = np.zeros((4, 9))
         flux = np.ones((4, 6))
-        out, _ = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        out, _ = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert np.array_equal(out[1], flux[1])
         assert np.array_equal(out[2], flux[2])
 
     @staticmethod
-    def _scaled(padded, flux, dt, dy):
-        """Every interface scaled by min(dt, donor drain time)/dt, written
-        out without the idle shortcut."""
-        out = flux.copy()
+    def _scales(padded, flux, dt, dy):
+        """min(dt, donor drain time)/dt at every interface, for the h and
+        hb rows, from the state padded with two ghosts per side."""
+        scales = {}
         for row, quantity in ((0, padded[0]), (3, padded[-1])):
             f = flux[row]
             f_ext = np.concatenate(([0.0], f, [0.0]))
@@ -154,14 +155,23 @@ class TestDrainingLimit:
             t_drain = ((1.0 - 1.0e-10) * dy * quantity[1:-1]
                        / np.maximum(outgoing, 1.0e-300))
             donor_t = np.where(f > 0.0, t_drain[:-1], t_drain[1:])
-            out[row] = f * (np.minimum(dt, donor_t) / dt)
+            scales[row] = np.minimum(dt, donor_t) / dt
+        return scales
+
+    @classmethod
+    def _scaled(cls, padded, flux, dt, dy):
+        """Every interface scaled by min(dt, donor drain time)/dt, written
+        out without the idle shortcut."""
+        out = flux.copy()
+        for row, scale in cls._scales(padded, flux, dt, dy).items():
+            out[row] = flux[row] * scale
         return out
 
     def test_idle_returns_the_flux_itself(self):
         padded = np.ones((4, 9))
         flux = np.full((4, 6), 0.01)
         flux[0, ::2] = -0.02
-        out, n = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert out is flux and n == 0
         assert np.array_equal(self._scaled(padded, flux, 0.1, 0.5), flux)
 
@@ -172,7 +182,7 @@ class TestDrainingLimit:
         padded[3] = np.pad(rng.uniform(0.0, 0.2, 10), 2, mode="edge")
         flux = rng.uniform(-1.0, 1.0, (4, 11))
         before = flux.copy()
-        out, n = draining_limit(padded, flux, 0.05, 0.1)
+        out, n = draining_limit(padded[:, 2:-2], flux, 0.05, 0.1)
         assert n > 0 and out is not flux
         assert np.array_equal(flux, before)
         assert self._scaled(padded, flux, 0.05, 0.1).tobytes() == out.tobytes()
@@ -182,11 +192,35 @@ class TestDrainingLimit:
         padded[0, 4] = np.nan  # the donor of interface 3 for f > 0
         flux = np.full((4, 6), 0.01)
         before = flux.copy()
-        out, n = draining_limit(padded, flux, dt=0.1, dy=0.5)
+        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert np.isnan(out[0, 3]) and n == 0
         assert np.array_equal(np.isnan(out),
                               np.isnan(self._scaled(padded, flux, 0.1, 0.5)))
         assert np.array_equal(flux, before)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+           st.floats(-6.0, 1.0), st.booleans(), st.booleans())
+    def test_stage_state_matches_padded_formula(self, n, seed, log_scale,
+                                                inflow_left, inflow_right):
+        # dry and 1e-300-deep cells, fluxes of both signs, and inflow at a
+        # boundary interface, whose donor is a ghost cell
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 0.2, (4, n))
+        for row in (0, 3):
+            u[row, rng.uniform(size=n) < 0.3] = 0.0
+            u[row, rng.uniform(size=n) < 0.2] = 1e-300
+        flux = rng.uniform(-1.0, 1.0, (4, n + 1)) * 10.0 ** log_scale
+        for row in (0, 3):
+            flux[row, 0] = abs(flux[row, 0]) * (1 if inflow_left else -1)
+            flux[row, -1] = abs(flux[row, -1]) * (-1 if inflow_right else 1)
+        dt, dy = 0.05, 0.1
+        out, n_limited = draining_limit(u, flux, dt, dy)
+        padded = np.pad(u, ((0, 0), (2, 2)), mode="edge")
+        assert out.tobytes() == self._scaled(padded, flux, dt, dy).tobytes()
+        scales = self._scales(padded, flux, dt, dy)
+        assert n_limited == np.count_nonzero((scales[0] < 1.0)
+                                             | (scales[3] < 1.0))
 
 
 class TestSspRk3:
@@ -253,7 +287,7 @@ class TestStageCheck:
     def _step_with_outflow(monkeypatch, row):
         # a draining limiter that lets cell 0 export far more of one
         # quantity than it holds, so the first stage state goes negative
-        def unlimited(padded, flux, dt, dy):
+        def unlimited(u, flux, dt, dy):
             out = np.zeros_like(flux)
             out[row, 1] = 1e3
             return out, 0
