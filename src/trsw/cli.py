@@ -1,9 +1,12 @@
 """Command-line front end: scenario runs, snapshot/diagnostics output,
 solution comparison, and self-convergence tables.
 
-Precedence of settings: command-line flags override config-file values,
-which override scenario defaults. Config files are flat ``key = value``
-lines with ``#`` comments and the same keys as the flags.
+Each setting is declared once, as a flag of the parser. A ``--config``
+file holds flat ``key = value`` lines with ``#`` comments, where a key is
+a flag's name with ``_`` for ``-`` (``t_final`` for ``--t-final``). Each
+file value is converted by its flag's own converter and installed as that
+flag's default, so flags override file values, which override scenario
+defaults.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fileio
@@ -25,66 +28,58 @@ class ConfigError(ValueError):
     pass
 
 
+# the flags that a --config file may set
 _CONFIG_KEYS = ("scenario", "cells", "t_final", "snapshots", "out",
                 "cfl", "sigma", "diagnostics")
 
 
-@dataclass
-class RunConfig:
-    scenario: str
-    cells: Optional[int] = None
-    t_final: Optional[float] = None
-    snapshots: Optional[Tuple[float, ...]] = None
-    out: str = "out"
-    cfl: Optional[float] = None
-    sigma: Optional[float] = None
-    diagnostics: bool = False
-    compare_with: Optional[str] = None
-    convergence: Optional[Tuple[int, ...]] = None
+def _float_list(text: str) -> Tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def _parse_float_list(text: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"malformed number list: {text!r}") from None
-
-
-def _parse_int_list(text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"malformed integer list: {text!r}") from None
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"malformed boolean: {text!r}")
+    raise ValueError(text)
 
 
-def read_config_file(path: str) -> Dict[str, str]:
-    """Flat key = value file; unknown keys are rejected."""
-    values: Dict[str, str] = {}
+def read_config_file(path: str, parser: argparse.ArgumentParser
+                     ) -> Dict[str, object]:
+    """Flat key = value file; unknown keys are rejected. Each value is
+    converted by its flag's converter, a switch's by ``_parse_bool``."""
+    actions = {action.dest: action for action in parser._actions}
+    values: Dict[str, object] = {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err.reason}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        action = actions[key]
+        convert = _parse_bool if action.nargs == 0 else (action.type or str)
+        try:
+            values[key] = convert(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed {key}: "
+                              f"{value!r}") from None
     return values
 
 
@@ -96,73 +91,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", help=f"one of: {', '.join(SCENARIO_IDS)}")
     parser.add_argument("--cells", type=int, help="number of cells")
     parser.add_argument("--t-final", type=float, dest="t_final")
-    parser.add_argument("--snapshots", help="comma-separated output times")
+    parser.add_argument("--snapshots", type=_float_list,
+                        help="comma-separated output times")
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--cfl", type=float)
     parser.add_argument("--sigma", type=float, help="minmod parameter in [1,2]")
-    parser.add_argument("--diagnostics", action="store_true", default=None,
+    parser.add_argument("--diagnostics", action="store_true",
                         help="also write the diagnostics time series")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--compare-with", dest="compare_with",
-                        help="snapshot file to compare the final state against")
-    parser.add_argument("--convergence",
-                        help="comma-separated cell counts for a "
-                             "self-convergence table (integer refinements)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--compare-with", dest="compare_with",
+                      help="snapshot file to compare the final state against")
+    mode.add_argument("--convergence", type=_int_list,
+                      help="comma-separated cell counts for a "
+                           "self-convergence table (integer refinements)")
     return parser
 
 
-def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Resolve flags and optional config file into a RunConfig."""
-    args = _build_parser().parse_args(argv)
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return convert(file_values[key])
-        return None
-
-    scenario = pick(args.scenario, "scenario", str)
-    if scenario is None:
+def parse_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Resolve flags and an optional config file into the run's settings."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # converted values, never file text: argparse would convert a
+        # string default itself, and "false" would make --diagnostics true
+        parser.set_defaults(**read_config_file(args.config, parser))
+        args = parser.parse_args(argv)
+    if args.scenario is None:
         raise ConfigError("no scenario given (use --scenario)")
-    if scenario not in SCENARIO_IDS:
-        raise ConfigError(f"unknown scenario {scenario!r} "
+    if args.scenario not in SCENARIO_IDS:
+        raise ConfigError(f"unknown scenario {args.scenario!r} "
                           f"(known: {', '.join(SCENARIO_IDS)})")
-
-    def conv_float(text):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"malformed number: {text!r}") from None
-
-    def conv_int(text):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"malformed integer: {text!r}") from None
-
-    snapshots = args.snapshots
-    if snapshots is not None:
-        snapshots = _parse_float_list(snapshots)
-    elif "snapshots" in file_values:
-        snapshots = _parse_float_list(file_values["snapshots"])
-
-    return RunConfig(
-        scenario=scenario,
-        cells=pick(args.cells, "cells", conv_int),
-        t_final=pick(args.t_final, "t_final", conv_float),
-        snapshots=snapshots,
-        out=pick(args.out, "out", str) or "out",
-        cfl=pick(args.cfl, "cfl", conv_float),
-        sigma=pick(args.sigma, "sigma", conv_float),
-        diagnostics=bool(pick(args.diagnostics, "diagnostics", _parse_bool)),
-        compare_with=args.compare_with,
-        convergence=_parse_int_list(args.convergence)
-        if args.convergence else None)
+    args.out = args.out or "out"  # an empty --out or out = means the default
+    return args
 
 
-def _scenario_from_config(cfg: RunConfig, cells: Optional[int] = None
+def _scenario_from_config(cfg: argparse.Namespace, cells: Optional[int] = None
                           ) -> Scenario:
     try:
         return make_scenario(cfg.scenario,
@@ -173,7 +137,7 @@ def _scenario_from_config(cfg: RunConfig, cells: Optional[int] = None
         raise ConfigError(str(err)) from None
 
 
-def convergence_mode(cfg: RunConfig) -> List[dict]:
+def convergence_mode(cfg: argparse.Namespace) -> List[dict]:
     """Run the scenario at each requested resolution and tabulate
     successive L1 differences with observed orders.
 
@@ -183,6 +147,8 @@ def convergence_mode(cfg: RunConfig) -> List[dict]:
     n_list = cfg.convergence or ()
     if len(n_list) < 2:
         raise ConfigError("convergence mode needs at least two cell counts")
+    if min(n_list) < 1:
+        raise ConfigError(f"cell counts must be at least 1; got {min(n_list)}")
     for n_coarse, n_fine in zip(n_list, n_list[1:]):
         if n_fine <= n_coarse or n_fine % n_coarse:
             raise ConfigError(
@@ -250,7 +216,7 @@ def _check_file_names(scenario: Scenario, with_final: bool) -> None:
         seen[name] = t
 
 
-def _run_and_write(cfg: RunConfig) -> int:
+def _run_and_write(cfg: argparse.Namespace) -> int:
     scenario = _scenario_from_config(cfg)
     _check_file_names(scenario, with_final=bool(cfg.compare_with))
     reference = None

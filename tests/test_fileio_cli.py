@@ -2,6 +2,7 @@
 command-line interface."""
 
 import os
+import re
 import struct
 import tempfile
 
@@ -360,6 +361,34 @@ class TestMalformedReference:
             compare_solutions(a, b)
 
 
+def _flag_argv(key, text):
+    """A setting as command-line words; a switch takes no value."""
+    flag = "--" + key.replace("_", "-")
+    return [flag] if key == "diagnostics" else [flag, text]
+
+
+def _settings(tmp_path, flags, lines):
+    """The parsed settings of flags plus a config file of (key, value)
+    lines, as a dict."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+    return vars(parse_config(flags + ["--config", str(cfgfile)]))
+
+
+# per file-settable key: a value as text, what it parses to, and a second
+# value for a file line that the flag must beat
+_SETTINGS = {
+    "scenario": ("ex2", "ex2", "lake-at-rest"),
+    "cells": ("100", 100, "200"),
+    "t_final": ("0.05", 0.05, "0.1"),
+    "snapshots": ("0.1, 0.2", (0.1, 0.2), "0.3"),
+    "out": ("run1", "run1", "run2"),
+    "cfl": ("0.4", 0.4, "0.3"),
+    "sigma": ("1.5", 1.5, "1.2"),
+    "diagnostics": ("yes", True, "no"),
+}
+
+
 class TestParseConfig:
     def test_flags(self):
         cfg = parse_config(["--scenario", "ex1-perturbed", "--cells", "100",
@@ -403,6 +432,37 @@ class TestParseConfig:
         cfgfile.write_text("scenario = ex2\nt_final = abc\n")
         with pytest.raises(ConfigError, match="malformed"):
             parse_config(["--config", str(cfgfile)])
+
+    @pytest.mark.parametrize("key", cli._CONFIG_KEYS)
+    def test_flag_and_file_line_give_one_setting(self, tmp_path, key):
+        text, parsed, other = _SETTINGS[key]
+        flag = _flag_argv(key, text)
+        lines = [] if key == "scenario" else [("scenario", "ex2")]
+        by_flag = _settings(tmp_path, flag, lines)
+        assert by_flag[key] == parsed
+        assert _settings(tmp_path, [], lines + [(key, text)]) == by_flag
+        # a flag beats a file line
+        assert _settings(tmp_path, flag, lines + [(key, other)]) == by_flag
+
+    @pytest.mark.parametrize("word,on", [
+        ("yes", True), ("no", False), ("On", True), ("0", False)])
+    def test_diagnostics_file_words(self, tmp_path, word, on):
+        lines = [("scenario", "ex2"), ("diagnostics", word)]
+        assert _settings(tmp_path, [], lines)["diagnostics"] is on
+        assert _settings(tmp_path, ["--diagnostics"],
+                         lines)["diagnostics"] is True
+
+    @pytest.mark.parametrize("key,value", [
+        ("cells", ""), ("t_final", "abc"), ("snapshots", "0.1,a"),
+        ("diagnostics", "maybe")])
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_malformed_file_value_names_its_line(self, tmp_path, key, value,
+                                                 flagged):
+        # the whole file is checked, also a line that a flag overrides
+        flags = _flag_argv(key, _SETTINGS[key][0]) if flagged else []
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{tmp_path / 'run.cfg'}:2: malformed {key}: {value!r}")):
+            _settings(tmp_path, flags, [("scenario", "ex2"), (key, value)])
 
 
 class TestCliMain:
@@ -543,6 +603,35 @@ class TestCliMain:
         assert "0.1 and 0.1000001" in err
         assert snapshot_filename("ex2", 40, 0.1) in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_means_out(self, tmp_path, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--scenario", "ex1-steady", "--cells", "20",
+                "--t-final", "0.01", "--snapshots", "0.01"]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("out =\n")
+            argv += ["--config", "run.cfg"]
+        assert main(argv) == 0
+        assert os.listdir(tmp_path / "out") == [
+            snapshot_filename("ex1-steady", 20, 0.01)]
+
+    def test_config_file_not_utf8_exit_code(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"scenario = ex2\ncells = \xff\n")
+        assert main(["--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfgfile}: not UTF-8")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--cells", "abc"), ("--snapshots", "0.1,a"), ("--convergence", "a")])
+    def test_malformed_flag_value_exit_code(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--scenario", "ex2", flag, value])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
     def test_deterministic_outputs(self, tmp_path):
         outs = []
         for name in ("o1", "o2"):
@@ -584,3 +673,22 @@ class TestConvergenceMode:
         assert code == 0
         text = capsys.readouterr().out
         assert "L1(h)" in text and "order" in text
+
+    def test_cell_counts_below_one_refused(self, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        assert main(["--scenario", "ex2", "--convergence", "0,100"]) == 2
+        assert runs == []
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_compare_with_refused(self, tmp_path, capsys, monkeypatch):
+        # a convergence table has no final state to compare
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(SystemExit) as exit_:
+            main(["--scenario", "ex2", "--convergence", "40,80",
+                  "--compare-with", str(tmp_path / "missing.csv")])
+        assert exit_.value.code == 2 and runs == []
+        assert "not allowed with" in capsys.readouterr().err

@@ -52,6 +52,11 @@ class TestSettings:
             assert f.name in trsw.cli._CONFIG_KEYS, f.name
             assert "--" + f.name.replace("_", "-") in flags, f.name
 
+    def test_config_keys_are_the_flags_less_the_flag_only_ones(self):
+        dests = {action.dest for action in trsw.cli._build_parser()._actions}
+        flag_only = {"help", "config", "compare_with", "convergence"}
+        assert sorted(trsw.cli._CONFIG_KEYS) == sorted(dests - flag_only)
+
 
 def _load_spans():
     """perfbench/spans.py as a module of its own name, leaving sys.path
