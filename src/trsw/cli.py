@@ -122,6 +122,15 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     if args.scenario not in SCENARIO_IDS:
         raise ConfigError(f"unknown scenario {args.scenario!r} "
                           f"(known: {', '.join(SCENARIO_IDS)})")
+    if args.convergence:
+        # a convergence table writes no files, so it has no use for them
+        unused = [flag for flag, given in (
+            ("--snapshots", args.snapshots is not None),
+            ("--out", args.out is not None),
+            ("--diagnostics", args.diagnostics)) if given]
+        if unused:
+            raise ConfigError(f"--convergence writes no files; "
+                              f"{', '.join(unused)} not allowed with it")
     args.out = args.out or "out"  # an empty --out or out = means the default
     return args
 

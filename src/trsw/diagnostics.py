@@ -106,12 +106,26 @@ class ConservationLedger:
                 hb - (self.hb0 - self._outflow_hb))
 
 
-def energy(state: ConservedState, grid: Grid, topo: Topography) -> float:
-    """Total energy sum(h (u^2+v^2)/2 + b h^2 / 2) dy over a flat bottom."""
+def energy(state: ConservedState, grid: Grid, topo: Topography,
+           ws=None) -> float:
+    """Total energy sum(h (u^2+v^2)/2 + b h^2 / 2) dy over a flat bottom;
+    the per-cell terms go into rows of the workspace ``ws`` if given."""
     _require_flat(topo, "the energy integral")
-    u, v, b, _ = primitives_from_state(state, topo)
+    u_buf, v_buf, b_buf, work = (ws.energy_rows if ws is not None
+                                 else (None,) * 4)
     h = state.h
-    return float((0.5 * h * (u * u + v * v) + 0.5 * b * h * h).sum() * grid.dy)
+    u = desingularized_ratio(h, state.q, out=u_buf, work=work)
+    v = desingularized_ratio(h, state.p, out=v_buf, work=work)
+    b = desingularized_ratio(h, state.hb, out=b_buf, work=work)
+    speed2 = np.multiply(u, u, out=u)
+    speed2 += np.multiply(v, v, out=v)
+    density = np.multiply(h, 0.5, out=v)
+    density *= speed2
+    potential = np.multiply(b, 0.5, out=b)
+    potential *= h
+    potential *= h
+    density += potential
+    return float(density.sum() * grid.dy)
 
 
 def potential_vorticity(state: ConservedState, coriolis: CoriolisSpec,
@@ -132,12 +146,6 @@ def rossby_burger(u0: float, length: float, h0: float, b_mean: float,
     return u0 / denom, np.sqrt(b_mean * h0) / denom
 
 
-def inertia_gravity_frequency(f: float, b: float, h: float, k: float) -> float:
-    """Dispersion relation omega = sqrt(f^2 + b h k^2) of inertia-gravity
-    waves over a uniform background."""
-    return float(np.sqrt(f * f + b * h * k * k))
-
-
 def equatorial_eigenfrequency(n: int) -> float:
     """Nondimensional frequency sqrt(2n + 1) of the n-th equatorially
     trapped mode in the infinite-zonal-wavelength limit."""
@@ -146,22 +154,20 @@ def equatorial_eigenfrequency(n: int) -> float:
     return float(np.sqrt(2 * n + 1))
 
 
-def equatorial_inertial_period(beta: float, b0: float, h0: float) -> float:
-    """Equatorial inertial period 2 pi / sqrt(beta sqrt(b0 H0))."""
-    return float(2.0 * np.pi / np.sqrt(beta * np.sqrt(b0 * h0)))
-
-
-def total_variation(field) -> float:
-    """Sum of absolute cell-to-cell differences."""
+def total_variation(field, work=None) -> float:
+    """Sum of absolute cell-to-cell differences; ``work`` receives them
+    (fresh by default)."""
     f = np.asarray(field, float)
-    return float(np.abs(f[..., 1:] - f[..., :-1]).sum())
+    d = np.subtract(f[..., 1:], f[..., :-1], out=work)
+    return float(np.abs(d, out=d).sum())
 
 
-def gradient_max(field, dy: float) -> float:
-    """Largest discrete gradient magnitude max |delta field| / dy."""
+def gradient_max(field, dy: float, work=None) -> float:
+    """Largest discrete gradient magnitude max |delta field| / dy;
+    ``work`` receives the differences (fresh by default)."""
     f = np.asarray(field, float)
-    d = np.abs(f[..., 1:] - f[..., :-1])
-    return float(d.max(initial=0.0) / dy)
+    d = np.subtract(f[..., 1:], f[..., :-1], out=work)
+    return float(np.abs(d, out=d).max(initial=0.0) / dy)
 
 
 @dataclass
@@ -186,21 +192,28 @@ class DiagnosticsRecord:
 
 
 def make_record(t: float, state: ConservedState, scenario: Scenario,
-                ledger: ConservationLedger) -> DiagnosticsRecord:
+                ledger: ConservationLedger, ws=None) -> DiagnosticsRecord:
+    """The diagnostics record of ``state`` at time t; the per-cell
+    quantities go into rows of the run's workspace ``ws`` if given."""
     grid, topo = scenario.grid, scenario.topography
-    v = desingularized_ratio(state.h, state.p)
-    w = state.h + topo.z_center
-    mass = float(state.h.sum() * grid.dy)
+    h = state.h
+    mass = float(h.sum() * grid.dy)
     hb_total = float(state.hb.sum() * grid.dy)
     mass_drift, hb_drift = ledger.drifts(mass, hb_total)
+    total_energy = (energy(state, grid, topo, ws) if flat_bottom(topo)
+                    else float("nan"))
+    v_buf, w_buf, work = (ws.record_rows if ws is not None
+                          else (None,) * 3)
+    diff = ws.record_diff if ws is not None else None
+    v = desingularized_ratio(h, state.p, out=v_buf, work=work)
+    w = np.add(h, topo.z_center, out=w_buf)
     return DiagnosticsRecord(
         t=t,
         mass=mass,
         hb_total=hb_total,
         mass_drift=mass_drift,
         hb_drift=hb_drift,
-        energy=(energy(state, grid, topo) if flat_bottom(topo)
-                else float("nan")),
-        max_abs_v=float(np.abs(v).max(initial=0.0)),
-        max_grad_v=gradient_max(v, grid.dy),
-        tv_w=total_variation(w))
+        energy=total_energy,
+        max_abs_v=float(np.abs(v, out=work).max(initial=0.0)),
+        max_grad_v=gradient_max(v, grid.dy, diff),
+        tv_w=total_variation(w, diff))

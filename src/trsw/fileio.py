@@ -192,11 +192,6 @@ def compare_snapshots(a, b) -> Dict[str, Tuple[float, float]]:
             for name in SNAPSHOT_COLUMNS[1:]}
 
 
-def compare_solutions(path_a, path_b) -> Dict[str, Tuple[float, float]]:
-    """compare_snapshots of two snapshot files."""
-    return compare_snapshots(read_comparable(path_a), read_comparable(path_b))
-
-
 def snapshot_filename(scenario_name: str, n: int, t: float) -> str:
     return f"{scenario_name}_N{n}_t{t:.6f}.csv"
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .reconstruction import InterfaceStates, minmod
+from .workspace import Workspace, fresh
 
 _DEGENERATE = 1.0e-12
 _TINY = 1.0e-300
@@ -21,46 +22,77 @@ _SWITCH_C = 400.0
 _SWITCH_M = 8
 
 
-def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus):
+def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus,
+                 out=None, work=None):
     """One-sided propagation speeds from the extreme eigenvalues
-    v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus."""
-    hb_m = np.asarray(h_minus, float) * np.asarray(b_minus, float)
-    hb_p = np.asarray(h_plus, float) * np.asarray(b_plus, float)
-    if (hb_m < 0.0).any() or (hb_p < 0.0).any():
+    v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus.
+
+    ``out`` is a pair of arrays for (a_plus, a_minus) and ``work`` four
+    float and one boolean scratch arrays of their shape; without them
+    all are fresh."""
+    if out is None:
+        shape = np.broadcast_shapes(*(np.shape(a) for a in (
+            v_minus, v_plus, h_minus, h_plus, b_minus, b_plus)))
+        out, work = fresh(shape, 2), fresh(shape, 4, 1)
+    c_m, c_p, t_m, t_p, negative = work
+    hb_m = np.multiply(h_minus, b_minus, out=c_m)
+    hb_p = np.multiply(h_plus, b_plus, out=c_p)
+    if (np.less(hb_m, 0.0, out=negative).any()
+            or np.less(hb_p, 0.0, out=negative).any()):
         raise ValueError("negative h*b in speed estimate")
-    c_m = np.sqrt(hb_m)
-    c_p = np.sqrt(hb_p)
-    a_plus = np.maximum(np.maximum(v_minus + c_m, v_plus + c_p), 0.0)
-    a_minus = np.minimum(np.minimum(v_minus - c_m, v_plus - c_p), 0.0)
+    np.sqrt(hb_m, out=c_m)
+    np.sqrt(hb_p, out=c_p)
+    a_plus = np.maximum(np.add(v_minus, c_m, out=t_m),
+                        np.add(v_plus, c_p, out=t_p), out=out[0])
+    np.maximum(a_plus, 0.0, out=a_plus)
+    a_minus = np.minimum(np.subtract(v_minus, c_m, out=t_m),
+                         np.subtract(v_plus, c_p, out=t_p), out=out[1])
+    np.minimum(a_minus, 0.0, out=a_minus)
     return a_plus, a_minus
 
 
-def diffusion_switch(l_left, l_right, dy: float, domain_length: float):
+def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
+                     out=None, work=None):
     """Smooth cut-off H(psi) = (C psi)^m / (1 + (C psi)^m) of the scaled
     local variation of L between neighbouring cells.
 
     psi compares |dL|/dy against L itself over the domain length; the
     denominator falls back to |L| (floored away from zero) when both cell
     values are nonpositive, which keeps the switch defined off the
-    physically expected L > 0 regime.
+    physically expected L > 0 regime. ``out`` receives H and ``work`` is
+    two float and one boolean scratch arrays of its shape; without them
+    all are fresh.
     """
     l_left = np.asarray(l_left, float)
     l_right = np.asarray(l_right, float)
-    denom = np.maximum(l_left, l_right)
-    denom = np.where(denom > 0.0, denom,
-                     np.maximum(np.maximum(np.abs(l_left), np.abs(l_right)),
-                                _TINY))
-    psi = np.abs(l_right - l_left) / dy * domain_length / denom
+    if out is None:
+        shape = np.broadcast_shapes(l_left.shape, l_right.shape)
+        out, work = np.empty(shape), fresh(shape, 2, 1)
+    larger, denom, positive = work
+    np.maximum(l_left, l_right, out=larger)
+    np.abs(l_left, out=denom)
+    np.maximum(denom, np.abs(l_right, out=out), out=denom)
+    np.maximum(denom, _TINY, out=denom)
+    np.copyto(denom, larger, where=np.greater(larger, 0.0, out=positive))
+    psi = np.subtract(l_right, l_left, out=larger)
+    np.abs(psi, out=psi)
+    psi /= dy
+    psi *= domain_length
+    psi /= denom
     # evaluate (C psi)^m / (1 + (C psi)^m) through the reciprocal so huge
-    # arguments saturate at 1 instead of overflowing
+    # arguments saturate at 1 instead of overflowing; psi is >= 0 or NaN,
+    # and fmax sends NaN to 0, whose reciprocal term is inf (H = 0)
     with np.errstate(divide="ignore", over="ignore"):
-        inv = np.where(psi > 0.0, (_SWITCH_C * psi) ** (-float(_SWITCH_M)),
-                       np.inf)
-    return 1.0 / (1.0 + inv)
+        inv = np.fmax(psi, 0.0, out=psi)
+        inv *= _SWITCH_C
+        np.power(inv, -float(_SWITCH_M), out=inv)
+    inv += 1.0
+    return np.divide(1.0, inv, out=out)
 
 
 def _central_upwind_row(out, u_minus, u_plus, g_minus, g_plus, a_plus,
-                        a_minus, safe, coef, fallback, switch=None):
+                        a_minus, safe, coef, fallback, switch=None,
+                        work=None):
     """One component of the central-upwind flux, written into ``out``:
     (a+ G- - a- G+)/(a+ - a-) + a+ a-/(a+ - a-) * (U+ - U- - dU), with the
     built-in anti-diffusion dU = minmod(U+ - U*, U* - U-) of the
@@ -68,29 +100,32 @@ def _central_upwind_row(out, u_minus, u_plus, g_minus, g_plus, a_plus,
 
     ``safe`` is a+ - a- with degenerate entries set to one, ``coef`` is
     a+ a- / safe, ``switch`` scales the diffusion term, and the interfaces
-    listed in ``fallback`` get the mean (G- + G+)/2 instead.
+    listed in ``fallback`` get the mean (G- + G+)/2 instead. ``work`` is
+    four scratch arrays shaped like ``out`` (fresh by default).
     """
-    u_star = a_plus * u_plus
-    u_star -= a_minus * u_minus
-    u_star -= g_plus - g_minus
+    star, delta, *minmod_work = (work if work is not None
+                                 else fresh(out.shape, 4))
+    u_star = np.multiply(a_plus, u_plus, out=star)
+    u_star -= np.multiply(a_minus, u_minus, out=delta)
+    u_star -= np.subtract(g_plus, g_minus, out=delta)
     u_star /= safe
-    delta = u_plus - u_star
+    np.subtract(u_plus, u_star, out=delta)
     np.subtract(u_star, u_minus, out=u_star)
-    minmod(delta, u_star, out=delta)
+    minmod(delta, u_star, out=delta, work=minmod_work)
     diffusion = np.subtract(u_plus, u_minus, out=u_star)
     diffusion -= delta
     diffusion *= coef
     if switch is not None:
         diffusion *= switch
     np.multiply(a_plus, g_minus, out=out)
-    out -= a_minus * g_plus
+    out -= np.multiply(a_minus, g_plus, out=delta)
     out /= safe
     out += diffusion
     if fallback.size:
         out[fallback] = 0.5 * (g_minus[fallback] + g_plus[fallback])
 
 
-def numerical_flux(iface: InterfaceStates, switch):
+def numerical_flux(iface: InterfaceStates, switch, ws=None):
     """Central-upwind fluxes at every interface, (4, n_interfaces).
 
     The flux of U = (h, q, p, hb) is G = (p, q*v, L, p*b), built one
@@ -99,24 +134,36 @@ def numerical_flux(iface: InterfaceStates, switch):
     (a+ - a- below round-off) fall back to the arithmetic mean of the
     one-sided fluxes.
 
-    Returns (fluxes, a_plus, a_minus).
+    Returns (fluxes, a_plus, a_minus), rows of the workspace ``ws`` (a
+    fresh one by default).
     """
+    if ws is None:
+        ws = Workspace(np.size(iface.h_minus) - 1)
     h_m, h_p, b_m, b_p = iface.h_minus, iface.h_plus, iface.b_minus, iface.b_plus
     q_m, q_p, p_m, p_p = iface.q_minus, iface.q_plus, iface.p_minus, iface.p_plus
     a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus,
-                                   h_m, h_p, b_m, b_p)
-    safe = a_plus - a_minus
-    degenerate = safe < _DEGENERATE
+                                   h_m, h_p, b_m, b_p,
+                                   out=ws.speeds, work=ws.speed_work)
+    safe = np.subtract(a_plus, a_minus, out=ws.safe)
+    degenerate = np.less(safe, _DEGENERATE, out=ws.degenerate)
     safe[degenerate] = 1.0
-    common = (a_plus, a_minus, safe, a_plus * a_minus / safe,
-              degenerate.nonzero()[0])
+    coef = np.multiply(a_plus, a_minus, out=ws.coef)
+    coef /= safe
+    common = (a_plus, a_minus, safe, coef, degenerate.nonzero()[0])
+    work = ws.row_work
 
-    flux = np.empty((4, safe.size))
-    _central_upwind_row(flux[0], h_m, h_p, p_m, p_p, *common)
-    _central_upwind_row(flux[1], q_m, q_p, q_m * iface.v_minus,
-                        q_p * iface.v_plus, *common, switch)
+    flux = ws.flux
+    _central_upwind_row(flux[0], h_m, h_p, p_m, p_p, *common, work=work)
+    _central_upwind_row(flux[1], q_m, q_p,
+                        np.multiply(q_m, iface.v_minus, out=ws.g_minus),
+                        np.multiply(q_p, iface.v_plus, out=ws.g_plus),
+                        *common, switch, work=work)
     _central_upwind_row(flux[2], p_m, p_p, iface.l_minus, iface.l_plus,
-                        *common)
-    _central_upwind_row(flux[3], h_m * b_m, h_p * b_p, p_m * b_m, p_p * b_p,
-                        *common, switch)
+                        *common, work=work)
+    _central_upwind_row(flux[3],
+                        np.multiply(h_m, b_m, out=ws.hb_minus),
+                        np.multiply(h_p, b_p, out=ws.hb_plus),
+                        np.multiply(p_m, b_m, out=ws.g_minus),
+                        np.multiply(p_p, b_p, out=ws.g_plus),
+                        *common, switch, work=work)
     return flux, a_plus, a_minus

@@ -223,16 +223,26 @@ class ConservedState:
         return self.array[3]
 
 
-def desingularized_ratio(h, numerator) -> np.ndarray:
+def desingularized_ratio(h, numerator, out=None, work=None) -> np.ndarray:
     """Bounded evaluation of numerator/h that stays finite as h -> 0:
     2*h*numerator / (h^2 + max(h^2, EPS^2)).
 
-    Equals the exact ratio whenever |h| >= EPS.
+    Equals the exact ratio whenever |h| >= EPS. ``out`` receives the
+    result and ``work`` is scratch of the same shape; without them both
+    are fresh.
     """
     h = np.asarray(h, float)
     numerator = np.asarray(numerator, float)
-    h2 = h * h
-    return 2.0 * h * numerator / (h2 + np.maximum(h2, EPS * EPS))
+    if out is None:
+        shape = np.broadcast_shapes(h.shape, numerator.shape)
+        out, work = np.empty(shape), np.empty(shape)
+    h2 = np.multiply(h, h, out=work)
+    np.maximum(h2, EPS * EPS, out=out)
+    den = np.add(h2, out, out=work)
+    np.multiply(h, 2.0, out=out)
+    out *= numerator
+    out /= den
+    return out[()] if out.ndim == 0 else out
 
 
 def primitives_from_state(state: ConservedState, topo: Topography):

@@ -15,107 +15,138 @@ import numpy as np
 
 from .model import (ConservedState, CoriolisSpec, Grid, Numerics, Topography,
                     desingularized_ratio)
-
-GHOST = 2  # edge-copied ghost cells per side; enough for the slope stencil
+from .workspace import GHOST, Workspace, fresh
 
 _TINY = 1.0e-300
 
 
-def minmod(*args, out=None):
-    """Componentwise minmod: min of the arguments if all positive, max if
-    all negative, zero otherwise. Accepts scalars or equally shaped arrays;
-    ``out`` receives the result and may be one of the arguments.
+def minmod(*args, out=None, work=None):
+    """Componentwise minmod of two or more arguments: min of the arguments
+    if all positive, max if all negative, zero otherwise. Accepts scalars
+    or equally shaped arrays; ``out`` receives the result and may be one
+    of the arguments, and ``work`` is a pair of scratch arrays shaped like
+    it. Without ``out`` the result is fresh, a float for scalars.
 
     Evaluated branch-free as max(min(args), 0) + min(max(args), 0), so a
     NaN argument gives NaN.
     """
-    # callers passing ``out`` hand in float arrays already
-    arrs = args if out is not None else [np.asarray(a, float) for a in args]
-    lo = hi = arrs[0]
-    for a in arrs[1:]:
-        lo = np.minimum(lo, a)
-        hi = np.maximum(hi, a)
+    lo_buf, hi_buf = work if work is not None else (None, None)
+    lo = np.minimum(args[0], args[1], out=lo_buf)
+    hi = np.maximum(args[0], args[1], out=hi_buf)
+    for a in args[2:]:
+        lo = np.minimum(lo, a, out=lo_buf)
+        hi = np.maximum(hi, a, out=hi_buf)
     res = np.maximum(lo, 0.0, out=out)
-    del lo  # one temporary fewer alive at the flux's memory peak
-    res += np.minimum(hi, 0.0)
+    res += np.minimum(hi, 0.0, out=hi_buf)
     if out is None and all(np.ndim(a) == 0 for a in args):
         return float(res)
     return res
 
 
-def minmod_slopes(values: np.ndarray, sigma: float, dy: float) -> np.ndarray:
+def minmod_slopes(values: np.ndarray, sigma: float, dy: float, out=None,
+                  work=None) -> np.ndarray:
     """Generalized minmod slopes for the interior cells of ``values``.
 
     Returns one slope per cell except the first and last (those lack a
     neighbour); sigma in [1, 2] trades diffusion against oscillation.
+    ``out`` (n-2 of n values) receives them; ``work`` holds the one-sided
+    differences (n-1) and minmod's pair of scratch arrays (n-2).
     """
     v = np.asarray(values, float)
+    sided_buf, *minmod_work = work if work is not None else (None,) * 3
     # one-sided differences: the left slope of cell i is the right of i-1
-    sided = v[1:] - v[:-1]
+    sided = np.subtract(v[1:], v[:-1], out=sided_buf)
     sided /= dy
     sided *= sigma
-    central = v[2:] - v[:-2]
+    central = np.subtract(v[2:], v[:-2], out=out)
     central /= 2.0 * dy
-    return minmod(sided[:-1], central, sided[1:], out=central)
+    return minmod(sided[:-1], central, sided[1:], out=central,
+                  work=minmod_work)
 
 
-def interface_values(padded: np.ndarray, sigma: float, dy: float):
+def interface_values(padded: np.ndarray, sigma: float, dy: float, out=None,
+                     work=None):
     """One-sided interface values of a cell field carrying GHOST=2 ghosts.
 
     For a physical grid of n cells (padded length n+4) returns the left
     ("minus") and right ("plus") limits at the n+1 physical interfaces.
+    ``out`` is a pair (minus, half) of n+1 and n+2 values; the plus side is
+    returned as the tail of half. ``work`` is minmod_slopes' scratch.
     """
-    half = minmod_slopes(padded, sigma, dy)
+    minus_buf, half_buf = out if out is not None else (None, None)
+    half = minmod_slopes(padded, sigma, dy, out=half_buf, work=work)
     half *= 0.5 * dy
-    minus = padded[1:-2] + half[:-1]
+    minus = np.add(padded[1:-2], half[:-1], out=minus_buf)
     plus = np.subtract(padded[2:-1], half[1:], out=half[1:])
     return minus, plus
 
 
-def pad_cells(values: np.ndarray) -> np.ndarray:
+def _fill_ghosts(padded: np.ndarray) -> np.ndarray:
+    """Copy the outermost physical cells into the GHOST cells at both ends
+    of the last axis (zero-order extrapolation)."""
+    padded[..., :GHOST] = padded[..., GHOST:GHOST + 1]
+    padded[..., -GHOST:] = padded[..., -GHOST - 1:-GHOST]
+    return padded
+
+
+def pad_cells(values: np.ndarray, out=None) -> np.ndarray:
     """Edge-replicate GHOST cells at both ends of the last axis (zero-order
-    extrapolation) into a fresh array; any leading shape is kept."""
+    extrapolation) into ``out``, or a fresh array; any leading shape is
+    kept."""
     v = np.asarray(values, float)
-    out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * GHOST,))
+    if out is None:
+        out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * GHOST,))
     out[..., GHOST:-GHOST] = v
-    out[..., :GHOST] = v[..., :1]
-    out[..., -GHOST:] = v[..., -1:]
-    return out
+    return _fill_ghosts(out)
 
 
 def source_potential(state: ConservedState, topo: Topography,
-                     coriolis: CoriolisSpec, grid: Grid):
+                     coriolis: CoriolisSpec, grid: Grid, ws=None):
     """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces.
 
-    ``state`` is a ConservedState or its (4, n) array.
+    ``state`` is a ConservedState or its (4, n) array; the results are
+    rows of the workspace ``ws`` (a fresh one by default).
 
     The interface recursion uses the cell value of f*q and hb times the
     interface jump of Z; the center recursion uses trapezoidal averages.
     The datum is R = 0 at the left boundary interface, and the first center
     value is the average of the two enclosing interface values.
     """
+    if ws is None:
+        ws = Workspace(grid.n)
     dy = grid.dy
     u = getattr(state, "array", state)
     # constant f is the scalar f0, as in the source term; a variable f is
     # evaluated once per grid
     f = (coriolis.f0 if coriolis.is_constant
          else grid.coriolis_values(coriolis)[0])
-    fq = f * u[1]
     hb = u[3]
+    fq, inc, inc_z = ws.sp_work
+    np.multiply(u[1], f, out=fq)
 
-    r_iface = np.zeros(grid.n + 1)
-    r_iface[1:] = (fq * dy + hb * topo.dz_iface).cumsum()
+    r_iface = ws.r_iface
+    r_iface[0] = 0.0
+    np.multiply(fq, dy, out=inc)
+    inc += np.multiply(hb, topo.dz_iface, out=inc_z)
+    inc.cumsum(out=ws.r_iface_tail)
 
-    r_center = np.empty(grid.n)
+    r_center = ws.r_center
     r_center[0] = 0.5 * (r_iface[0] + r_iface[1])
     if grid.n > 1:
-        inc = (0.5 * (fq[:-1] + fq[1:]) * dy
-               + 0.5 * (hb[:-1] + hb[1:]) * topo.dz_center)
-        r_center[1:] = r_center[0] + inc.cumsum()
+        inc = np.add(fq[:-1], fq[1:], out=inc[:-1])
+        inc *= 0.5
+        inc *= dy
+        inc_z = np.add(hb[:-1], hb[1:], out=inc_z[:-1])
+        inc_z *= 0.5
+        inc_z *= topo.dz_center
+        inc += inc_z
+        tail = inc.cumsum(out=r_center[1:])
+        tail += r_center[0]
     return r_center, r_iface
 
 
-def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
+def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
+                           out=None, work=None):
     """Recover the one-sided interface depth from p, L and R.
 
     The definition of L gives p^2/h + (b/2) h^2 = L - R =: D, a cubic in h.
@@ -125,43 +156,91 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback):
     the larger, subsonic root). p = 0 collapses to sqrt(2D/b) for D > 0.
     In every other case (no positive root, D <= 0, or vanishing b) the
     fallback depth is returned, so the function is total.
+
+    With ``out`` the inputs are equally shaped 1-D arrays, the depths are
+    written into ``out``, and ``work`` holds seven float and three boolean
+    scratch arrays of that shape. Without it the inputs broadcast and the
+    result is fresh, a float for scalars.
     """
-    p = np.asarray(p_side, float)
-    b = np.asarray(b_mid, float)
-    l = np.asarray(l_side, float)
-    r = np.asarray(r_iface, float)
-    fb = np.asarray(h_fallback, float)
-    if not p.shape == b.shape == l.shape == r.shape == fb.shape:
-        p, b, l, r, fb = np.broadcast_arrays(p, b, l, r, fb)
+    if out is None:
+        args = np.broadcast_arrays(*(
+            np.asarray(a, float)
+            for a in (p_side, b_mid, l_side, r_iface, h_fallback)))
+        shape = args[0].shape
+        size = args[0].size
+        work = fresh(size, 7, 3)
+        h = _solve_depth(*(a.ravel() for a in args), np.empty(size), work)
+        return float(h[0]) if not shape else h.reshape(shape)
+    return _solve_depth(p_side, b_mid, l_side, r_iface, h_fallback, out, work)
 
-    d = l - r
-    h = fb.copy()
 
-    ok = b > _TINY
-    b_safe = np.where(ok, b, 1.0)
-    p2 = p * p
+def _solve_depth(p, b, l, r, fb, h, work):
+    """depth_from_equilibrium on equally shaped 1-D arrays, into ``h``."""
+    d, x, t, g0, g1, g2, g3, ok, rootable, mask = work
+    np.subtract(l, r, out=d)
+    np.copyto(h, fb)
+
+    np.greater(b, _TINY, out=ok)
+    # 8 d^3 / (27 b), divided only where b > TINY: elsewhere ok masks it out
+    np.multiply(b, 27.0, out=t, where=ok)
+    np.multiply(d, d, out=x)
+    x *= d
+    x *= 8.0
+    np.divide(x, t, out=x, where=ok)
+    p4 = np.multiply(p, p, out=g0)
+    p4 *= p4
     # d > 0 is tested on its own because p^4 and d^3 can both underflow to
     # zero; the powers are products, several times cheaper than pow
-    rootable = ok & (d > 0.0) & (p2 * p2 <= 8.0 * (d * d * d) / (27.0 * b_safe))
+    np.less_equal(p4, x, out=rootable)
+    rootable &= np.greater(d, 0.0, out=mask)
+    rootable &= ok
 
-    m_sqrt = rootable & (p == 0.0)
-    if m_sqrt.any():
-        h[m_sqrt] = np.sqrt(2.0 * d[m_sqrt] / b[m_sqrt])
+    m_sqrt = np.equal(p, 0.0, out=mask)
+    m_sqrt &= rootable
+    k = np.count_nonzero(m_sqrt)
+    if k:
+        dm = d.compress(m_sqrt, out=g1[:k])
+        dm *= 2.0
+        dm /= b.compress(m_sqrt, out=g2[:k])
+        h[m_sqrt] = np.sqrt(dm, out=dm)
 
-    m_trig = rootable & (p != 0.0)
-    if m_trig.any():
-        dm, bm, pm, fbm = d[m_trig], b[m_trig], p[m_trig], fb[m_trig]
-        y = 2.0 * dm / (3.0 * bm)
-        sq = np.sqrt(y)
-        arg = np.minimum(np.maximum(-pm * pm / (bm * y * sq), -1.0), 1.0)
-        theta = np.arccos(arg)
+    m_trig = np.not_equal(p, 0.0, out=ok)
+    m_trig &= rootable
+    k = np.count_nonzero(m_trig)
+    if k:
+        dm = d.compress(m_trig, out=g1[:k])
+        bm = b.compress(m_trig, out=g2[:k])
+        pm = p.compress(m_trig, out=g3[:k])
+        fbm = fb.compress(m_trig, out=x[:k])
+        y = dm
+        y *= 2.0
+        y /= np.multiply(bm, 3.0, out=t[:k])
+        sq = np.sqrt(y, out=g0[:k])
+        arg = np.negative(pm, out=t[:k])
+        arg *= pm
+        den = np.multiply(bm, y, out=pm)
+        den *= sq
+        arg /= den
+        np.maximum(arg, -1.0, out=arg)
+        theta = np.minimum(arg, 1.0, out=arg)
+        np.arccos(theta, out=theta)
+        two_sq = np.multiply(sq, 2.0, out=sq)
         # round-off in theta can push a vanishing root a hair below zero
-        r_sub = np.maximum(2.0 * sq * np.cos(theta / 3.0), 0.0)
-        r_sup = np.maximum(2.0 * sq * np.cos((theta + 4.0 * np.pi) / 3.0), 0.0)
-        h[m_trig] = np.where(np.abs(r_sub - fbm) <= np.abs(r_sup - fbm),
-                             r_sub, r_sup)
-    if h.ndim == 0:
-        return float(h)
+        r_sub = np.divide(theta, 3.0, out=y)
+        np.cos(r_sub, out=r_sub)
+        r_sub *= two_sq
+        np.maximum(r_sub, 0.0, out=r_sub)
+        r_sup = theta
+        r_sup += 4.0 * np.pi
+        r_sup /= 3.0
+        np.cos(r_sup, out=r_sup)
+        r_sup *= two_sq
+        np.maximum(r_sup, 0.0, out=r_sup)
+        gap_sub = np.abs(np.subtract(r_sub, fbm, out=bm), out=bm)
+        gap_sup = np.abs(np.subtract(r_sup, fbm, out=pm), out=pm)
+        closer = np.less_equal(gap_sub, gap_sup, out=mask[:k])
+        np.copyto(r_sup, r_sub, where=closer)
+        h[m_trig] = r_sup
     return h
 
 
@@ -193,47 +272,66 @@ class InterfaceStates:
 
 def build_interface_states(state: ConservedState, topo: Topography,
                            coriolis: CoriolisSpec, grid: Grid,
-                           numerics: Numerics) -> InterfaceStates:
+                           numerics: Numerics, ws=None) -> InterfaceStates:
     """Full reconstruction pipeline from cell averages to interface states.
 
     ``state`` is a ConservedState or its (4, n) array; it is not checked
     here. The cell values of b, L and the surface w = h + Z are formed on
     the n cells and then edge-padded like q and p, which gives the same
-    ghost values as forming them on the padded state.
+    ghost values as forming them on the padded state. The interface
+    states are rows of the workspace ``ws`` (a fresh one by default).
     """
+    if ws is None:
+        ws = Workspace(grid.n)
     sigma, dy = numerics.sigma, grid.dy
 
     u = getattr(state, "array", state)
     h, p, hb = u[0], u[2], u[3]
-    q_pad, p_pad = pad_cells(u[1:3])
-    b_pad = pad_cells(desingularized_ratio(h, hb))
 
     # L = p^2/h + (hb/2) h + R, the kinetic term desingularized so dry
     # cells contribute zero
-    r_center, r_iface = source_potential(u, topo, coriolis, grid)
-    l_cell = p * desingularized_ratio(h, p)
-    l_cell += 0.5 * hb * h
+    r_center, r_iface = source_potential(u, topo, coriolis, grid, ws)
+    l_cell = desingularized_ratio(h, p, out=ws.l_cell, work=ws.cell_work)
+    l_cell *= p
+    half_hb = np.multiply(hb, 0.5, out=ws.cell_work)
+    half_hb *= h
+    l_cell += half_hb
     l_cell += r_center
-    l_pad = pad_cells(l_cell)
+    l_pad = _fill_ghosts(ws.l_pad)
 
-    q_minus, q_plus = interface_values(q_pad, sigma, dy)
-    p_minus, p_plus = interface_values(p_pad, sigma, dy)
-    l_minus, l_plus = interface_values(l_pad, sigma, dy)
-    b_minus, b_plus = interface_values(b_pad, sigma, dy)
-    b_mid = 0.5 * (b_minus + b_plus)
+    iv_work = ws.iv_work
+    q_pad, p_pad = pad_cells(u[1:3], out=ws.qp_pad)
+    q_minus, q_plus = interface_values(q_pad, sigma, dy, ws.q_out, iv_work)
+    p_minus, p_plus = interface_values(p_pad, sigma, dy, ws.p_out, iv_work)
+    l_minus, l_plus = interface_values(l_pad, sigma, dy, ws.l_out, iv_work)
+    desingularized_ratio(h, hb, out=ws.b_cell, work=ws.b_work)
+    b_pad = _fill_ghosts(ws.b_pad)
+    b_minus, b_plus = interface_values(b_pad, sigma, dy, ws.b_out, iv_work)
+    b_mid = np.add(b_minus, b_plus, out=ws.b_mid)
+    b_mid *= 0.5
 
     # surface-based fallback depths: w reconstructed like any other field,
     # less the interface bottom, clipped at zero
-    w_minus, w_plus = interface_values(pad_cells(h + topo.z_center), sigma, dy)
-    fb_minus = np.maximum(w_minus - topo.z_iface, 0.0)
-    fb_plus = np.maximum(w_plus - topo.z_iface, 0.0)
-    h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface, fb_minus)
-    h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface, fb_plus)
+    np.add(h, topo.z_center, out=ws.w_cell)
+    w_pad = _fill_ghosts(ws.w_pad)
+    fb_minus, fb_plus = interface_values(w_pad, sigma, dy, ws.w_out, iv_work)
+    for fb in (fb_minus, fb_plus):
+        np.subtract(fb, topo.z_iface, out=fb)
+        np.maximum(fb, 0.0, out=fb)
+    h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface,
+                                     fb_minus, out=ws.h_minus,
+                                     work=ws.depth_work)
+    h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface,
+                                    fb_plus, out=ws.h_plus,
+                                    work=ws.depth_work)
 
-    v_minus = desingularized_ratio(h_minus, p_minus)
-    v_plus = desingularized_ratio(h_plus, p_plus)
-    p_minus = h_minus * v_minus
-    p_plus = h_plus * v_plus
+    # p = h*v over the reconstructed p, which the depth solves have read
+    v_minus = desingularized_ratio(h_minus, p_minus, out=ws.v_minus,
+                                   work=ws.ratio_work)
+    v_plus = desingularized_ratio(h_plus, p_plus, out=ws.v_plus,
+                                  work=ws.ratio_work)
+    p_minus = np.multiply(h_minus, v_minus, out=p_minus)
+    p_plus = np.multiply(h_plus, v_plus, out=p_plus)
 
     return InterfaceStates(
         h_minus=h_minus, h_plus=h_plus,
@@ -242,4 +340,4 @@ def build_interface_states(state: ConservedState, topo: Topography,
         b_minus=b_minus, b_plus=b_plus,
         l_minus=l_minus, l_plus=l_plus,
         v_minus=v_minus, v_plus=v_plus,
-        l_cell_left=l_pad[1:-2], l_cell_right=l_pad[2:-1])
+        l_cell_left=ws.l_cell_left, l_cell_right=ws.l_cell_right)

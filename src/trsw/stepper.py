@@ -7,6 +7,13 @@ spare for the stencil). The reconstruction pads the fields it limits, and
 the draining limiter reads h and hb from the (4, n) stage state, with one
 edge-copied ghost per side. Stage states are plain arrays checked for
 h, hb >= 0; a ConservedState is built only for the accepted step.
+
+``run_simulation`` owns one Workspace (``trsw.workspace``) for the whole
+run, and every kernel of a stage writes into it. Arrays handed out under
+a run's workspace (interface states, fluxes, speeds, stage states and
+tendencies) are valid until the next stage, which writes over them; the
+accepted state of a step is a copy, and so are the snapshots and records.
+The public kernels called without a workspace return fresh arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .flux import diffusion_switch, numerical_flux
 from .model import (ConservedState, CoriolisSpec, Grid, Numerics, Scenario,
                     Topography, check_nonnegative)
 from .reconstruction import InterfaceStates, build_interface_states
+from .workspace import Workspace
 
 _TINY = 1.0e-300
 # keeps the limited update strictly nonnegative under round-off
@@ -35,72 +43,96 @@ class IntegrationError(RuntimeError):
 
 
 def source_term(state: ConservedState, iface: InterfaceStates,
-                coriolis: CoriolisSpec, grid: Grid) -> np.ndarray:
+                coriolis: CoriolisSpec, grid: Grid, out=None,
+                work=None) -> np.ndarray:
     """Coriolis source for the q component.
 
     Constant f uses f * p_bar directly; variable f integrates f*p over the
     cell with Simpson's rule on the inner one-sided interface values.
-    ``state`` is a ConservedState or its (4, n) array.
+    ``state`` is a ConservedState or its (4, n) array. ``out`` receives
+    the source and ``work`` is one scratch array of n values; without
+    them both are fresh.
     """
     p = getattr(state, "array", state)[2]
     if coriolis.is_constant:
-        return coriolis.f0 * p
+        return np.multiply(p, coriolis.f0, out=out)
     f_center, f_iface = grid.coriolis_values(coriolis)
-    return (f_iface[:-1] * iface.p_plus[:-1]
-            + 4.0 * f_center * p
-            + f_iface[1:] * iface.p_minus[1:]) / 6.0
+    src = np.multiply(f_iface[:-1], iface.p_plus[:-1], out=out)
+    centre = np.multiply(f_center, 4.0, out=work)
+    centre *= p
+    src += centre
+    src += np.multiply(f_iface[1:], iface.p_minus[1:], out=centre)
+    src /= 6.0
+    return src
 
 
 def assemble_fluxes(state: ConservedState, topo: Topography,
-                    coriolis: CoriolisSpec, grid: Grid, numerics: Numerics):
-    """Interface states plus central-upwind fluxes for the current state.
+                    coriolis: CoriolisSpec, grid: Grid, numerics: Numerics,
+                    ws: Optional[Workspace] = None):
+    """Interface states plus central-upwind fluxes for the current state,
+    in the workspace ``ws`` (a fresh one by default).
 
     Returns (fluxes, a_plus, a_minus, iface).
     """
-    iface = build_interface_states(state, topo, coriolis, grid, numerics)
+    if ws is None:
+        ws = Workspace(grid.n)
+    iface = build_interface_states(state, topo, coriolis, grid, numerics, ws)
     switch = diffusion_switch(iface.l_cell_left, iface.l_cell_right,
-                              grid.dy, grid.length)
-    flux, a_plus, a_minus = numerical_flux(iface, switch)
+                              grid.dy, grid.length, out=ws.switch,
+                              work=ws.switch_work)
+    flux, a_plus, a_minus = numerical_flux(iface, switch, ws)
     return flux, a_plus, a_minus, iface
 
 
 def _tendency(state, flux: np.ndarray, iface: InterfaceStates,
-              coriolis: CoriolisSpec, grid: Grid) -> np.ndarray:
-    """Flux divergence plus the Coriolis source on q, per cell, (4, n)."""
-    tend = -(flux[:, 1:] - flux[:, :-1]) / grid.dy
-    tend[1] += source_term(state, iface, coriolis, grid)
+              coriolis: CoriolisSpec, grid: Grid,
+              ws: Workspace) -> np.ndarray:
+    """Flux divergence plus the Coriolis source on q, per cell, (4, n),
+    in ``ws.tend``."""
+    tend = np.subtract(flux[:, 1:], flux[:, :-1], out=ws.tend)
+    np.negative(tend, out=tend)
+    tend /= grid.dy
+    tend[1] += source_term(state, iface, coriolis, grid,
+                           out=ws.source_out, work=ws.source_work)
     return tend
 
 
 def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
-        grid: Grid, numerics: Numerics) -> np.ndarray:
-    """Semi-discrete tendencies d/dt (h, q, p, hb) per cell, (4, n).
+        grid: Grid, numerics: Numerics,
+        ws: Optional[Workspace] = None) -> np.ndarray:
+    """Semi-discrete tendencies d/dt (h, q, p, hb) per cell, (4, n), in
+    the workspace ``ws`` (a fresh one by default).
 
     Flux divergence plus the Coriolis source on q; no positivity limiting
     (that is time-step dependent and belongs to the stepper).
     """
-    flux, _, _, iface = assemble_fluxes(state, topo, coriolis, grid, numerics)
-    return _tendency(state, flux, iface, coriolis, grid)
+    if ws is None:
+        ws = Workspace(grid.n)
+    flux, _, _, iface = assemble_fluxes(state, topo, coriolis, grid,
+                                        numerics, ws)
+    return _tendency(state, flux, iface, coriolis, grid, ws)
 
 
-def _wave_speed_dt(a_plus, a_minus, dy: float,
-                   cfl: float) -> Tuple[float, float]:
+def _wave_speed_dt(a_plus, a_minus, dy: float, cfl: float,
+                   work=None) -> Tuple[float, float]:
     """The largest one-sided speed a_max and the step cfl*dy/a_max it
-    allows, inf when a_max <= 0 (a quiescent state)."""
+    allows, inf when a_max <= 0 (a quiescent state). ``work`` receives
+    -a_minus (fresh by default)."""
     a_max = float(max(np.asarray(a_plus).max(initial=0.0),
-                      (-np.asarray(a_minus)).max(initial=0.0)))
+                      np.negative(a_minus, out=work).max(initial=0.0)))
     return a_max, (np.inf if a_max <= 0.0 else cfl * dy / a_max)
 
 
-def cfl_dt(a_plus, a_minus, dy: float, cfl: float, t_remaining: float) -> float:
+def cfl_dt(a_plus, a_minus, dy: float, cfl: float, t_remaining: float,
+           work=None) -> float:
     """Time step cfl*dy/a_max; a quiescent state (a_max = 0) uses the whole
     remaining time."""
-    a_max, dt = _wave_speed_dt(a_plus, a_minus, dy, cfl)
+    a_max, dt = _wave_speed_dt(a_plus, a_minus, dy, cfl, work)
     return t_remaining if a_max <= 0.0 else dt
 
 
-def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float,
-                   dy: float) -> Tuple[np.ndarray, int]:
+def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
+                   ws: Optional[Workspace] = None) -> Tuple[np.ndarray, int]:
     """Rescale the h and hb flux components so no cell loses more of either
     quantity than it holds within dt.
 
@@ -114,37 +146,71 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float,
     untouched. Returns the adjusted fluxes and the number of limited
     interfaces. When no donor drains within dt every scale would be
     exactly dt/dt = 1, so ``flux`` itself comes back, uncopied, with a
-    count of 0; the input is never written to.
+    count of 0; the input is never written to. Limited fluxes are a
+    (4, n+1) block of the workspace ``ws`` (a fresh one by default).
     """
-    rows = []
-    for row, rho in ((0, u[0]), (3, u[3])):
-        f = flux[row]
-        f_ext = np.concatenate(([0.0], f, [0.0]))
-        outgoing = np.maximum(f_ext[1:], 0.0) + np.maximum(-f_ext[:-1], 0.0)
-        rho_ext = np.concatenate((rho[:1], rho, rho[-1:]))
-        t_drain = _DRAIN_SAFETY * dy * rho_ext / np.maximum(outgoing, _TINY)
-        # the donor is the upwind cell: left of the interface when f > 0
-        donor_t = np.where(f > 0.0, t_drain[:-1], t_drain[1:])
-        rows.append((row, f, donor_t))
+    if ws is None:
+        ws = Workspace(u.shape[1])
+    # rows h and hb side by side, each flux row with a zero on either side
+    flux_rows, rho = flux[::3], u[::3]
+    ext = ws.drain_ext
+    ext[:, 0] = 0.0
+    ext[:, -1] = 0.0
+    np.copyto(ws.drain_ext_mid, flux_rows)
+    outgoing = np.maximum(ws.drain_ext_hi, 0.0, out=ws.drain_out)
+    inflow = np.negative(ws.drain_ext_lo, out=ws.drain_neg)
+    outgoing += np.maximum(inflow, 0.0, out=inflow)
+    rho_ext = ws.rho_ext
+    np.copyto(ws.rho_mid, rho)
+    np.copyto(ws.rho_first, rho[:, 0])
+    np.copyto(ws.rho_last, rho[:, -1])
+    t_drain = np.multiply(rho_ext, _DRAIN_SAFETY * dy, out=rho_ext)
+    t_drain /= np.maximum(outgoing, _TINY, out=outgoing)
+    # the donor is the upwind cell: left of the interface when f > 0
+    donor_t = ws.donor
+    np.copyto(donor_t, ws.rho_hi)
+    np.copyto(donor_t, ws.rho_lo,
+              where=np.greater(flux_rows, 0.0, out=ws.drain_mask))
     # written so that a NaN drain time takes the scaling path below
-    if all((donor_t >= dt).all() for _, _, donor_t in rows):
+    if np.greater_equal(donor_t, dt, out=ws.drain_mask).all():
         return flux, 0
-    limited_flux = flux.copy()
-    limited = np.zeros(flux.shape[1], dtype=bool)
-    for row, f, donor_t in rows:
-        scale = np.minimum(dt, donor_t) / dt
-        limited_flux[row] = f * scale
-        limited |= scale < 1.0
+    limited_flux = ws.limited_flux
+    np.copyto(limited_flux, flux)
+    scale = np.minimum(dt, donor_t, out=donor_t)
+    scale /= dt
+    np.multiply(flux_rows, scale, out=ws.limited_flux_rows)
+    below = np.less(scale, 1.0, out=ws.drain_mask)
+    limited = np.logical_or(below[0], below[1], out=ws.limited)
     return limited_flux, int(np.count_nonzero(limited))
 
 
-def ssp_rk3_combine(u, dt: float, f: Callable):
+def ssp_rk3_combine(u, dt: float, f: Callable, u1=None, u2=None):
     """Three-stage third-order strong-stability-preserving Runge-Kutta
     update of u' = f(u) (Shu-Osher form); works on scalars and arrays
-    alike. f is called once per stage, on u, u1 and u2 in that order."""
-    u1 = u + dt * f(u)
-    u2 = 0.75 * u + 0.25 * (u1 + dt * f(u1))
-    return u / 3.0 + (2.0 / 3.0) * (u2 + dt * f(u2))
+    alike. f is called once per stage, on u, u1 and u2 in that order, and
+    the caller gives up what it returns: it is scaled in place.
+
+    ``u1`` and ``u2``, arrays shaped like u, receive the stage states, and
+    the result is written over ``u1`` once f(u2) has returned; without
+    them each is fresh.
+    """
+    out = u1
+    k = f(u)
+    k *= dt
+    u1 = np.add(u, k, out=u1)
+    k = f(u1)
+    k *= dt
+    k += u1
+    k *= 0.25
+    u2 = np.multiply(u, 0.75, out=u2)
+    u2 += k
+    k = f(u2)
+    k *= dt
+    k += u2
+    k *= 2.0 / 3.0
+    u_new = np.divide(u, 3.0, out=out)
+    u_new += k
+    return u_new
 
 
 @dataclass(frozen=True)
@@ -165,48 +231,50 @@ class StepReport:
 
 
 def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
-              t_after: float) -> Tuple[ConservedState, StepReport]:
+              t_after: float,
+              ws: Workspace) -> Tuple[ConservedState, StepReport]:
     """One SSP-RK3 step of size dt from the (4, n) state ``u0`` and its
-    assemble_fluxes output. Every stage drains its fluxes at dt, so h and
-    hb stay nonnegative; each later stage state is checked for that once
-    (ValueError) before it is reconstructed. Non-finite output raises
-    IntegrationError."""
+    assemble_fluxes output, both in ``ws``. Every stage drains its fluxes
+    at dt, so h and hb stay nonnegative; each later stage state is checked
+    for that once (ValueError) before it is reconstructed. Non-finite
+    output raises IntegrationError."""
     grid, coriolis = scenario.grid, scenario.coriolis
-    # (state, boundary fluxes, limited count, tendency) per stage; holding
-    # the tendencies to the end of the step keeps malloc from trimming the
-    # heap and faulting it in again (about 10% of the time at N = 25600)
-    stages = []
+    _, a_plus, a_minus, _ = fluxes
+    # the step cfl_dt allows from the stage-1 speeds, before event
+    # clipping; read now, as stage 2 writes its speeds over them
+    a_max, dt_cfl = _wave_speed_dt(a_plus, a_minus, grid.dy,
+                                   scenario.numerics.cfl, ws.speed_scratch)
+    stages = []  # (boundary fluxes, limited count) per stage
+    minima = []  # (min h, min hb) of u1 and of u2
 
     def stage(u):
         flux, _, _, iface = fluxes
         if stages:  # a later stage: check and reconstruct its state
             check_nonnegative(u)
+            minima.append((u[0].min(), u[3].min()))
             flux, _, _, iface = assemble_fluxes(
-                u, scenario.topography, coriolis, grid, scenario.numerics)
-        flux, limited = draining_limit(u, flux, dt, grid.dy)
-        tend = _tendency(u, flux, iface, coriolis, grid)
-        stages.append((u, (flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]),
-                       limited, tend))
-        return tend
+                u, scenario.topography, coriolis, grid, scenario.numerics,
+                ws)
+        flux, limited = draining_limit(u, flux, dt, grid.dy, ws)
+        stages.append(((flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]),
+                       limited))
+        return _tendency(u, flux, iface, coriolis, grid, ws)
 
-    u_new = ssp_rk3_combine(u0, dt, stage)
-    if not np.isfinite(u_new).all():
+    u_new = ssp_rk3_combine(u0, dt, stage, ws.u1, ws.u2)
+    if not np.isfinite(u_new, out=ws.finite).all():
         raise IntegrationError(t_after)
 
-    (_, b0, n0, _), (u1, b1, n1, _), (u2, b2, n2, _) = stages
+    (b0, n0), (b1, n1), (b2, n2) = stages
+    (h1, hb1), (h2, hb2) = minima
     # the weights 1/6, 1/6, 2/3 with which each stage's fluxes enter u_new
     weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(b0, b1, b2)]
-    _, a_plus, a_minus, _ = fluxes
-    # the step cfl_dt allows from the stage-1 speeds, before event clipping
-    a_max, dt_cfl = _wave_speed_dt(a_plus, a_minus, grid.dy,
-                                   scenario.numerics.cfl)
     report = StepReport(
         t=t_after, dt=dt,
         dt_cfl=dt_cfl,
         a_max=a_max,
         n_limited=n0 + n1 + n2,
-        min_h=float(min(u1[0].min(), u2[0].min(), u_new[0].min())),
-        min_hb=float(min(u1[3].min(), u2[3].min(), u_new[3].min())),
+        min_h=float(min(h1, h2, u_new[0].min())),
+        min_hb=float(min(hb1, hb2, u_new[3].min())),
         bflux_h=(weighted[0], weighted[1]),
         bflux_hb=(weighted[2], weighted[3]))
     return ConservedState(u_new), report
@@ -214,11 +282,13 @@ def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
 
 def ssp_rk3_step(state: ConservedState, t: float, dt: float,
                  scenario: Scenario) -> Tuple[ConservedState, StepReport]:
-    """Advance one SSP-RK3 step of size dt (see _rk3_step)."""
+    """Advance one SSP-RK3 step of size dt (see _rk3_step), in a fresh
+    workspace."""
+    ws = Workspace(scenario.grid.n)
     fluxes = assemble_fluxes(state.array, scenario.topography,
                              scenario.coriolis, scenario.grid,
-                             scenario.numerics)
-    return _rk3_step(state.array, fluxes, scenario, dt, t + dt)
+                             scenario.numerics, ws)
+    return _rk3_step(state.array, fluxes, scenario, dt, t + dt, ws)
 
 
 @dataclass
@@ -255,11 +325,13 @@ def run_simulation(scenario: Scenario,
     """
     from .diagnostics import ConservationLedger, make_record
 
+    # first, so that it can take the block the previous run freed
+    ws = Workspace(scenario.grid.n)
     state = scenario.initial_state()
     result = SimulationResult(scenario, state, state, 0.0)
     ledger = ConservationLedger(state, scenario.grid)
     if collect_records:
-        result.records.append(make_record(0.0, state, scenario, ledger))
+        result.records.append(make_record(0.0, state, scenario, ledger, ws))
 
     def emit_snapshot(t_snap, snap_state):
         result.snapshots.append((t_snap, snap_state))
@@ -281,10 +353,11 @@ def run_simulation(scenario: Scenario,
         try:
             fluxes = assemble_fluxes(state, scenario.topography,
                                      scenario.coriolis, scenario.grid,
-                                     scenario.numerics)
+                                     scenario.numerics, ws)
             _, a_plus, a_minus, _ = fluxes
             dt = cfl_dt(a_plus, a_minus, scenario.grid.dy,
-                        scenario.numerics.cfl, next_event - t)
+                        scenario.numerics.cfl, next_event - t,
+                        ws.speed_scratch)
             if not 0.0 < dt < np.inf:  # a_max is NaN or infinite
                 raise IntegrationError(t, "non-finite wave speed")
             landed = dt >= (next_event - t) * (1.0 - 1.0e-12)
@@ -292,7 +365,7 @@ def run_simulation(scenario: Scenario,
                 dt = next_event - t
             t_after = next_event if landed else t + dt
             state, report = _rk3_step(state.array, fluxes, scenario, dt,
-                                      t_after)
+                                      t_after, ws)
         except (IntegrationError, ValueError) as err:
             result.failed = True
             result.failure_message = str(err)
@@ -305,7 +378,8 @@ def run_simulation(scenario: Scenario,
         ledger.update(report)
         result.steps += 1
         if collect_records:
-            result.records.append(make_record(t, state, scenario, ledger))
+            result.records.append(make_record(t, state, scenario, ledger,
+                                              ws))
         if on_step is not None:
             on_step(state, report)
         if landed:

@@ -9,14 +9,25 @@ import pytest
 
 from trsw.diagnostics import (BalanceTimeAverager, ConservationLedger,
                               balance_residual, energy,
-                              equatorial_eigenfrequency,
-                              equatorial_inertial_period, gradient_max,
-                              inertia_gravity_frequency, potential_vorticity,
-                              rossby_burger, total_variation)
+                              equatorial_eigenfrequency, gradient_max,
+                              potential_vorticity, rossby_burger,
+                              total_variation)
 from trsw.model import (ConservedState, CoriolisSpec, Scenario,
                         build_grid, flat_topography, sample_topography)
 from trsw.scenarios import make_scenario
 from trsw.stepper import run_simulation
+
+
+def inertia_gravity_frequency(f, b, h, k):
+    """The dispersion relation omega = sqrt(f^2 + b h k^2) of
+    inertia-gravity waves over a uniform background, in closed form."""
+    return math.sqrt(f * f + b * h * k * k)
+
+
+def equatorial_inertial_period(beta, b0, h0):
+    """The equatorial inertial period 2 pi / sqrt(beta sqrt(b0 H0)), in
+    closed form."""
+    return 2.0 * math.pi / math.sqrt(beta * math.sqrt(b0 * h0))
 
 
 class TestBalanceResidual:

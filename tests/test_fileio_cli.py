@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from trsw import cli
 from trsw.cli import ConfigError, convergence_mode, main, parse_config
 from trsw.diagnostics import DiagnosticsRecord
-from trsw.fileio import (SNAPSHOT_COLUMNS, compare_solutions, read_snapshot,
-                         restrict_average, snapshot_filename,
+from trsw.fileio import (SNAPSHOT_COLUMNS, compare_snapshots, read_comparable,
+                         read_snapshot, restrict_average, snapshot_filename,
                          write_diagnostics, write_snapshot)
 from trsw.model import (ConservedState, Numerics, Topography, build_grid,
                         flat_topography, primitives_from_state)
@@ -247,14 +247,14 @@ class TestCompare:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         _toy_snapshot(a)
         _toy_snapshot(b)
-        table = compare_solutions(a, b)
+        table = compare_snapshots(read_comparable(a), read_comparable(b))
         assert all(l1 == 0.0 and linf == 0.0 for l1, linf in table.values())
 
     def test_constant_offset_l1(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         _toy_snapshot(a, value=1.0)
         _toy_snapshot(b, value=2.0)
-        l1, linf = compare_solutions(a, b)["h"]
+        l1, linf = compare_snapshots(read_comparable(a), read_comparable(b))["h"]
         assert l1 == pytest.approx(4.0)  # |1-2| over a length-4 domain
         assert linf == pytest.approx(1.0)
 
@@ -267,8 +267,8 @@ class TestCompare:
                        sa.numerics)
         write_snapshot(b, rb.state, sb.topography, sb.grid, 0.02, "ex2",
                        sb.numerics)
-        fwd = compare_solutions(a, b)
-        bwd = compare_solutions(b, a)
+        fwd = compare_snapshots(read_comparable(a), read_comparable(b))
+        bwd = compare_snapshots(read_comparable(b), read_comparable(a))
         for field in fwd:
             assert fwd[field] == pytest.approx(bwd[field])
         assert fwd["h"][0] > 0.0
@@ -278,14 +278,14 @@ class TestCompare:
         _toy_snapshot(a, n=4)
         _toy_snapshot(b, n=6)
         with pytest.raises(ValueError, match="not nested"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
     def test_different_domains_rejected(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         _toy_snapshot(a, y_max=2.0)
         _toy_snapshot(b, y_max=4.0)
         with pytest.raises(ValueError, match="domain"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
 
 def _spoil_meta(path, key):
@@ -304,7 +304,7 @@ class TestMalformedReference:
         _toy_snapshot(a)
         b.write_text(",".join(SNAPSHOT_COLUMNS) + "\n")
         with pytest.raises(ValueError, match=f"{b}: no data rows"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
     @pytest.mark.parametrize("key", ["y_min", "y_max", "N"])
     def test_missing_domain_line(self, tmp_path, key):
@@ -314,7 +314,7 @@ class TestMalformedReference:
         b.write_text("".join(line for line in b.read_text().splitlines(True)
                              if not line.startswith(f"# {key}:")))
         with pytest.raises(ValueError, match=f"{b}: missing {key}"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
     @pytest.mark.parametrize("key", ["y_min", "y_max", "N"])
     def test_non_numeric_domain_line(self, tmp_path, key):
@@ -323,7 +323,7 @@ class TestMalformedReference:
         _toy_snapshot(b)
         _spoil_meta(b, key)
         with pytest.raises(ValueError, match=f"{b}: malformed {key}: 'abc'"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
     def test_missing_column(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -334,7 +334,7 @@ class TestMalformedReference:
                              else line.rsplit(",", 1)[0] + "\n"
                              for line in b.read_text().splitlines(True)))
         with pytest.raises(ValueError, match=f"{b}: missing Z"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
     @pytest.mark.parametrize("cut", [-1, 1])
     def test_short_or_long_row(self, tmp_path, cut):
@@ -348,7 +348,7 @@ class TestMalformedReference:
         b.write_text("".join(lines))
         # line 10: seven comment lines, the header, then the second row
         with pytest.raises(ValueError, match=f"{b}:10: {len(fields)} fields"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
     def test_non_numeric_field(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -358,7 +358,7 @@ class TestMalformedReference:
         lines[9] = "abc" + lines[9][lines[9].index(","):]
         b.write_text("".join(lines))
         with pytest.raises(ValueError, match=f"{b}:10: .*'abc'"):
-            compare_solutions(a, b)
+            compare_snapshots(read_comparable(a), read_comparable(b))
 
 
 def _flag_argv(key, text):
@@ -681,6 +681,32 @@ class TestConvergenceMode:
         assert main(["--scenario", "ex2", "--convergence", "0,100"]) == 2
         assert runs == []
         assert "at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("snapshots", "0.01"), ("out", "d"), ("diagnostics", "true")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_output_settings_refused(self, tmp_path, capsys, monkeypatch,
+                                     key, value, source):
+        # a convergence table writes no snapshot, diagnostics or directory
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        monkeypatch.chdir(tmp_path)
+        argv = ["--scenario", "ex2", "--t-final", "0.02",
+                "--convergence", "40,80"]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", "run.cfg"]
+        elif key == "diagnostics":
+            argv += ["--diagnostics"]
+        else:
+            argv += ["--" + key, value]
+        assert main(argv) == 2
+        assert runs == [] and os.listdir(tmp_path) == (
+            ["run.cfg"] if source == "config" else [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: --convergence writes no files")
+        assert f"--{key} not allowed" in err
 
     def test_compare_with_refused(self, tmp_path, capsys, monkeypatch):
         # a convergence table has no final state to compare

@@ -114,9 +114,9 @@ def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
         np.asarray(x, float) for x in (u_minus, u_plus, g_minus, g_plus))
     seen = []
 
-    def spy(x, y, out=None):
+    def spy(x, y, out=None, work=None):
         seen.append(u_minus + y)
-        return minmod(x, y, out=out)
+        return minmod(x, y, out=out, work=work)
 
     safe = a_plus - a_minus
     with pytest.MonkeyPatch.context() as mp:

@@ -24,8 +24,8 @@ def shifted_datum(shift):
     source_potential that build_interface_states calls."""
     original = reconstruction.source_potential
 
-    def shifted(*args):
-        r_center, r_iface = original(*args)
+    def shifted(*args, **kwargs):
+        r_center, r_iface = original(*args, **kwargs)
         return r_center + shift, r_iface + shift
 
     with pytest.MonkeyPatch.context() as mp:
@@ -197,9 +197,10 @@ class TestGlobalPrimitive:
         seen = []
         solve = reconstruction.depth_from_equilibrium
 
-        def spy(p_side, b_mid, l_side, r_iface, h_fallback):
+        def spy(p_side, b_mid, l_side, r_iface, h_fallback, **kwargs):
             seen.append(r_iface)
-            return solve(p_side, b_mid, l_side, r_iface, h_fallback)
+            return solve(p_side, b_mid, l_side, r_iface, h_fallback,
+                         **kwargs)
 
         monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
         ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
@@ -314,9 +315,9 @@ def _fallback_depths(monkeypatch, h, topo, grid):
     seen = []
     solve = reconstruction.depth_from_equilibrium
 
-    def spy(p_side, b_mid, l_side, r_iface, h_fallback):
+    def spy(p_side, b_mid, l_side, r_iface, h_fallback, **kwargs):
         seen.append(h_fallback)
-        return solve(p_side, b_mid, l_side, r_iface, h_fallback)
+        return solve(p_side, b_mid, l_side, r_iface, h_fallback, **kwargs)
 
     monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
     zero = np.zeros_like(h)

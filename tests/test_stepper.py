@@ -287,7 +287,7 @@ class TestStageCheck:
     def _step_with_outflow(monkeypatch, row):
         # a draining limiter that lets cell 0 export far more of one
         # quantity than it holds, so the first stage state goes negative
-        def unlimited(u, flux, dt, dy):
+        def unlimited(u, flux, dt, dy, ws=None):
             out = np.zeros_like(flux)
             out[row, 1] = 1e3
             return out, 0
@@ -493,3 +493,58 @@ class TestPerRunConstants:
         gc.collect()
         assert [name for name, ref in zip(names, refs)
                 if ref() is not None] == []
+
+
+class TestWorkspace:
+    """A run's stage arrays live in one workspace allocated per run; the
+    public kernels called without one return fresh arrays."""
+
+    @pytest.mark.parametrize("name,t_final", [
+        ("ex2", 5e-4), ("ex3b", 0.3), ("ex6", 2.5)])
+    def test_steps_allocate_no_stage_arrays(self, name, t_final):
+        import tracemalloc
+
+        n = 4096
+        state_bytes = 4 * n * 8
+        s = make_scenario(name, cells=n, t_final=t_final)
+        grown = []
+        start = []
+
+        def on_step(state, report):
+            current, peak = tracemalloc.get_traced_memory()
+            if start:  # the peak of this step over the memory at its start
+                grown.append(peak - start[0])
+            start[:] = [current]
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            res = run_simulation(s, on_step=on_step, collect_records=True)
+        finally:
+            tracemalloc.stop()
+        assert not res.failed and res.steps >= 3
+        # the accepted state's copy and a few boolean masks, no more
+        assert len(grown) == res.steps - 1
+        assert max(grown) < 1.5 * state_bytes
+
+    def test_calls_without_workspace_return_fresh_arrays(self):
+        from dataclasses import fields
+
+        from trsw.reconstruction import InterfaceStates
+
+        s = make_scenario("ex2", cells=40)
+        args = (s.initial_state(), s.topography, s.coriolis, s.grid,
+                s.numerics)
+        first, second = assemble_fluxes(*args), assemble_fluxes(*args)
+
+        def arrays(out):
+            flux, a_plus, a_minus, iface = out
+            return [flux, a_plus, a_minus] + [
+                getattr(iface, f.name) for f in fields(InterfaceStates)]
+
+        for x, y in zip(arrays(first), arrays(second)):
+            assert np.array_equal(x, y)
+        for x in arrays(first):
+            assert not any(np.shares_memory(x, y) for y in arrays(second))
+        r1, r2 = rhs(*args), rhs(*args)
+        assert np.array_equal(r1, r2) and not np.shares_memory(r1, r2)
