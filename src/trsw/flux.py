@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _TINY
 from .reconstruction import InterfaceStates, minmod
 from .workspace import Workspace, fresh
 
 _DEGENERATE = 1.0e-12
-_TINY = 1.0e-300
 # constants C and m of the diffusion switch H(psi)
 _SWITCH_C = 400.0
 _SWITCH_M = 8

@@ -16,6 +16,8 @@ import numpy as np
 # desingularization threshold of the cell velocities (Kurganov & Petrova
 # 2007), see desingularized_ratio
 EPS = 1.0e-8
+# floor of a divisor or threshold that would otherwise be zero
+_TINY = 1.0e-300
 
 
 def _readonly(a) -> np.ndarray:

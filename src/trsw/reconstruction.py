@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConservedState, CoriolisSpec, Grid, Numerics, Topography,
-                    desingularized_ratio)
+from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
+                    Topography, desingularized_ratio)
 from .workspace import GHOST, Workspace, fresh
-
-_TINY = 1.0e-300
 
 
 def minmod(*args, out=None, work=None):

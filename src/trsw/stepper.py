@@ -24,12 +24,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .flux import diffusion_switch, numerical_flux
-from .model import (ConservedState, CoriolisSpec, Grid, Numerics, Scenario,
-                    Topography, check_nonnegative)
+from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
+                    Scenario, Topography, check_nonnegative)
 from .reconstruction import InterfaceStates, build_interface_states
 from .workspace import Workspace
 
-_TINY = 1.0e-300
 # keeps the limited update strictly nonnegative under round-off
 _DRAIN_SAFETY = 1.0 - 1.0e-10
 
@@ -113,22 +112,15 @@ def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
     return _tendency(state, flux, iface, coriolis, grid, ws)
 
 
-def _wave_speed_dt(a_plus, a_minus, dy: float, cfl: float,
-                   work=None) -> Tuple[float, float]:
-    """The largest one-sided speed a_max and the step cfl*dy/a_max it
-    allows, inf when a_max <= 0 (a quiescent state). ``work`` receives
-    -a_minus (fresh by default)."""
-    a_max = float(max(np.asarray(a_plus).max(initial=0.0),
-                      np.negative(a_minus, out=work).max(initial=0.0)))
-    return a_max, (np.inf if a_max <= 0.0 else cfl * dy / a_max)
-
-
-def cfl_dt(a_plus, a_minus, dy: float, cfl: float, t_remaining: float,
-           work=None) -> float:
-    """Time step cfl*dy/a_max; a quiescent state (a_max = 0) uses the whole
-    remaining time."""
-    a_max, dt = _wave_speed_dt(a_plus, a_minus, dy, cfl, work)
-    return t_remaining if a_max <= 0.0 else dt
+def cfl_dt(a_max: float, dy: float, cfl: float, t_remaining: float) -> float:
+    """The step to take with t_remaining left to the next event:
+    cfl*dy/a_max, or all of t_remaining when that comes within a relative
+    1e-12 of it or the state is quiescent (a_max <= 0). A NaN a_max gives
+    NaN and an infinite one 0."""
+    if a_max <= 0.0:
+        return t_remaining
+    dt = cfl * dy / a_max
+    return t_remaining if dt >= t_remaining * (1.0 - 1.0e-12) else dt
 
 
 def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
@@ -219,8 +211,8 @@ class StepReport:
 
     t: float              # simulation clock after the step
     dt: float             # step actually taken
-    dt_cfl: float         # cfl*dy/a_max before any event clipping
-    a_max: float
+    a_max: float          # largest one-sided wave speed at the step's start
+    limit: str            # what set dt: "wave speed" or "event"
     n_limited: int        # draining-limited interfaces over all stages
     min_h: float          # minimum depth over all stages
     min_hb: float
@@ -230,20 +222,26 @@ class StepReport:
     bflux_hb: Tuple[float, float] = (0.0, 0.0)
 
 
-def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
-              t_after: float,
+def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, t: float,
+              t_event: float,
               ws: Workspace) -> Tuple[ConservedState, StepReport]:
-    """One SSP-RK3 step of size dt from the (4, n) state ``u0`` and its
-    assemble_fluxes output, both in ``ws``. Every stage drains its fluxes
-    at dt, so h and hb stay nonnegative; each later stage state is checked
-    for that once (ValueError) before it is reconstructed. Non-finite
-    output raises IntegrationError."""
+    """One SSP-RK3 step from the (4, n) state ``u0`` at time t and its
+    assemble_fluxes output, both in ``ws``. cfl_dt sizes the step from the
+    stage-1 speeds; a step that reaches t_event ends on it exactly. Every
+    stage drains its fluxes at dt, so h and hb stay nonnegative; each
+    later stage state is checked for that once (ValueError) before it is
+    reconstructed. Non-finite speeds or output raise IntegrationError."""
     grid, coriolis = scenario.grid, scenario.coriolis
     _, a_plus, a_minus, _ = fluxes
-    # the step cfl_dt allows from the stage-1 speeds, before event
-    # clipping; read now, as stage 2 writes its speeds over them
-    a_max, dt_cfl = _wave_speed_dt(a_plus, a_minus, grid.dy,
-                                   scenario.numerics.cfl, ws.speed_scratch)
+    # the stage-1 speeds, read now, as stage 2 writes over them
+    a_left = np.negative(a_minus, out=ws.speed_scratch)
+    a_max = float(max(a_plus.max(initial=0.0), a_left.max(initial=0.0)))
+    t_remaining = t_event - t
+    dt = cfl_dt(a_max, grid.dy, scenario.numerics.cfl, t_remaining)
+    if not 0.0 < dt < np.inf:  # a_max is NaN or infinite
+        raise IntegrationError(t, "non-finite wave speed")
+    landed = dt == t_remaining
+    t_after = t_event if landed else t + dt
     stages = []  # (boundary fluxes, limited count) per stage
     minima = []  # (min h, min hb) of u1 and of u2
 
@@ -270,25 +268,14 @@ def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, dt: float,
     weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(b0, b1, b2)]
     report = StepReport(
         t=t_after, dt=dt,
-        dt_cfl=dt_cfl,
         a_max=a_max,
+        limit="event" if landed else "wave speed",
         n_limited=n0 + n1 + n2,
         min_h=float(min(h1, h2, u_new[0].min())),
         min_hb=float(min(hb1, hb2, u_new[3].min())),
         bflux_h=(weighted[0], weighted[1]),
         bflux_hb=(weighted[2], weighted[3]))
     return ConservedState(u_new), report
-
-
-def ssp_rk3_step(state: ConservedState, t: float, dt: float,
-                 scenario: Scenario) -> Tuple[ConservedState, StepReport]:
-    """Advance one SSP-RK3 step of size dt (see _rk3_step), in a fresh
-    workspace."""
-    ws = Workspace(scenario.grid.n)
-    fluxes = assemble_fluxes(state.array, scenario.topography,
-                             scenario.coriolis, scenario.grid,
-                             scenario.numerics, ws)
-    return _rk3_step(state.array, fluxes, scenario, dt, t + dt, ws)
 
 
 @dataclass
@@ -339,10 +326,7 @@ def run_simulation(scenario: Scenario,
             on_snapshot(t_snap, snap_state)
 
     t_final = scenario.t_final
-    if t_final == 0.0:
-        emit_snapshot(0.0, state)
-        return result
-    if scenario.snapshots and scenario.snapshots[0] == 0.0:
+    if t_final == 0.0 or 0.0 in scenario.snapshots:
         emit_snapshot(0.0, state)
     events = sorted(set(t for t in scenario.snapshots if t > 0.0) | {t_final})
 
@@ -354,18 +338,8 @@ def run_simulation(scenario: Scenario,
             fluxes = assemble_fluxes(state, scenario.topography,
                                      scenario.coriolis, scenario.grid,
                                      scenario.numerics, ws)
-            _, a_plus, a_minus, _ = fluxes
-            dt = cfl_dt(a_plus, a_minus, scenario.grid.dy,
-                        scenario.numerics.cfl, next_event - t,
-                        ws.speed_scratch)
-            if not 0.0 < dt < np.inf:  # a_max is NaN or infinite
-                raise IntegrationError(t, "non-finite wave speed")
-            landed = dt >= (next_event - t) * (1.0 - 1.0e-12)
-            if landed:
-                dt = next_event - t
-            t_after = next_event if landed else t + dt
-            state, report = _rk3_step(state.array, fluxes, scenario, dt,
-                                      t_after, ws)
+            state, report = _rk3_step(state.array, fluxes, scenario, t,
+                                      next_event, ws)
         except (IntegrationError, ValueError) as err:
             result.failed = True
             result.failure_message = str(err)
@@ -374,7 +348,7 @@ def run_simulation(scenario: Scenario,
             result.state = state
             result.t = t
             return result
-        t = t_after
+        t = report.t
         ledger.update(report)
         result.steps += 1
         if collect_records:
@@ -382,7 +356,7 @@ def run_simulation(scenario: Scenario,
                                               ws))
         if on_step is not None:
             on_step(state, report)
-        if landed:
+        if report.limit == "event":
             if next_event in scenario.snapshots:
                 emit_snapshot(next_event, state)
             ev += 1

@@ -1,8 +1,10 @@
 """Tests for boundary handling, the Coriolis source, time stepping,
 draining positivity limiter, and the simulation driver."""
 
+import dataclasses
 import gc
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trsw
+import trsw.cli  # noqa: F401 -- a module the tracer wraps
 from trsw import stepper
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
                         Topography, build_grid, flat_topography)
@@ -20,8 +24,13 @@ from trsw.reconstruction import (build_interface_states, interface_values,
                                  pad_cells)
 from trsw.scenarios import make_scenario
 from trsw.stepper import (assemble_fluxes, cfl_dt, draining_limit, rhs,
-                          run_simulation, source_term, ssp_rk3_combine,
-                          ssp_rk3_step)
+                          run_simulation, source_term, ssp_rk3_combine)
+
+_SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "spans.py")
+_spec = importlib.util.spec_from_file_location("spans", _SPANS_PATH)
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
 
 
 def _rest_scenario(n=8, t_final=0.0, **kw):
@@ -30,6 +39,14 @@ def _rest_scenario(n=8, t_final=0.0, **kw):
                     topography=flat_topography(g),
                     height=lambda y: np.ones_like(y),
                     b0=lambda y: np.ones_like(y), t_final=t_final, **kw)
+
+
+def _run_steps(scenario):
+    """Run ``scenario``; return the result and the report of each step."""
+    reports = []
+    res = run_simulation(scenario, on_step=lambda state, report:
+                         reports.append(report))
+    return res, reports
 
 
 class TestApplyBoundary:
@@ -85,15 +102,19 @@ class TestSourceTerm:
 
 class TestCflDt:
     def test_basic(self):
-        assert cfl_dt(np.array([1.0]), np.array([-0.5]), 0.04, 0.5, 99.0) \
-            == pytest.approx(0.02)
+        assert cfl_dt(1.0, 0.04, 0.5, 99.0) == pytest.approx(0.02)
 
     def test_faster_waves(self):
-        assert cfl_dt(np.array([0.3]), np.array([-2.0]), 0.01, 0.5, 99.0) \
-            == pytest.approx(0.0025)
+        assert cfl_dt(2.0, 0.01, 0.5, 99.0) == pytest.approx(0.0025)
 
     def test_quiescent_uses_remaining_time(self):
-        assert cfl_dt(np.zeros(3), np.zeros(3), 0.04, 0.5, 7.5) == 7.5
+        assert cfl_dt(0.0, 0.04, 0.5, 7.5) == 7.5
+
+    def test_lands_within_relative_slack(self):
+        dt = 0.5 * 0.04 / 1.0
+        assert cfl_dt(1.0, 0.04, 0.5, dt * (1.0 + 1e-13)) == \
+            dt * (1.0 + 1e-13)
+        assert cfl_dt(1.0, 0.04, 0.5, dt * (1.0 + 1e-11)) == dt
 
 
 class TestDrainingLimit:
@@ -246,37 +267,42 @@ class TestSspRk3:
         assert 2.8 <= order <= 3.2
 
     def test_steady_state_is_fixed_point(self):
-        s = make_scenario("ex1-steady", cells=100)
-        st = s.initial_state()
-        st2, report = ssp_rk3_step(st, 0.0, 0.003, s)
+        s = make_scenario("ex1-steady", cells=100, t_final=0.003)
+        res, reports = _run_steps(s)
+        assert len(reports) == 1
+        st, st2 = res.initial_state, res.state
         assert np.abs(st2.array - st.array).max() <= 1e-13 * 72.0
 
     def test_zero_tendency_state_unchanged(self):
-        s = _rest_scenario(t_final=1.0)
-        st = s.initial_state()
-        st2, _ = ssp_rk3_step(st, 0.0, 0.01, s)
+        res, reports = _run_steps(_rest_scenario(t_final=0.01))
+        assert len(reports) == 1
+        st, st2 = res.initial_state, res.state
         assert np.allclose(st2.array, st.array, rtol=1e-15, atol=1e-16)
 
     def test_report_invariants(self):
-        s = make_scenario("ex2", cells=100)
-        st = s.initial_state()
+        # a step clipped to the snapshot at dt, then one the speeds set
         dt = 0.001
-        st2, report = ssp_rk3_step(st, 0.0, dt, s)
-        assert report.dt == dt
+        s = make_scenario("ex2", cells=100, t_final=0.01, snapshots=(dt,))
+        _, reports = _run_steps(s)
+        report = reports[0]
+        assert report.dt == dt and report.limit == "event"
         assert report.a_max > 0.0
-        assert report.dt_cfl == pytest.approx(
+        report = reports[1]
+        assert report.limit == "wave speed"
+        assert report.dt == pytest.approx(
             s.numerics.cfl * s.grid.dy / report.a_max)
-        assert report.min_h >= 0.0 and report.min_hb >= 0.0
+        assert all(r.min_h >= 0.0 and r.min_hb >= 0.0 for r in reports)
 
     def test_report_of_dry_state_has_infinite_dt_cfl(self):
-        # cfl_dt would take the whole remaining time; the report, which has
-        # none to clip to, says inf
-        s = _rest_scenario()
+        # no wave speed bounds the step: it takes the whole remaining time
+        s = dataclasses.replace(_rest_scenario(t_final=0.01),
+                                height=np.zeros_like)
+        res, (report,) = _run_steps(s)
+        assert report.a_max == 0.0 and report.limit == "event"
+        assert report.dt == 0.01
         dry = ConservedState(np.zeros((4, 8)))
-        st2, report = ssp_rk3_step(dry, 0.0, 0.01, s)
-        assert report.a_max == 0.0 and report.dt_cfl == np.inf
-        assert np.array_equal(st2.array, dry.array)
-        assert cfl_dt(np.zeros(9), np.zeros(9), s.grid.dy, 0.5, 0.25) == 0.25
+        assert np.array_equal(res.state.array, dry.array)
+        assert cfl_dt(0.0, s.grid.dy, 0.5, 0.25) == 0.25
 
 
 class TestStageCheck:
@@ -300,20 +326,19 @@ class TestStageCheck:
 
         monkeypatch.setattr(stepper, "draining_limit", unlimited)
         monkeypatch.setattr(stepper, "build_interface_states", counted)
-        s = _rest_scenario(t_final=1.0)
-        with pytest.raises(ValueError) as err:
-            ssp_rk3_step(s.initial_state(), 0.0, 0.01, s)
+        res, reports = _run_steps(_rest_scenario(t_final=0.01))
+        assert res.failed and not reports
         # raised by the check of the first stage state, before stage 2
         assert len(reconstructions) == 1
-        return str(err.value)
+        return res.failure_message
 
     def test_negative_depth_in_stage_raises(self, monkeypatch):
         assert self._step_with_outflow(monkeypatch, 0) == \
-            "negative depth in conserved state"
+            "negative depth in conserved state at t=0"
 
     def test_negative_buoyancy_in_stage_raises(self, monkeypatch):
         assert self._step_with_outflow(monkeypatch, 3) == \
-            "negative depth-weighted buoyancy in conserved state"
+            "negative depth-weighted buoyancy in conserved state at t=0"
 
     def test_one_conserved_state_per_accepted_step(self, monkeypatch):
         built = []
@@ -443,6 +468,29 @@ class TestRunSimulation:
         assert len(res.records) == res.steps + 1
         assert res.records[0].t == 0.0
         assert res.records[-1].t == pytest.approx(0.02)
+
+
+class TestStepSize:
+    """The step-size rule that perfbench/spans.py mirrors to count clipped
+    steps agrees with the limit the stepper reports."""
+
+    @pytest.mark.parametrize("scenario_id, options, clipped, steps", [
+        ("ex2", dict(cells=64, t_final=0.05, snapshots=(0.01, 0.02)), 3, 12),
+        ("ex6", dict(cells=200), 4, 4),
+        ("lake-at-rest", dict(cells=40), 1, 27)])
+    def test_traced_clipped_steps_are_event_steps(self, scenario_id, options,
+                                                  clipped, steps):
+        s = make_scenario(scenario_id, **options)
+        tracer = spans.Tracer()
+        with tracer.installed(trsw), tracer.call():
+            res, reports = _run_steps(s)
+        assert not res.failed and len(reports) == steps
+        events = [r for r in reports if r.limit == "event"]
+        assert tracer.counts["cfl.clipped"] == len(events) == clipped
+        assert all(r.t in set(s.snapshots) | {s.t_final} for r in events)
+        cfl_dy = s.numerics.cfl * s.grid.dy
+        assert all(r.dt == cfl_dy / r.a_max for r in reports
+                   if r.limit == "wave speed")
 
 
 def _run_digest(scenario_id, cells, t_final):
