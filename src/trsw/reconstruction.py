@@ -41,41 +41,32 @@ def minmod(*args, out=None, work=None):
     return res
 
 
-def minmod_slopes(values: np.ndarray, sigma: float, dy: float, out=None,
-                  work=None) -> np.ndarray:
-    """Generalized minmod slopes for the interior cells of ``values``.
-
-    Returns one slope per cell except the first and last (those lack a
-    neighbour); sigma in [1, 2] trades diffusion against oscillation.
-    ``out`` (n-2 of n values) receives them; ``work`` holds the one-sided
-    differences (n-1) and minmod's pair of scratch arrays (n-2).
-    """
-    v = np.asarray(values, float)
-    sided_buf, *minmod_work = work if work is not None else (None,) * 3
-    # one-sided differences: the left slope of cell i is the right of i-1
-    sided = np.subtract(v[1:], v[:-1], out=sided_buf)
-    sided /= dy
-    sided *= sigma
-    central = np.subtract(v[2:], v[:-2], out=out)
-    central /= 2.0 * dy
-    return minmod(sided[:-1], central, sided[1:], out=central,
-                  work=minmod_work)
-
-
 def interface_values(padded: np.ndarray, sigma: float, dy: float, out=None,
                      work=None):
     """One-sided interface values of a cell field carrying GHOST=2 ghosts.
 
     For a physical grid of n cells (padded length n+4) returns the left
-    ("minus") and right ("plus") limits at the n+1 physical interfaces.
-    ``out`` is a pair (minus, half) of n+1 and n+2 values; the plus side is
-    returned as the tail of half. ``work`` is minmod_slopes' scratch.
+    ("minus") and right ("plus") limits at the n+1 physical interfaces,
+    from generalized minmod slopes of the n+2 cells with both neighbours;
+    sigma in [1, 2] trades diffusion against oscillation. ``out`` is a
+    pair (minus, half) of n+1 and n+2 values; the plus side is returned as
+    the tail of half. ``work`` holds the one-sided differences (n+3) and
+    minmod's pair of scratch arrays (n+2).
     """
+    v = np.asarray(padded, float)
     minus_buf, half_buf = out if out is not None else (None, None)
-    half = minmod_slopes(padded, sigma, dy, out=half_buf, work=work)
+    sided_buf, *minmod_work = work if work is not None else (None,) * 3
+    # one-sided differences: the left slope of cell i is the right of i-1
+    sided = np.subtract(v[1:], v[:-1], out=sided_buf)
+    sided /= dy
+    sided *= sigma
+    central = np.subtract(v[2:], v[:-2], out=half_buf)
+    central /= 2.0 * dy
+    half = minmod(sided[:-1], central, sided[1:], out=central,
+                  work=minmod_work)
     half *= 0.5 * dy
-    minus = np.add(padded[1:-2], half[:-1], out=minus_buf)
-    plus = np.subtract(padded[2:-1], half[1:], out=half[1:])
+    minus = np.add(v[1:-2], half[:-1], out=minus_buf)
+    plus = np.subtract(v[2:-1], half[1:], out=half[1:])
     return minus, plus
 
 
@@ -130,16 +121,15 @@ def source_potential(state: ConservedState, topo: Topography,
 
     r_center = ws.r_center
     r_center[0] = 0.5 * (r_iface[0] + r_iface[1])
-    if grid.n > 1:
-        inc = np.add(fq[:-1], fq[1:], out=inc[:-1])
-        inc *= 0.5
-        inc *= dy
-        inc_z = np.add(hb[:-1], hb[1:], out=inc_z[:-1])
-        inc_z *= 0.5
-        inc_z *= topo.dz_center
-        inc += inc_z
-        tail = inc.cumsum(out=r_center[1:])
-        tail += r_center[0]
+    inc = np.add(fq[:-1], fq[1:], out=inc[:-1])
+    inc *= 0.5
+    inc *= dy
+    inc_z = np.add(hb[:-1], hb[1:], out=inc_z[:-1])
+    inc_z *= 0.5
+    inc_z *= topo.dz_center
+    inc += inc_z
+    tail = inc.cumsum(out=r_center[1:])
+    tail += r_center[0]
     return r_center, r_iface
 
 
@@ -156,7 +146,7 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
     fallback depth is returned, so the function is total.
 
     With ``out`` the inputs are equally shaped 1-D arrays, the depths are
-    written into ``out``, and ``work`` holds seven float and three boolean
+    written into ``out``, and ``work`` holds three float and three boolean
     scratch arrays of that shape. Without it the inputs broadcast and the
     result is fresh, a float for scalars.
     """
@@ -166,7 +156,7 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
             for a in (p_side, b_mid, l_side, r_iface, h_fallback)))
         shape = args[0].shape
         size = args[0].size
-        work = fresh(size, 7, 3)
+        work = fresh(size, 3, 3)
         h = _solve_depth(*(a.ravel() for a in args), np.empty(size), work)
         return float(h[0]) if not shape else h.reshape(shape)
     return _solve_depth(p_side, b_mid, l_side, r_iface, h_fallback, out, work)
@@ -174,7 +164,7 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
 
 def _solve_depth(p, b, l, r, fb, h, work):
     """depth_from_equilibrium on equally shaped 1-D arrays, into ``h``."""
-    d, x, t, g0, g1, g2, g3, ok, rootable, mask = work
+    d, x, t, ok, rootable, mask = work
     np.subtract(l, r, out=d)
     np.copyto(h, fb)
 
@@ -185,7 +175,7 @@ def _solve_depth(p, b, l, r, fb, h, work):
     x *= d
     x *= 8.0
     np.divide(x, t, out=x, where=ok)
-    p4 = np.multiply(p, p, out=g0)
+    p4 = np.multiply(p, p, out=t)
     p4 *= p4
     # d > 0 is tested on its own because p^4 and d^3 can both underflow to
     # zero; the powers are products, several times cheaper than pow
@@ -193,52 +183,22 @@ def _solve_depth(p, b, l, r, fb, h, work):
     rootable &= np.greater(d, 0.0, out=mask)
     rootable &= ok
 
-    m_sqrt = np.equal(p, 0.0, out=mask)
-    m_sqrt &= rootable
-    k = np.count_nonzero(m_sqrt)
-    if k:
-        dm = d.compress(m_sqrt, out=g1[:k])
-        dm *= 2.0
-        dm /= b.compress(m_sqrt, out=g2[:k])
-        h[m_sqrt] = np.sqrt(dm, out=dm)
+    # each root branch gathers only its own interfaces
+    m = np.equal(p, 0.0, out=mask)
+    m &= rootable
+    h[m] = np.sqrt(d[m] * 2.0 / b[m])
 
-    m_trig = np.not_equal(p, 0.0, out=ok)
-    m_trig &= rootable
-    k = np.count_nonzero(m_trig)
-    if k:
-        dm = d.compress(m_trig, out=g1[:k])
-        bm = b.compress(m_trig, out=g2[:k])
-        pm = p.compress(m_trig, out=g3[:k])
-        fbm = fb.compress(m_trig, out=x[:k])
-        y = dm
-        y *= 2.0
-        y /= np.multiply(bm, 3.0, out=t[:k])
-        sq = np.sqrt(y, out=g0[:k])
-        arg = np.negative(pm, out=t[:k])
-        arg *= pm
-        den = np.multiply(bm, y, out=pm)
-        den *= sq
-        arg /= den
-        np.maximum(arg, -1.0, out=arg)
-        theta = np.minimum(arg, 1.0, out=arg)
-        np.arccos(theta, out=theta)
-        two_sq = np.multiply(sq, 2.0, out=sq)
-        # round-off in theta can push a vanishing root a hair below zero
-        r_sub = np.divide(theta, 3.0, out=y)
-        np.cos(r_sub, out=r_sub)
-        r_sub *= two_sq
-        np.maximum(r_sub, 0.0, out=r_sub)
-        r_sup = theta
-        r_sup += 4.0 * np.pi
-        r_sup /= 3.0
-        np.cos(r_sup, out=r_sup)
-        r_sup *= two_sq
-        np.maximum(r_sup, 0.0, out=r_sup)
-        gap_sub = np.abs(np.subtract(r_sub, fbm, out=bm), out=bm)
-        gap_sup = np.abs(np.subtract(r_sup, fbm, out=pm), out=pm)
-        closer = np.less_equal(gap_sub, gap_sup, out=mask[:k])
-        np.copyto(r_sup, r_sub, where=closer)
-        h[m_trig] = r_sup
+    m = np.not_equal(p, 0.0, out=mask)
+    m &= rootable
+    dm, bm, pm, fbm = d[m], b[m], p[m], fb[m]
+    y = dm * 2.0 / (bm * 3.0)
+    sq = np.sqrt(y)
+    theta = np.arccos(np.clip(-pm * pm / (bm * y * sq), -1.0, 1.0))
+    two_sq = sq * 2.0
+    # round-off in theta can push a vanishing root a hair below zero
+    r_sub = np.maximum(np.cos(theta / 3.0) * two_sq, 0.0)
+    r_sup = np.maximum(np.cos((theta + 4.0 * np.pi) / 3.0) * two_sq, 0.0)
+    h[m] = np.where(np.abs(r_sub - fbm) <= np.abs(r_sup - fbm), r_sub, r_sup)
     return h
 
 

@@ -234,8 +234,7 @@ def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, t: float,
     grid, coriolis = scenario.grid, scenario.coriolis
     _, a_plus, a_minus, _ = fluxes
     # the stage-1 speeds, read now, as stage 2 writes over them
-    a_left = np.negative(a_minus, out=ws.speed_scratch)
-    a_max = float(max(a_plus.max(initial=0.0), a_left.max(initial=0.0)))
+    a_max = float(max(a_plus.max(initial=0.0), -a_minus.min(initial=0.0)))
     t_remaining = t_event - t
     dt = cfl_dt(a_max, grid.dy, scenario.numerics.cfl, t_remaining)
     if not 0.0 < dt < np.inf:  # a_max is NaN or infinite

@@ -3,11 +3,14 @@
 ``run_simulation`` builds one Workspace per run and passes it down: every
 per-cell kernel of a stage writes its results and temporaries into the
 workspace's rows (``out=``) instead of allocating arrays. A step then
-allocates no array of n floats except the copy of its accepted state, so
-after the first step the heap neither grows nor shrinks. At N = 25600 a
-row is 200 KB, and temporaries allocated and freed by the hundred per
-stage let malloc hand the heap top back to the kernel, which the next
-stage then faults in again.
+allocates no array of n floats except the copy of its accepted state and
+the depth solve's transient gathers: each root branch of
+``reconstruction._solve_depth`` indexes its own interfaces out with a
+boolean mask, a handful of temporaries of at most n + 1 values that are
+freed before the solve returns. After the first steps the heap neither
+grows nor shrinks. At N = 25600 a row is 200 KB, and temporaries
+allocated and freed by the hundred per stage let malloc hand the heap top
+back to the kernel, which the next stage then faults in again.
 
 An array handed out under a workspace is valid until the next stage
 writes over it. A public kernel called without a workspace builds a
@@ -74,7 +77,8 @@ class Workspace:
         # depth solves), its increments (s2-s4), the cell L (s2), the
         # padded q, p (s2-s3), b (s2, ratio work s3) and surface w (s2,
         # sides s3 and s6), slopes (s4, s5, s7), b_mid (s0), the depth
-        # solve (s2, s4, s5, s7-s10, flags 0-2) and v (s2)
+        # solve's rootable test (s2, s4, s5, flags 0-2; its root branches
+        # gather into fresh temporaries) and v (s2)
         self.r_center, self.r_iface = s[0, :n], s[1, :m]
         self.r_iface_tail = self.r_iface[1:]
         self.sp_work = (s[2, :n], s[3, :n], s[4, :n])
@@ -88,8 +92,8 @@ class Workspace:
         self.w_pad = s[2]
         self.w_cell = self.w_pad[GHOST:-GHOST]
         self.w_out = (s[3, :m], s[6, :n + 2])
-        self.depth_work = (s[2, :m], s[4, :m], s[5, :m], s[7, :m], s[8, :m],
-                           s[9, :m], s[10, :m], b[0, :m], b[1, :m], b[2, :m])
+        self.depth_work = (s[2, :m], s[4, :m], s[5, :m],
+                           b[0, :m], b[1, :m], b[2, :m])
         self.ratio_work = s[2, :m]
 
         # fluxes: the switch (s0, work s1-s2), the speeds (work s1-s4),
@@ -126,10 +130,8 @@ class Workspace:
         self.limited_flux = s[0:4, :m]
         self.limited_flux_rows = self.limited_flux[::3]
 
-        # the source term (s4-s5, clear of the limited fluxes) and the
-        # wave-speed bound (s0)
+        # the source term (s4-s5, clear of the limited fluxes)
         self.source_out, self.source_work = s[4, :n], s[5, :n]
-        self.speed_scratch = s[0, :m]
 
         # the per-step diagnostics record, between steps
         self.energy_rows = (s[0, :n], s[1, :n], s[2, :n], s[3, :n])

@@ -544,11 +544,17 @@ class TestPerRunConstants:
 
 
 class TestWorkspace:
-    """A run's stage arrays live in one workspace allocated per run; the
-    public kernels called without one return fresh arrays."""
+    """A run's stage arrays live in one workspace allocated per run, and
+    a step allocates no n-float array but the accepted state's copy and
+    the depth solve's transient gathers; the stage kernels never read what
+    a workspace held before; the public kernels called without one return
+    fresh arrays."""
 
     @pytest.mark.parametrize("name,t_final", [
-        ("ex2", 5e-4), ("ex3b", 0.3), ("ex6", 2.5)])
+        ("ex2", 5e-4), ("ex3b", 0.3), ("ex6", 2.5),
+        # every interface at rest takes the sqrt branch, so the depth
+        # solve gathers all n+1 interfaces: its largest gathers
+        ("lake-at-rest", 0.002)])
     def test_steps_allocate_no_stage_arrays(self, name, t_final):
         import tracemalloc
 
@@ -571,7 +577,8 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert not res.failed and res.steps >= 3
-        # the accepted state's copy and a few boolean masks, no more
+        # the accepted state's copy, a few boolean masks and the depth
+        # solve's gathers of at most n+1 values, no more
         assert len(grown) == res.steps - 1
         assert max(grown) < 1.5 * state_bytes
 
@@ -596,3 +603,49 @@ class TestWorkspace:
             assert not any(np.shares_memory(x, y) for y in arrays(second))
         r1, r2 = rhs(*args), rhs(*args)
         assert np.array_equal(r1, r2) and not np.shares_memory(r1, r2)
+
+    @pytest.mark.parametrize("name,cells,n_limited", [
+        # the drain at dt = 0.2 scales two interfaces
+        ("ex2", 64, 2),
+        # variable f and the Simpson source
+        ("ex6", 200, 0),
+        # every interface takes the depth solve's sqrt branch
+        ("lake-at-rest", 40, 0)])
+    def test_stage_kernels_ignore_stale_workspace(self, name, cells,
+                                                   n_limited):
+        from trsw.diagnostics import ConservationLedger, make_record
+        from trsw.workspace import Workspace
+
+        s = make_scenario(name, cells=cells)
+        state = s.initial_state()
+        args = (state, s.topography, s.coriolis, s.grid, s.numerics)
+        ledger = ConservationLedger(state, s.grid)
+        flux = assemble_fluxes(*args)[0]
+
+        def filled(value, flag):
+            ws = Workspace(cells)
+            ws.u1.base[...] = value  # the whole float block
+            ws.finite.base[...] = flag  # the whole flag block
+            return ws
+
+        def bits(out):
+            return [np.asarray(x, float).tobytes() for x in out]
+
+        def kernels(make_ws):
+            f, a_plus, a_minus, iface = assemble_fluxes(*args, make_ws())
+            got = bits([f, a_plus, a_minus] + [
+                getattr(iface, field.name)
+                for field in dataclasses.fields(iface)])
+            got += bits([rhs(*args, make_ws())])
+            limited, count = draining_limit(state.array, flux, 0.2,
+                                            s.grid.dy, make_ws())
+            got += bits([limited, count])
+            got += bits([make_record(0.0, state, s, ledger,
+                                     make_ws()).row()])
+            return got, count
+
+        # zeros, as fresh pages hold them: an np.empty workspace may be
+        # recycled memory of the poisoned one
+        fresh_bits, count = kernels(lambda: filled(0.0, False))
+        assert kernels(lambda: filled(np.nan, True))[0] == fresh_bits
+        assert count == n_limited
