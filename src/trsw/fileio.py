@@ -4,17 +4,16 @@ Snapshots are plot-ready text: metadata in leading ``# key: value``
 comments, a header row, one data row per cell, real values as ``%.16e``
 (17 significant digits), so identical runs produce byte-identical files.
 
-Both writers format each run of equal float64 bit patterns down a column
-once. A well-balanced run holds equilibria fixed to round-off, so whole
-stretches of cells repeat bit for bit (resting far fields, zero momenta,
-constant b and Z): an ex6 snapshot at N = 4000 has about 1,500 runs in
-the 36,000 fields outside the cell centres y. A column with at most half
-as many runs as rows gets one ``%.16e`` string per run, repeated down the
-run; any other column is formatted field by field in the row template, as
-before, so a table without repeats costs what it did. The string of a
-field is the ``%.16e`` of the same float it always was, so the files keep
-their bytes. Runs are cut where the bit pattern changes, not the float
-value: ``0.0 == -0.0`` although they print differently.
+A table is built as one list of ``%.16e`` strings per column, and each
+row is one ``",".join`` of its fields. The cell centres y are formatted
+once per grid and held by it (``Grid.center_text``). Any other column
+formats each run of equal float64 bit patterns once if it has at most
+half as many runs as rows, and each field otherwise: a well-balanced run
+holds equilibria fixed to round-off, and an ex6 snapshot at N = 4000 has
+about 1,500 runs in the 36,000 fields outside y. Runs are cut where the
+bit pattern changes, not the float value: ``0.0 == -0.0`` although they
+print differently. Each field is the ``%.16e`` of the same float either
+way, so the files keep their bytes.
 """
 
 from __future__ import annotations
@@ -25,34 +24,29 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .model import ConservedState, Grid, Numerics, Topography, \
+from .model import CSV_FLOAT, ConservedState, Grid, Numerics, Topography, \
     primitives_from_state
 
 SNAPSHOT_COLUMNS = ("y", "h", "q", "p", "hb", "u", "v", "b", "w", "Z")
-_NUM = "%.16e"
+
+
+def _column_text(col: np.ndarray) -> list:
+    """The CSV_FLOAT strings of a float64 column, run by run if runs are few."""
+    bits = col.view(np.int64)
+    changed = bits[1:] != bits[:-1]
+    if 2 * (1 + np.count_nonzero(changed)) > len(col):
+        return [CSV_FLOAT % x for x in col.tolist()]
+    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    strings = np.array([CSV_FLOAT % x for x in col[starts].tolist()], object)
+    return np.repeat(strings, np.diff(starts, append=len(col))).tolist()
 
 
 def _csv_rows(columns):
-    """Comma-joined ``%.16e`` rows of a table given as equal-length float
-    columns (see the module docstring for the runs)."""
-    n = len(columns[0])
-    specs, fields = [], []
-    for col in columns:
-        col = np.asarray(col, dtype=np.float64)
-        bits = col.view(np.int64)
-        changed = bits[1:] != bits[:-1]
-        if 2 * (1 + np.count_nonzero(changed)) <= n:
-            starts = np.flatnonzero(np.concatenate(([True], changed)))
-            strings = np.array([_NUM % x for x in col[starts].tolist()],
-                               object)
-            fields.append(np.repeat(strings, np.diff(starts, append=n))
-                          .tolist())
-            specs.append("%s")
-        else:
-            fields.append(col.tolist())
-            specs.append(_NUM)
-    row = ",".join(specs)
-    return [row % r for r in zip(*fields)]
+    """Comma-joined rows of equal-length columns: float64 arrays, or tuples
+    of strings already formatted (``Grid.center_text``)."""
+    fields = [col if isinstance(col, tuple) else _column_text(col)
+              for col in columns]
+    return list(map(",".join, zip(*fields)))
 
 
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
@@ -61,16 +55,16 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
     """Write one solution snapshot as CSV (see SNAPSHOT_COLUMNS)."""
     numerics = numerics or Numerics()
     u, v, b, w = primitives_from_state(state, topo)
-    columns = (grid.centers, state.h, state.q, state.p, state.hb,
+    columns = (grid.center_text, state.h, state.q, state.p, state.hb,
                u, v, b, w, topo.z_center)
     lines = [
         f"# scenario: {scenario_name}",
         f"# N: {grid.n}",
-        f"# y_min: {_NUM % grid.y_min}",
-        f"# y_max: {_NUM % grid.y_max}",
-        f"# t: {_NUM % t}",
-        f"# cfl: {_NUM % numerics.cfl}",
-        f"# sigma: {_NUM % numerics.sigma}",
+        f"# y_min: {CSV_FLOAT % grid.y_min}",
+        f"# y_max: {CSV_FLOAT % grid.y_max}",
+        f"# t: {CSV_FLOAT % t}",
+        f"# cfl: {CSV_FLOAT % numerics.cfl}",
+        f"# sigma: {CSV_FLOAT % numerics.sigma}",
         ",".join(SNAPSHOT_COLUMNS),
     ]
     lines += _csv_rows(columns)

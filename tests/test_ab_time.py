@@ -39,3 +39,37 @@ def test_differing_outputs_refused(tmp_path, capsys):
                          "--cells", "8", "--t-final", "0.05",
                          "--pairs", "1"]) == 1
     assert capsys.readouterr().out.startswith("outputs differ")
+
+
+def test_cli_same_tree_both_sides(capsys):
+    assert ab_time.main([_ROOT, os.path.join(_ROOT, "src"),
+                         "--scenario", "lake-at-rest", "--cells", "8",
+                         "--t-final", "0.05", "--cli", "0.02,0.04",
+                         "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # two snapshots and the diagnostics file
+    assert lines[0] == "outputs identical: lake-at-rest at N = 8, " \
+                       "3 files, exit 0"
+    assert lines[-1].endswith(" of 2 pairs")
+    assert not any(name.startswith(("trsw_a", "trsw_b"))
+                   for name in sys.modules)
+
+
+def test_cli_differing_file_bytes_refused(tmp_path, capsys):
+    # the same solution, written with one more space in a snapshot header:
+    # the library mode sees no difference, the CLI mode refuses to time
+    other = tmp_path / "src"
+    shutil.copytree(os.path.join(_ROOT, "src", "trsw"), other / "trsw",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fileio = other / "trsw" / "fileio.py"
+    text = fileio.read_text()
+    assert 'f"# scenario: {scenario_name}"' in text
+    fileio.write_text(text.replace('f"# scenario: {scenario_name}"',
+                                   'f"# scenario:  {scenario_name}"'))
+    args = [_ROOT, str(other), "--scenario", "lake-at-rest", "--cells", "8",
+            "--t-final", "0.05", "--pairs", "1"]
+    assert ab_time.main(args) == 0
+    assert capsys.readouterr().out.startswith("outputs identical")
+    assert ab_time.main(args + ["--cli", "0.02,0.04"]) == 1
+    assert capsys.readouterr().out == \
+        "outputs differ: lake-at-rest at N = 8\n"

@@ -1,10 +1,12 @@
 """Tests for snapshot/diagnostics CSV files, comparison tooling, and the
 command-line interface."""
 
+import gc
 import os
 import re
 import struct
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +232,57 @@ class TestRepeatedBitPatterns:
         lines = path.read_text().splitlines()[1:]
         assert lines == [_old_row([x] * 9) for x in column]
         assert lines[2].startswith("-0.0000000000000000e+00,")
+
+
+class TestCenterText:
+    """The y column is formatted once per grid and held by it."""
+
+    def test_text_of_each_center(self):
+        grid = build_grid(-250.0, 250.0, 400)
+        assert grid.center_text == tuple("%.16e" % y for y in grid.centers)
+        assert grid.center_text is grid.center_text
+
+    def test_grids_do_not_share_text(self):
+        base = build_grid(-1.0, 3.0, 8)
+        for other in (build_grid(-1.0, 3.0, 16), build_grid(-1.0, 5.0, 8),
+                      build_grid(-2.0, 3.0, 8)):
+            assert other.center_text != base.center_text
+            assert other.center_text == tuple("%.16e" % y
+                                              for y in other.centers)
+
+    def test_dies_with_its_grid(self):
+        # a domain no other test uses: a cache keyed by equal grids would
+        # otherwise hold an earlier one and not this
+        grid = build_grid(-7.25, 3.5, 12)
+        assert len(grid.center_text) == 12
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None  # no cache outside the grid keeps it alive
+
+    def test_cached_and_fresh_text_give_the_same_files(self, tmp_path):
+        # as the CLI does: a snapshot from within the run, the first to use
+        # the grid's text, and one after it for --compare-with, which
+        # finds the text held
+        s = make_scenario("ex6", cells=400, snapshots=(0.26 * np.pi,))
+        assert "center_text" not in vars(s.grid)
+        written = []
+
+        def on_snapshot(t, state):
+            path = tmp_path / "within.csv"
+            write_snapshot(path, state, s.topography, s.grid, t, s.name,
+                           s.numerics)
+            written.append((path, t, state))
+
+        res = run_simulation(s, on_snapshot=on_snapshot)
+        assert not res.failed and "center_text" in vars(s.grid)
+        after = tmp_path / "after.csv"
+        write_snapshot(after, res.state, s.topography, s.grid, res.t,
+                       s.name, s.numerics)
+        assert len(written) == 1
+        for path, t, state in written + [(after, res.t, res.state)]:
+            assert path.read_text() == _old_snapshot_text(
+                state, s.topography, s.grid, t, s.name, s.numerics)
 
 
 class TestRestriction:

@@ -1,6 +1,8 @@
-"""Interleaved A/B timing of ``run_simulation`` for two trsw source trees.
+"""Interleaved A/B timing of ``run_simulation`` or the CLI for two trsw trees.
 
     python tools/ab_time.py SRC_A SRC_B --scenario ex2 --cells 200 --pairs 30
+    python tools/ab_time.py SRC_A SRC_B --scenario ex6 --cells 4000 \
+        --cli 1.0,2.0,3.0 --pairs 20
 
 SRC_A and SRC_B are checkouts, or their ``src`` directories. The ``trsw``
 package of each is copied into a temporary directory under a name of its
@@ -13,15 +15,24 @@ side goes first, and each call builds its scenario afresh outside the
 timed region. The tool prints each side's median time and the median of
 the per-pair ratios B/A with the number of pairs B won.
 
+With ``--cli TIMES`` each call is ``trsw.cli.main`` instead, with
+``--snapshots TIMES --diagnostics`` and each side's own output directory,
+so the timed region includes building the scenario and writing the CSV
+files. The untimed check then compares the exit codes, the standard
+output and every written file byte for byte.
+
 A ratio below 1 means B is faster. Pairs run back to back in one process,
-so this resolves changes of a few percent in the solver; it says nothing
-about start-up, memory or file output, which ``perfbench/run.py`` covers.
+so this resolves changes of a few percent in the solver or the writers;
+it says nothing about start-up or memory, which ``perfbench/run.py``
+covers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import os
 import shutil
 import statistics
@@ -52,10 +63,22 @@ def _outputs(result) -> tuple:
             np.array([r.row() for r in result.records], float).tobytes())
 
 
+def _cli_outputs(call: tuple) -> tuple:
+    """A CLI call's exit code, its standard output and error with the
+    output directory masked, and each written file's name and bytes."""
+    outdir, code, text = call
+    files = []
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            files.append((name, fh.read()))
+    return code, text.replace(outdir, "OUT"), tuple(files)
+
+
 def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
-            t_final, pairs: int) -> int:
+            t_final, pairs: int, cli_snapshots=None) -> int:
     """Check both trees give identical outputs, then time them; returns the
-    exit code."""
+    exit code. ``cli_snapshots``, a comma-separated list of output times,
+    times the CLI instead of ``run_simulation``."""
     with tempfile.TemporaryDirectory() as tmp:
         modules = {}
         sys.path.insert(0, tmp)
@@ -65,6 +88,7 @@ def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
                 shutil.copytree(_package_dir(tree), os.path.join(tmp, name),
                                 ignore=shutil.ignore_patterns("__pycache__"))
                 modules[side] = importlib.import_module(name)
+                importlib.import_module(f"{name}.cli")
 
             def run(side):
                 trsw = modules[side]
@@ -73,17 +97,36 @@ def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
                 result = trsw.run_simulation(sc)
                 return time.perf_counter() - start, result
 
-            outputs = {side: _outputs(run(side)[1]) for side in _SIDES}
+            def run_cli(side):
+                outdir = os.path.join(tmp, f"out_{side}")
+                argv = ["--scenario", scenario, "--cells", str(cells),
+                        "--snapshots", cli_snapshots, "--diagnostics",
+                        "--out", outdir]
+                if t_final is not None:
+                    argv += ["--t-final", repr(t_final)]
+                text = io.StringIO()
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(text), \
+                        contextlib.redirect_stderr(text):
+                    code = modules[side].cli.main(argv)
+                return time.perf_counter() - start, (outdir, code,
+                                                     text.getvalue())
+
+            call, outputs_of = ((run, _outputs) if cli_snapshots is None
+                                else (run_cli, _cli_outputs))
+            outputs = {side: outputs_of(call(side)[1]) for side in _SIDES}
             if outputs["a"] != outputs["b"]:
                 print(f"outputs differ: {scenario} at N = {cells}")
                 return 1
-            print(f"outputs identical: {scenario} at N = {cells}, "
-                  f"{outputs['a'][2]} steps")
+            out = outputs["a"]
+            print(f"outputs identical: {scenario} at N = {cells}, " + (
+                f"{out[2]} steps" if cli_snapshots is None
+                else f"{len(out[2])} files, exit {out[0]}"))
 
             times = {side: [] for side in _SIDES}
             for k in range(pairs):
                 for side in (_SIDES if k % 2 == 0 else _SIDES[::-1]):
-                    times[side].append(run(side)[0])
+                    times[side].append(call(side)[0])
         finally:
             sys.path.remove(tmp)
             for name in list(sys.modules):
@@ -108,11 +151,14 @@ def main(argv=None) -> int:
     parser.add_argument("--cells", type=int, required=True)
     parser.add_argument("--t-final", type=float, default=None)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--cli", metavar="TIMES",
+                        help="time trsw.cli.main with --snapshots TIMES "
+                             "--diagnostics instead of run_simulation")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return compare(args.src_a, args.src_b, args.scenario, args.cells,
-                   args.t_final, args.pairs)
+                   args.t_final, args.pairs, args.cli)
 
 
 if __name__ == "__main__":
