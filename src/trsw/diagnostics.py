@@ -1,6 +1,6 @@
 """Verification quantities: thermo-geostrophic balance residuals and their
-time averages, conservation ledgers, energy, potential vorticity, total
-variation, and linear-theory reference values.
+time averages, conservation ledgers, energy, total variation, and
+linear-theory reference values.
 
 Spatial derivatives use centered differences in the interior and one-sided
 differences at the boundaries, matching the second-order scheme.
@@ -126,14 +126,6 @@ def energy(state: ConservedState, grid: Grid, topo: Topography,
     potential *= h
     density += potential
     return float(density.sum() * grid.dy)
-
-
-def potential_vorticity(state: ConservedState, coriolis: CoriolisSpec,
-                        grid: Grid) -> np.ndarray:
-    """Q = (f - u_y) / h per cell (desingularized in h)."""
-    u = desingularized_ratio(state.h, state.q)
-    u_y = np.gradient(u, grid.dy)
-    return desingularized_ratio(state.h, coriolis.values(grid.centers) - u_y)
 
 
 def rossby_burger(u0: float, length: float, h0: float, b_mean: float,

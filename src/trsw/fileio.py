@@ -19,7 +19,7 @@ way, so the files keep their bytes.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -50,10 +50,8 @@ def _csv_rows(columns):
 
 
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
-                   t: float, scenario_name: str = "custom",
-                   numerics: Optional[Numerics] = None) -> None:
+                   t: float, scenario_name: str, numerics: Numerics) -> None:
     """Write one solution snapshot as CSV (see SNAPSHOT_COLUMNS)."""
-    numerics = numerics or Numerics()
     u, v, b, w = primitives_from_state(state, topo)
     columns = (grid.center_text, state.h, state.q, state.p, state.hb,
                u, v, b, w, topo.z_center)

@@ -53,8 +53,9 @@ class Grid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need at least 4 cells, got {self.n}")
-        if not self.y_max > self.y_min:
-            raise ValueError(f"empty domain [{self.y_min}, {self.y_max}]")
+        if not -np.inf < self.y_min < self.y_max < np.inf:
+            raise ValueError(f"domain [{self.y_min}, {self.y_max}] must be "
+                             f"finite and nonempty")
 
     @property
     def dy(self) -> float:
@@ -124,21 +125,10 @@ class Topography:
         return _differences(self.z_center)
 
 
-def sample_topography(
-    z_left: Callable[[np.ndarray], np.ndarray],
-    z_right: Optional[Callable[[np.ndarray], np.ndarray]],
-    grid: Grid,
-) -> Topography:
-    """Sample the bottom at interfaces as the average of one-sided limits.
-
-    For a continuous bottom pass the same function twice (or z_right=None);
-    the average then reduces to the point value.
-    """
-    if z_right is None:
-        z_right = z_left
-    y = grid.interfaces
-    zi = 0.5 * (np.asarray(z_left(y), float) + np.asarray(z_right(y), float))
-    return Topography(zi)
+def sample_topography(z: Callable[[np.ndarray], np.ndarray],
+                      grid: Grid) -> Topography:
+    """Sample the bottom function ``z`` at the grid's interfaces."""
+    return Topography(z(grid.interfaces))
 
 
 def flat_topography(grid: Grid) -> Topography:
@@ -155,6 +145,12 @@ class CoriolisSpec:
 
     f0: float
     beta: float = 0.0
+
+    def __post_init__(self):
+        for name in ("f0", "beta"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def is_constant(self) -> bool:
@@ -209,10 +205,6 @@ class ConservedState:
     def from_fields(cls, h, q, p, hb) -> "ConservedState":
         return cls(np.stack([np.asarray(h, float), np.asarray(q, float),
                              np.asarray(p, float), np.asarray(hb, float)]))
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[1]
 
     @property
     def h(self) -> np.ndarray:

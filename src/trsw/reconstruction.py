@@ -78,17 +78,6 @@ def _fill_ghosts(padded: np.ndarray) -> np.ndarray:
     return padded
 
 
-def pad_cells(values: np.ndarray, out=None) -> np.ndarray:
-    """Edge-replicate GHOST cells at both ends of the last axis (zero-order
-    extrapolation) into ``out``, or a fresh array; any leading shape is
-    kept."""
-    v = np.asarray(values, float)
-    if out is None:
-        out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * GHOST,))
-    out[..., GHOST:-GHOST] = v
-    return _fill_ghosts(out)
-
-
 def source_potential(state: ConservedState, topo: Topography,
                      coriolis: CoriolisSpec, grid: Grid, ws=None):
     """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces.
@@ -234,10 +223,11 @@ def build_interface_states(state: ConservedState, topo: Topography,
     """Full reconstruction pipeline from cell averages to interface states.
 
     ``state`` is a ConservedState or its (4, n) array; it is not checked
-    here. The cell values of b, L and the surface w = h + Z are formed on
-    the n cells and then edge-padded like q and p, which gives the same
-    ghost values as forming them on the padded state. The interface
-    states are rows of the workspace ``ws`` (a fresh one by default).
+    here. q and p, and the cell values of b, L and the surface w = h + Z,
+    are written into the n cells of padded workspace rows and edge-padded
+    there, which gives the same ghost values as forming b, L and w on the
+    padded state. The interface states are rows of the workspace ``ws``
+    (a fresh one by default).
     """
     if ws is None:
         ws = Workspace(grid.n)
@@ -258,7 +248,8 @@ def build_interface_states(state: ConservedState, topo: Topography,
     l_pad = _fill_ghosts(ws.l_pad)
 
     iv_work = ws.iv_work
-    q_pad, p_pad = pad_cells(u[1:3], out=ws.qp_pad)
+    np.copyto(ws.qp_cells, u[1:3])
+    q_pad, p_pad = _fill_ghosts(ws.qp_pad)
     q_minus, q_plus = interface_values(q_pad, sigma, dy, ws.q_out, iv_work)
     p_minus, p_plus = interface_values(p_pad, sigma, dy, ws.p_out, iv_work)
     l_minus, l_plus = interface_values(l_pad, sigma, dy, ws.l_out, iv_work)

@@ -34,12 +34,10 @@ from .model import (CoriolisSpec, Scenario, build_grid,
 def perturbation_bump(y) -> np.ndarray:
     """Surface perturbation of ex1: 0.1 on the closed interval
     [-1.5, -1.4], zero elsewhere."""
-    y = np.asarray(y, float)
     return np.where((y >= -1.5) & (y <= -1.4), 0.1, 0.0)
 
 
 def _ex1_bottom(y):
-    y = np.asarray(y, float)
     left = 0.85 * (np.cos(10.0 * np.pi * (y + 0.9)) + 1.0)
     right = 1.25 * (np.cos(10.0 * np.pi * (y - 0.4)) + 1.0)
     return np.where((y >= -1.0) & (y <= -0.8), left,
@@ -47,7 +45,6 @@ def _ex1_bottom(y):
 
 
 def _ex2_bottom(y):
-    y = np.asarray(y, float)
     left = 2.0 * (np.cos(10.0 * np.pi * (y + 0.3)) + 1.0)
     right = 0.5 * (np.cos(10.0 * np.pi * (y - 0.3)) + 1.0)
     return np.where((y >= -0.4) & (y <= -0.2), left,
@@ -55,20 +52,18 @@ def _ex2_bottom(y):
 
 
 def _ex3_jet(y):
-    y = np.asarray(y, float)
     return (2.0 * (1.0 + np.tanh(2.0 * y + 2.0))
             * (1.0 - np.tanh(2.0 * y - 2.0)) / (1.0 + np.tanh(2.0)) ** 2)
 
 
 def _ex4_v_hump(y):
-    y = np.asarray(y, float)
     return np.where((y > -0.5) & (y < 0.5),
                     0.1 * np.exp(-y * y) - 0.1 * np.exp(-0.25), 0.0)
 
 
 def _ex1(perturbed: bool, n: int) -> Scenario:
     grid = build_grid(-2.0, 2.0, n)
-    surface = lambda y: np.where(np.asarray(y, float) < 0.0, 6.0, 4.0)
+    surface = lambda y: np.where(y < 0.0, 6.0, 4.0)
     if perturbed:
         height = lambda y: surface(y) + perturbation_bump(y)
     else:
@@ -77,9 +72,9 @@ def _ex1(perturbed: bool, n: int) -> Scenario:
         name="ex1-perturbed" if perturbed else "ex1-steady",
         grid=grid,
         coriolis=CoriolisSpec(0.0),
-        topography=sample_topography(_ex1_bottom, None, grid),
+        topography=sample_topography(_ex1_bottom, grid),
         height=height, height_is_surface=True,
-        b0=lambda y: np.where(np.asarray(y, float) < 0.0, 4.0, 9.0),
+        b0=lambda y: np.where(y < 0.0, 4.0, 9.0),
         t_final=0.4, snapshots=(0.1, 0.2, 0.4))
 
 
@@ -88,26 +83,26 @@ def _ex2(n: int) -> Scenario:
     return Scenario(
         name="ex2", grid=grid,
         coriolis=CoriolisSpec(0.0),
-        topography=sample_topography(_ex2_bottom, None, grid),
-        height=lambda y: np.where(np.asarray(y, float) < 0.0, 5.0, 1.0),
+        topography=sample_topography(_ex2_bottom, grid),
+        height=lambda y: np.where(y < 0.0, 5.0, 1.0),
         height_is_surface=True,
-        b0=lambda y: np.where(np.asarray(y, float) < 0.0, 1.0, 5.0),
+        b0=lambda y: np.where(y < 0.0, 1.0, 5.0),
         t_final=0.3, snapshots=(0.3,))
 
 
 def _ex3(case: str, n: int) -> Scenario:
     grid = build_grid(-250.0, 250.0, n)
     b_profiles = {
-        "a": lambda y: np.ones_like(np.asarray(y, float)),
-        "b": lambda y: 1.0 + 0.1 * np.tanh(0.5 * np.asarray(y, float)),
-        "c": lambda y: 1.0 - 0.1 * np.tanh(0.5 * np.asarray(y, float)),
+        "a": lambda y: np.ones_like(y),
+        "b": lambda y: 1.0 + 0.1 * np.tanh(0.5 * y),
+        "c": lambda y: 1.0 - 0.1 * np.tanh(0.5 * y),
     }
     t_final = 19.2 * math.pi
     return Scenario(
         name=f"ex3{case}", grid=grid,
         coriolis=CoriolisSpec(1.0),
         topography=flat_topography(grid),
-        height=lambda y: np.ones_like(np.asarray(y, float)),
+        height=lambda y: np.ones_like(y),
         u0=_ex3_jet, b0=b_profiles[case],
         t_final=t_final, snapshots=(9.2 * math.pi, t_final))
 
@@ -118,10 +113,10 @@ def _ex4(n: int) -> Scenario:
         name="ex4", grid=grid,
         coriolis=CoriolisSpec(1.0),
         topography=flat_topography(grid),
-        height=lambda y: np.ones_like(np.asarray(y, float)),
-        u0=lambda y: 3.0 - 3.0 * np.tanh(np.asarray(y, float)) ** 2,
+        height=lambda y: np.ones_like(y),
+        u0=lambda y: 3.0 - 3.0 * np.tanh(y) ** 2,
         v0=_ex4_v_hump,
-        b0=lambda y: 10.0 - 6.0 * np.tanh(np.asarray(y, float)),
+        b0=lambda y: 10.0 - 6.0 * np.tanh(y),
         t_final=10.0, snapshots=(2.0, 4.0, 6.0, 8.0, 10.0))
 
 
@@ -132,9 +127,9 @@ def _ex5(n: int) -> Scenario:
         name="ex5", grid=grid,
         coriolis=CoriolisSpec(0.0, 0.1),
         topography=flat_topography(grid),
-        height=lambda y: np.full_like(np.asarray(y, float), 0.121),
-        u0=lambda y: -0.1 * np.exp(-np.asarray(y, float) ** 2),
-        b0=lambda y: 0.1 + 0.01 * np.exp(-np.asarray(y, float) ** 2),
+        height=lambda y: np.full_like(y, 0.121),
+        u0=lambda y: -0.1 * np.exp(-y ** 2),
+        b0=lambda y: 0.1 + 0.01 * np.exp(-y ** 2),
         t_final=t_final,
         snapshots=(49.2 * math.pi, 69.2 * math.pi, 83.2 * math.pi, t_final))
 
@@ -146,9 +141,9 @@ def _ex6(n: int) -> Scenario:
         name="ex6", grid=grid,
         coriolis=CoriolisSpec(0.0, 0.1),
         topography=flat_topography(grid),
-        height=lambda y: 0.11 - 0.05 * np.exp(-np.asarray(y, float) ** 2),
-        u0=lambda y: -0.1 * np.exp(-np.asarray(y, float) ** 2),
-        b0=lambda y: np.full_like(np.asarray(y, float), 0.1),
+        height=lambda y: 0.11 - 0.05 * np.exp(-y ** 2),
+        u0=lambda y: -0.1 * np.exp(-y ** 2),
+        b0=lambda y: np.full_like(y, 0.1),
         t_final=t_final,
         snapshots=(0.26 * math.pi, 0.94 * math.pi, 1.62 * math.pi, t_final))
 
@@ -158,10 +153,10 @@ def _lake_at_rest(n: int) -> Scenario:
     return Scenario(
         name="lake-at-rest", grid=grid,
         coriolis=CoriolisSpec(0.0),
-        topography=sample_topography(_ex2_bottom, None, grid),
-        height=lambda y: np.full_like(np.asarray(y, float), 5.0),
+        topography=sample_topography(_ex2_bottom, grid),
+        height=lambda y: np.full_like(y, 5.0),
         height_is_surface=True,
-        b0=lambda y: np.ones_like(np.asarray(y, float)),
+        b0=lambda y: np.ones_like(y),
         t_final=0.3, snapshots=(0.3,))
 
 

@@ -34,11 +34,11 @@ _DRAIN_SAFETY = 1.0 - 1.0e-10
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the solution stops being finite; carries the time."""
+    """Raised when the solution stops being finite; the message names the
+    time."""
 
     def __init__(self, t: float, message: str = "non-finite solution"):
         super().__init__(f"{message} at t={t:.6g}")
-        self.t = t
 
 
 def source_term(state: ConservedState, iface: InterfaceStates,
@@ -283,7 +283,6 @@ class SimulationResult:
     with whatever partial outputs were collected."""
 
     scenario: Scenario
-    initial_state: ConservedState
     state: ConservedState
     t: float
     snapshots: List[Tuple[float, ConservedState]] = field(default_factory=list)
@@ -314,7 +313,7 @@ def run_simulation(scenario: Scenario,
     # first, so that it can take the block the previous run freed
     ws = Workspace(scenario.grid.n)
     state = scenario.initial_state()
-    result = SimulationResult(scenario, state, state, 0.0)
+    result = SimulationResult(scenario, state, 0.0)
     ledger = ConservationLedger(state, scenario.grid)
     if collect_records:
         result.records.append(make_record(0.0, state, scenario, ledger, ws))

@@ -84,6 +84,7 @@ class Workspace:
         self.sp_work = (s[2, :n], s[3, :n], s[4, :n])
         self.cell_work = s[2, :n]
         self.qp_pad = s[2:4]
+        self.qp_cells = self.qp_pad[:, GHOST:-GHOST]
         self.iv_work = (s[4, :n + 3], s[5, :n + 2], s[7, :n + 2])
         self.b_pad = s[2]
         self.b_cell = self.b_pad[GHOST:-GHOST]

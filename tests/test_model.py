@@ -31,6 +31,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("y_min,y_max", [
+        (-np.inf, 0.0), (0.0, np.inf), (-np.inf, np.inf)])
+    def test_non_finite_domain_rejected(self, y_min, y_max):
+        # refused at construction, not left to end the run as a solver
+        # failure at t=0
+        with pytest.raises(ValueError, match="finite"):
+            build_grid(y_min, y_max, 8)
+
     def test_endpoints_exact(self):
         g = build_grid(-3.7, 11.1, 53)
         assert g.interfaces[0] == -3.7
@@ -60,7 +68,7 @@ class TestTopography:
 
     def test_linear_function_reproduced(self):
         g = Grid(0.0, 1.0, 4)
-        topo = sample_topography(lambda y: y, None, g)
+        topo = sample_topography(lambda y: y, g)
         assert topo.z_iface == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert topo.z_center == pytest.approx([0.125, 0.375, 0.625, 0.875])
 
@@ -75,18 +83,10 @@ class TestTopography:
         # the second bottom hump peaks at 2.5 where an interface hits 0.4
         g = build_grid(-2.0, 2.0, 100)
         from trsw.scenarios import _ex1_bottom
-        topo = sample_topography(_ex1_bottom, None, g)
+        topo = sample_topography(_ex1_bottom, g)
         j = np.argmin(np.abs(g.interfaces - 0.4))
         assert g.interfaces[j] == pytest.approx(0.4, abs=1e-14)
         assert topo.z_iface[j] == pytest.approx(2.5, rel=1e-14)
-
-    def test_discontinuous_limits_averaged(self):
-        g = build_grid(-1.0, 1.0, 4)
-        step_left = lambda y: np.where(np.asarray(y) <= 0.0, 1.0, 3.0)
-        step_right = lambda y: np.where(np.asarray(y) < 0.0, 1.0, 3.0)
-        topo = sample_topography(step_left, step_right, g)
-        # midpoint interface sits exactly on the jump: average of limits
-        assert topo.z_iface[2] == pytest.approx(2.0)
 
     def test_differences_are_np_diff_bit_exact(self):
         z = np.random.default_rng(3).uniform(-1, 1, 17)
@@ -147,7 +147,7 @@ class TestConservedState:
 
     def test_field_views(self):
         st = ConservedState.from_fields([1, 2], [3, 4], [5, 6], [7, 8])
-        assert st.n == 2
+        assert st.h.shape == (2,)
         assert list(st.q) == [3.0, 4.0]
         assert list(st.hb) == [7.0, 8.0]
 
@@ -178,7 +178,7 @@ class TestDesingularization:
 class TestPrimitives:
     def test_rest_state(self):
         g = build_grid(0.0, 1.0, 4)
-        topo = sample_topography(lambda y: 0.5 * np.ones_like(y), None, g)
+        topo = sample_topography(lambda y: 0.5 * np.ones_like(y), g)
         st = ConservedState.from_fields([2.0] * 4, [0.0] * 4, [1.0] * 4,
                                         [6.0] * 4)
         u, v, b, w = primitives_from_state(st, topo)
@@ -186,6 +186,17 @@ class TestPrimitives:
         assert np.allclose(v, 0.5)
         assert np.allclose(b, 3.0)
         assert np.allclose(w, 2.5)
+
+
+class TestCoriolisSpec:
+    @pytest.mark.parametrize("f0,beta", [
+        (np.inf, 0.0), (-np.inf, 0.0), (np.nan, 0.0), (0.0, np.nan),
+        (0.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, f0, beta):
+        # refused at construction, not left to end the run as a
+        # non-finite solution
+        with pytest.raises(ValueError, match="finite"):
+            CoriolisSpec(f0, beta)
 
 
 class TestNumericsAndScenario:
@@ -237,7 +248,7 @@ class TestNumericsAndScenario:
 
     def test_surface_height_uses_cell_center_bottom(self):
         g = build_grid(0.0, 1.0, 4)
-        topo = sample_topography(lambda y: y, None, g)
+        topo = sample_topography(lambda y: y, g)
         s = Scenario(name="x", grid=g, coriolis=CoriolisSpec(0.0),
                      topography=topo,
                      height=lambda y: np.full_like(y, 2.0),

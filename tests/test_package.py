@@ -1,7 +1,9 @@
-"""Tests of the package surface: the names public as ``trsw.X``, and the
+"""Tests of the package surface: the names public as ``trsw.X``, the
+module-level names that something outside the tests reaches, and the
 module attributes that the benchmark's tracer (``perfbench/spans.py``)
 rebinds to time each layer."""
 
+import ast
 import dataclasses
 import glob
 import importlib.util
@@ -58,21 +60,46 @@ class TestSettings:
         assert sorted(trsw.cli._CONFIG_KEYS) == sorted(dests - flag_only)
 
 
-def _load_spans():
-    """perfbench/spans.py as a module of its own name, leaving sys.path
-    alone."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _parsed(pattern):
+    trees = []
+    for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+        with open(path) as fh:
+            trees.append(ast.parse(fh.read(), path))
+    return trees
+
+
+def _unreached_definitions():
+    """Module-level functions and classes of src/trsw that no code outside
+    the tests names: none of the package, the benchmark or the tools uses
+    them as a name or an attribute, trsw.__all__ does not hold them, and
+    the README does not write them as ``trsw.<module>.<name>``."""
+    package = _parsed("src/trsw/*.py")
+    defined = {node.name for tree in package for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    used = set(trsw.__all__)
+    for tree in package + _parsed("perfbench/*.py") + _parsed("tools/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        used.update(re.findall(r"\btrsw\.\w+\.(\w+)", fh.read()))
+    return sorted(defined - used)
+
+
+class TestReach:
+    def test_every_module_level_definition_is_reached(self):
+        # a function or class that only the tests call is code the
+        # library, the CLI and the benchmark do not need
+        assert _unreached_definitions() == []
 
 
 class TestSpanTargets:
-    def test_every_target_records_a_call(self, tmp_path, capsys):
+    def test_every_target_records_a_call(self, tmp_path, capsys, spans):
         # a call that stops going through a rebound name would leave its
         # span at 0 s in every traced benchmark run
-        spans = _load_spans()
         tracer = spans.Tracer()
         with tracer.installed(trsw):
             with tracer.call():
