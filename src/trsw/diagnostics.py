@@ -87,7 +87,6 @@ class ConservationLedger:
     integral of the conservative update."""
 
     def __init__(self, initial: ConservedState, grid: Grid):
-        self.dy = grid.dy
         self.mass0 = float(initial.h.sum() * grid.dy)
         self.hb0 = float(initial.hb.sum() * grid.dy)
         self._outflow_h = 0.0

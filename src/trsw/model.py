@@ -53,9 +53,11 @@ class Grid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need at least 4 cells, got {self.n}")
-        if not -np.inf < self.y_min < self.y_max < np.inf:
-            raise ValueError(f"domain [{self.y_min}, {self.y_max}] must be "
-                             f"finite and nonempty")
+        if not (-np.inf < self.y_min < self.y_max < np.inf
+                and 0.0 < self.dy < np.inf):
+            raise ValueError(f"domain [{self.y_min}, {self.y_max}] over "
+                             f"{self.n} cells must be finite and nonempty "
+                             f"and give a positive, finite cell width")
 
     @property
     def dy(self) -> float:
@@ -175,13 +177,16 @@ class Numerics:
             raise ValueError(f"sigma must lie in [1, 2], got {self.sigma}")
 
 
-def check_nonnegative(u: np.ndarray) -> None:
+def check_nonnegative(u: np.ndarray) -> Tuple[float, float]:
     """Raise ValueError if a (4, n) array of cell averages (h, q, p, hb)
-    holds a negative depth or depth-weighted buoyancy."""
-    if (u[0] < 0.0).any():
+    holds a negative depth or depth-weighted buoyancy; return the minima
+    of h and hb. NaN is skipped, so it neither raises nor is returned."""
+    min_h, min_hb = np.fmin.reduce(u[::3], axis=1, initial=np.inf)
+    if min_h < 0.0:
         raise ValueError("negative depth in conserved state")
-    if (u[3] < 0.0).any():
+    if min_hb < 0.0:
         raise ValueError("negative depth-weighted buoyancy in conserved state")
+    return min_h, min_hb
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,9 @@ h, hb >= 0; a ConservedState is built only for the accepted step.
 run, and every kernel of a stage writes into it. Arrays handed out under
 a run's workspace (interface states, fluxes, speeds, stage states and
 tendencies) are valid until the next stage, which writes over them; the
-accepted state of a step is a copy, and so are the snapshots and records.
-The public kernels called without a workspace return fresh arrays.
+draining limiter scales the stage's fluxes in place. The accepted state
+of a step is a copy, and so are the snapshots and records. The public
+kernels called without a workspace return fresh arrays.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     Each cell's drain time is dy*rho / (sum of its outgoing fluxes); every
     interface flux is scaled by min(dt, drain time of the donor cell)/dt,
     the donor being the upwind cell by flux sign. Momentum fluxes are left
-    untouched. Returns the adjusted fluxes and the number of limited
-    interfaces. When no donor drains within dt every scale would be
-    exactly dt/dt = 1, so ``flux`` itself comes back, uncopied, with a
-    count of 0; the input is never written to. Limited fluxes are a
-    (4, n+1) block of the workspace ``ws`` (a fresh one by default).
+    untouched. The h and hb rows of ``flux`` are scaled in place, and
+    ``flux`` comes back with the number of limited interfaces. When no
+    donor drains within dt every scale would be exactly dt/dt = 1, so
+    ``flux`` comes back unwritten with a count of 0. The temporaries are
+    rows of the workspace ``ws`` (a fresh one by default).
     """
     if ws is None:
         ws = Workspace(u.shape[1])
@@ -166,14 +167,12 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     # written so that a NaN drain time takes the scaling path below
     if np.greater_equal(donor_t, dt, out=ws.drain_mask).all():
         return flux, 0
-    limited_flux = ws.limited_flux
-    np.copyto(limited_flux, flux)
     scale = np.minimum(dt, donor_t, out=donor_t)
     scale /= dt
-    np.multiply(flux_rows, scale, out=ws.limited_flux_rows)
+    np.multiply(flux_rows, scale, out=flux_rows)
     below = np.less(scale, 1.0, out=ws.drain_mask)
     limited = np.logical_or(below[0], below[1], out=ws.limited)
-    return limited_flux, int(np.count_nonzero(limited))
+    return flux, int(np.count_nonzero(limited))
 
 
 def ssp_rk3_combine(u, dt: float, f: Callable, u1=None, u2=None):
@@ -222,16 +221,17 @@ class StepReport:
     bflux_hb: Tuple[float, float] = (0.0, 0.0)
 
 
-def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, t: float,
-              t_event: float,
+def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
               ws: Workspace) -> Tuple[ConservedState, StepReport]:
-    """One SSP-RK3 step from the (4, n) state ``u0`` at time t and its
-    assemble_fluxes output, both in ``ws``. cfl_dt sizes the step from the
-    stage-1 speeds; a step that reaches t_event ends on it exactly. Every
-    stage drains its fluxes at dt, so h and hb stay nonnegative; each
-    later stage state is checked for that once (ValueError) before it is
-    reconstructed. Non-finite speeds or output raise IntegrationError."""
+    """One SSP-RK3 step from the (4, n) state ``u0`` at time t, its stages
+    in ``ws``. cfl_dt sizes the step from the stage-1 speeds; a step that
+    reaches t_event ends on it exactly. Every stage drains its fluxes at
+    dt, so h and hb stay nonnegative; each later stage state is checked
+    for that once (ValueError), which gives the report its minima, before
+    it is reconstructed. Non-finite speeds or output raise IntegrationError."""
     grid, coriolis = scenario.grid, scenario.coriolis
+    fluxes = assemble_fluxes(u0, scenario.topography, coriolis, grid,
+                             scenario.numerics, ws)
     _, a_plus, a_minus, _ = fluxes
     # the stage-1 speeds, read now, as stage 2 writes over them
     a_max = float(max(a_plus.max(initial=0.0), -a_minus.min(initial=0.0)))
@@ -247,8 +247,7 @@ def _rk3_step(u0: np.ndarray, fluxes, scenario: Scenario, t: float,
     def stage(u):
         flux, _, _, iface = fluxes
         if stages:  # a later stage: check and reconstruct its state
-            check_nonnegative(u)
-            minima.append((u[0].min(), u[3].min()))
+            minima.append(check_nonnegative(u))
             flux, _, _, iface = assemble_fluxes(
                 u, scenario.topography, coriolis, grid, scenario.numerics,
                 ws)
@@ -333,11 +332,8 @@ def run_simulation(scenario: Scenario,
     while t < t_final:
         next_event = events[ev]
         try:
-            fluxes = assemble_fluxes(state, scenario.topography,
-                                     scenario.coriolis, scenario.grid,
-                                     scenario.numerics, ws)
-            state, report = _rk3_step(state.array, fluxes, scenario, t,
-                                      next_event, ws)
+            state, report = _rk3_step(state.array, scenario, t, next_event,
+                                      ws)
         except (IntegrationError, ValueError) as err:
             result.failed = True
             result.failure_message = str(err)

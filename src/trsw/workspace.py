@@ -17,11 +17,13 @@ writes over it. A public kernel called without a workspace builds a
 fresh one, so its results are fresh arrays.
 
 Every row is a view of one float block with n + 4 columns (the padded
-cell count) or of one boolean block. Dedicated rows hold what lives
-through a stage or a step: the two stage states and the tendency of the
-SSP-RK3 step, the interface states, the fluxes and the speeds. Eleven
-scratch rows s0..s10 are shared by temporaries whose lifetimes do not
-overlap; ``__init__`` lists which phase of a stage uses which.
+cell count) or of one boolean block. The rule: every value that crosses
+a call of ``assemble_fluxes``, ``draining_limit``, ``_tendency`` or
+``make_record`` lives in a dedicated row: the two stage states and the
+tendency of the SSP-RK3 step, the interface states, the fluxes and the
+speeds. Eleven scratch rows s0..s10 hold the temporaries inside one such
+call, which may write over all of them; ``__init__`` lists which phase
+uses which.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 GHOST = 2  # edge-copied ghost cells per side; enough for the slope stencil
 
 _DEDICATED = 31  # u1, u2, tend (4 each), flux (4), speeds (2), 12 sides, L pad
-_SCRATCH = 11
+_SCRATCH = 11  # temporaries inside one call, which may write over them all
 _BOOLS = 4
 
 
@@ -112,8 +114,8 @@ class Workspace:
         # draining limiter, rows h and hb side by side: the fluxes with a
         # zero on each side (s0-s1), outflows (s2-s3) and the negated
         # inflows (s4-s5); then the edge-padded densities and drain times
-        # over the first (s0-s1), the donor drain times over the third
-        # (s4-s5), and the limited fluxes over s0-s3
+        # over the first (s0-s1) and the donor drain times over the third
+        # (s4-s5); the fluxes are scaled in their own rows
         ext = s[0:2, :n + 3]
         self.drain_ext = ext
         self.drain_ext_mid = ext[:, 1:-1]
@@ -128,10 +130,8 @@ class Workspace:
         self.donor = s[4:6, :m]
         self.drain_mask = b[0:2, :m]
         self.limited = b[2, :m]
-        self.limited_flux = s[0:4, :m]
-        self.limited_flux_rows = self.limited_flux[::3]
 
-        # the source term (s4-s5, clear of the limited fluxes)
+        # the source term (s4-s5)
         self.source_out, self.source_work = s[4, :n], s[5, :n]
 
         # the per-step diagnostics record, between steps

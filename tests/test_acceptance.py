@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 import trsw
-from trsw.fileio import compare_fields
+from trsw.fileio import compare_fields, restrict_average
 from trsw.model import (CoriolisSpec, Scenario, build_grid,
-                        desingularized_ratio, flat_topography)
+                        desingularized_ratio, flat_topography,
+                        sample_topography)
 from trsw.scenarios import make_scenario
 from trsw.stepper import run_simulation, ssp_rk3_combine
 
@@ -256,6 +257,43 @@ class TestCriterion6Orders:
         assert 1.8 <= order <= 2.2
         report(6, f"spatial order {order:.3f} "
                   f"(L1 errors {', '.join('%.2e' % e for e in errors)})")
+
+    def test_spatial_second_order_of_full_system_in_interior(self):
+        # every term of the scheme: variable f, b and bottom, and both
+        # velocities; minmod-limited second-order reconstruction of smooth
+        # data gives order 2 away from the boundary, while zero-order
+        # extrapolation beside the sloping bottom is first order at it
+        def smooth(n):
+            g = build_grid(-10.0, 10.0, n)
+            return Scenario(
+                name="smooth-full", grid=g, coriolis=CoriolisSpec(0.5, 0.1),
+                topography=sample_topography(
+                    lambda y: 0.1 * np.cos(0.3 * y), g),
+                height=lambda y: 1.0 + 0.1 * np.exp(-y ** 2),
+                b0=lambda y: 1.0 + 0.2 * np.tanh(y / 2.0),
+                u0=lambda y: 0.1 * np.exp(-y ** 2 / 4.0), t_final=1.0)
+
+        finals = {}
+        for n in (200, 400, 800, 1600):
+            res = run_simulation(smooth(n), collect_records=False)
+            assert not res.failed
+            finals[n] = res.state.array
+        orders = {}
+        for row, name in ((0, "h"), (2, "p")):
+            interior, whole = [], []
+            for n in (200, 400, 800):
+                g = build_grid(-10.0, 10.0, n)
+                err = np.abs(finals[n][row]
+                             - restrict_average(finals[2 * n][row], 2)) * g.dy
+                interior.append(err[np.abs(g.centers) < 6.0].sum())
+                whole.append(err.sum())
+            orders[name] = (np.log2(np.divide(interior[:-1], interior[1:])),
+                            np.log2(np.divide(whole[:-1], whole[1:])))
+        for name, (inner, _) in orders.items():
+            assert inner.min() >= 1.9, (name, inner)
+        report(6, "full-system L1 orders over |y| < 6: " + ", ".join(
+            f"{name} {a:.3f} {b:.3f} (whole domain {c:.2f} {d:.2f})"
+            for name, ((a, b), (c, d)) in orders.items()))
 
 
 class TestCriterion7TimeAveragedBalance:

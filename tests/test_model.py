@@ -39,6 +39,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             build_grid(y_min, y_max, 8)
 
+    @pytest.mark.parametrize("y_min,y_max", [
+        (-1e308, 1e308),  # the width overflows to inf
+        (0.0, 5e-324)])   # the width underflows to 0
+    def test_cell_width_not_positive_and_finite_rejected(self, y_min, y_max):
+        with pytest.raises(ValueError, match=r"\[.*\] over 8 cells"):
+            build_grid(y_min, y_max, 8)
+
     def test_endpoints_exact(self):
         g = build_grid(-3.7, 11.1, 53)
         assert g.interfaces[0] == -3.7
