@@ -59,11 +59,11 @@ class Grid:
                              f"{self.n} cells must be finite and nonempty "
                              f"and give a positive, finite cell width")
 
-    @property
+    @cached_property
     def dy(self) -> float:
         return (self.y_max - self.y_min) / self.n
 
-    @property
+    @cached_property
     def length(self) -> float:
         return self.y_max - self.y_min
 

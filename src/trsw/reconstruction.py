@@ -52,6 +52,11 @@ def interface_values(padded: np.ndarray, sigma: float, dy: float, out=None,
     pair (minus, half) of n+1 and n+2 values; the plus side is returned as
     the tail of half. ``work`` holds the one-sided differences (n+3) and
     minmod's pair of scratch arrays (n+2).
+
+    ``padded`` may also be k padded fields laid end to end, a flattened
+    (k, n+4) block; every length above then grows by (k-1)(n+4). Field
+    j's values start at j(n+4) of minus and of plus, and the three values
+    between two fields mix them and mean nothing.
     """
     v = np.asarray(padded, float)
     minus_buf, half_buf = out if out is not None else (None, None)
@@ -134,36 +139,44 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
     In every other case (no positive root, D <= 0, or vanishing b) the
     fallback depth is returned, so the function is total.
 
-    With ``out`` the inputs are equally shaped 1-D arrays, the depths are
-    written into ``out``, and ``work`` holds three float and three boolean
-    scratch arrays of that shape. Without it the inputs broadcast and the
-    result is fresh, a float for scalars.
+    With ``out``, p_side, l_side, h_fallback and ``out`` hold the sides
+    stacked on a leading axis, (s, m), and b_mid and r_iface are (m,)
+    rows broadcast over them; ``out`` may be h_fallback itself. The solve
+    takes g sides at a time, g being the rows of ``work``: three float
+    and, last, two flag blocks (g, m), with 27 b and a flag of b's shape
+    between them. Without ``out`` the inputs broadcast and the result is
+    fresh, a float for scalars.
     """
     if out is None:
         args = np.broadcast_arrays(*(
             np.asarray(a, float)
             for a in (p_side, b_mid, l_side, r_iface, h_fallback)))
         shape = args[0].shape
-        size = args[0].size
-        work = fresh(size, 3, 3)
-        h = _solve_depth(*(a.ravel() for a in args), np.empty(size), work)
-        return float(h[0]) if not shape else h.reshape(shape)
-    return _solve_depth(p_side, b_mid, l_side, r_iface, h_fallback, out, work)
+        p, b, l, r, fb = (a.ravel() for a in args)
+        h = np.empty((1, p.size))  # one side
+        _solve_depth(p[None], b, l[None], r, fb[None], h,
+                     fresh(h.shape, 4, 3))
+        return float(h[0, 0]) if not shape else h.reshape(shape)
+    g = len(work[0])
+    for i in range(0, len(out), g):
+        _solve_depth(p_side[i:i + g], b_mid, l_side[i:i + g], r_iface,
+                     h_fallback[i:i + g], out[i:i + g], work)
+    return out
 
 
 def _solve_depth(p, b, l, r, fb, h, work):
-    """depth_from_equilibrium on equally shaped 1-D arrays, into ``h``."""
-    d, x, t, ok, rootable, mask = work
+    """depth_from_equilibrium on (g, m) sides into ``h``; see there."""
+    d, x, t, b27, ok, rootable, mask = work
     np.subtract(l, r, out=d)
     np.copyto(h, fb)
 
     np.greater(b, _TINY, out=ok)
     # 8 d^3 / (27 b), divided only where b > TINY: elsewhere ok masks it out
-    np.multiply(b, 27.0, out=t, where=ok)
+    np.multiply(b, 27.0, out=b27, where=ok)
     np.multiply(d, d, out=x)
     x *= d
     x *= 8.0
-    np.divide(x, t, out=x, where=ok)
+    np.divide(x, b27, out=x, where=ok)
     p4 = np.multiply(p, p, out=t)
     p4 *= p4
     # d > 0 is tested on its own because p^4 and d^3 can both underflow to
@@ -172,17 +185,21 @@ def _solve_depth(p, b, l, r, fb, h, work):
     rootable &= np.greater(d, 0.0, out=mask)
     rootable &= ok
 
-    # each root branch gathers only its own interfaces
+    # p = 0 roots are written in place, the cubic ones gather theirs
     m = np.equal(p, 0.0, out=mask)
     m &= rootable
-    h[m] = np.sqrt(d[m] * 2.0 / b[m])
+    np.multiply(d, 2.0, out=h, where=m)
+    np.divide(h, b, out=h, where=m)
+    np.sqrt(h, out=h, where=m)
 
     m = np.not_equal(p, 0.0, out=mask)
     m &= rootable
-    dm, bm, pm, fbm = d[m], b[m], p[m], fb[m]
+    np.copyto(t, b)  # b on every side row, to gather like the others
+    dm, bm, pm, fbm = d[m], t[m], p[m], fb[m]
     y = dm * 2.0 / (bm * 3.0)
     sq = np.sqrt(y)
-    theta = np.arccos(np.clip(-pm * pm / (bm * y * sq), -1.0, 1.0))
+    # the ratio is never positive, so only -1 can bound it
+    theta = np.arccos(np.maximum(-pm * pm / (bm * y * sq), -1.0))
     two_sq = sq * 2.0
     # round-off in theta can push a vanishing root a hair below zero
     r_sub = np.maximum(np.cos(theta / 3.0) * two_sq, 0.0)
@@ -223,11 +240,12 @@ def build_interface_states(state: ConservedState, topo: Topography,
     """Full reconstruction pipeline from cell averages to interface states.
 
     ``state`` is a ConservedState or its (4, n) array; it is not checked
-    here. q and p, and the cell values of b, L and the surface w = h + Z,
-    are written into the n cells of padded workspace rows and edge-padded
-    there, which gives the same ghost values as forming b, L and w on the
-    padded state. The interface states are rows of the workspace ``ws``
-    (a fresh one by default).
+    here. The cell values of L, q, p, b and the surface w = h + Z are
+    written into the n cells of the workspace's (5, n+4) field block and
+    edge-padded there, which gives the same ghost values as forming b, L
+    and w on the padded state. interface_values takes the fields in the
+    workspace's groups and one depth solve takes both sides. The interface
+    states are rows of the workspace ``ws`` (a fresh one by default).
     """
     if ws is None:
         ws = Workspace(grid.n)
@@ -245,48 +263,34 @@ def build_interface_states(state: ConservedState, topo: Topography,
     half_hb *= h
     l_cell += half_hb
     l_cell += r_center
-    l_pad = _fill_ghosts(ws.l_pad)
-
-    iv_work = ws.iv_work
     np.copyto(ws.qp_cells, u[1:3])
-    q_pad, p_pad = _fill_ghosts(ws.qp_pad)
-    q_minus, q_plus = interface_values(q_pad, sigma, dy, ws.q_out, iv_work)
-    p_minus, p_plus = interface_values(p_pad, sigma, dy, ws.p_out, iv_work)
-    l_minus, l_plus = interface_values(l_pad, sigma, dy, ws.l_out, iv_work)
-    desingularized_ratio(h, hb, out=ws.b_cell, work=ws.b_work)
-    b_pad = _fill_ghosts(ws.b_pad)
-    b_minus, b_plus = interface_values(b_pad, sigma, dy, ws.b_out, iv_work)
-    b_mid = np.add(b_minus, b_plus, out=ws.b_mid)
+    desingularized_ratio(h, hb, out=ws.b_cell, work=ws.cell_work)
+    np.add(h, topo.z_center, out=ws.w_cell)
+    _fill_ghosts(ws.fields)
+    for padded, out, work in ws.iv_groups:
+        interface_values(padded, sigma, dy, out, work)
+    l_side, q_side, p_side, b_side, fb_side = ws.sides
+    b_mid = np.add(b_side[0], b_side[1], out=ws.b_mid)
     b_mid *= 0.5
 
     # surface-based fallback depths: w reconstructed like any other field,
     # less the interface bottom, clipped at zero
-    np.add(h, topo.z_center, out=ws.w_cell)
-    w_pad = _fill_ghosts(ws.w_pad)
-    fb_minus, fb_plus = interface_values(w_pad, sigma, dy, ws.w_out, iv_work)
-    for fb in (fb_minus, fb_plus):
-        np.subtract(fb, topo.z_iface, out=fb)
-        np.maximum(fb, 0.0, out=fb)
-    h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface,
-                                     fb_minus, out=ws.h_minus,
-                                     work=ws.depth_work)
-    h_plus = depth_from_equilibrium(p_plus, b_mid, l_plus, r_iface,
-                                    fb_plus, out=ws.h_plus,
-                                    work=ws.depth_work)
+    np.subtract(fb_side, topo.z_iface, out=fb_side)
+    np.maximum(fb_side, 0.0, out=fb_side)
+    # the depths replace the fallback depths that the solve starts from
+    h_side = depth_from_equilibrium(p_side, b_mid, l_side, r_iface, fb_side,
+                                    out=fb_side, work=ws.depth_work)
 
-    # p = h*v over the reconstructed p, which the depth solves have read
-    v_minus = desingularized_ratio(h_minus, p_minus, out=ws.v_minus,
-                                   work=ws.ratio_work)
-    v_plus = desingularized_ratio(h_plus, p_plus, out=ws.v_plus,
+    # p = h*v over the reconstructed p, which the depth solve has read
+    v_side = desingularized_ratio(h_side, p_side, out=ws.v_side,
                                   work=ws.ratio_work)
-    p_minus = np.multiply(h_minus, v_minus, out=p_minus)
-    p_plus = np.multiply(h_plus, v_plus, out=p_plus)
+    np.multiply(h_side, v_side, out=p_side)
 
     return InterfaceStates(
-        h_minus=h_minus, h_plus=h_plus,
-        q_minus=q_minus, q_plus=q_plus,
-        p_minus=p_minus, p_plus=p_plus,
-        b_minus=b_minus, b_plus=b_plus,
-        l_minus=l_minus, l_plus=l_plus,
-        v_minus=v_minus, v_plus=v_plus,
+        h_minus=h_side[0], h_plus=h_side[1],
+        q_minus=q_side[0], q_plus=q_side[1],
+        p_minus=p_side[0], p_plus=p_side[1],
+        b_minus=b_side[0], b_plus=b_side[1],
+        l_minus=l_side[0], l_plus=l_side[1],
+        v_minus=v_side[0], v_plus=v_side[1],
         l_cell_left=ws.l_cell_left, l_cell_right=ws.l_cell_right)

@@ -4,26 +4,38 @@
 per-cell kernel of a stage writes its results and temporaries into the
 workspace's rows (``out=``) instead of allocating arrays. A step then
 allocates no array of n floats except the copy of its accepted state and
-the depth solve's transient gathers: each root branch of
-``reconstruction._solve_depth`` indexes its own interfaces out with a
-boolean mask, a handful of temporaries of at most n + 1 values that are
-freed before the solve returns. After the first steps the heap neither
-grows nor shrinks. At N = 25600 a row is 200 KB, and temporaries
-allocated and freed by the hundred per stage let malloc hand the heap top
-back to the kernel, which the next stage then faults in again.
+the depth solve's transient gathers: its cubic root branch indexes its own
+interfaces of up to two sides out with a boolean mask, a handful of
+temporaries of at most 2(n + 1) values that are freed before the solve
+returns. After the first steps the heap neither grows nor shrinks. At
+N = 25600 a row is 200 KB, and temporaries allocated and freed by the
+hundred per stage let malloc hand the heap top back to the kernel, which
+the next stage then faults in again.
 
 An array handed out under a workspace is valid until the next stage
 writes over it. A public kernel called without a workspace builds a
 fresh one, so its results are fresh arrays.
 
 Every row is a view of one float block with n + 4 columns (the padded
-cell count) or of one boolean block. The rule: every value that crosses
-a call of ``assemble_fluxes``, ``draining_limit``, ``_tendency`` or
-``make_record`` lives in a dedicated row: the two stage states and the
-tendency of the SSP-RK3 step, the interface states, the fluxes and the
-speeds. Eleven scratch rows s0..s10 hold the temporaries inside one such
-call, which may write over all of them; ``__init__`` lists which phase
-uses which.
+cell count) or of one boolean block of five rows. The rule: every value
+that crosses a call of ``assemble_fluxes``, ``draining_limit``,
+``_tendency`` or ``make_record`` lives in one of the 31 dedicated rows:
+the two stage states and the tendency of the SSP-RK3 step, the interface
+states, the fluxes and the speeds. At least eleven scratch rows s0..
+hold the temporaries inside one such call, which may write over all of
+them; ``__init__`` lists which phase uses which.
+
+The reconstruction runs over stacked blocks. The padded fields L, q, p, b
+and w are five whole rows, one (5, n+4) block, and their one-sided values
+a (2, 5, n+4) "sides" block, so each field's minus and plus values form a
+(2, n+1) pair without a copy. ``interface_values`` takes k of the fields
+at once, k = min(5, max(1, _STACK_CELLS // (n+4))), as one contiguous
+array of k rows end to end (numpy's iterator costs more per call on a
+strided (k, n+4) view): one call per stage on small grids, one per field
+where a row alone fills the cache. The depth solve takes g = min(k, 2) of
+the two sides at a time and writes the depths over w's pair, the
+fallback depths it starts from. A workspace has max(11, 5 + 2k) scratch
+rows.
 """
 
 from __future__ import annotations
@@ -31,10 +43,14 @@ from __future__ import annotations
 import numpy as np
 
 GHOST = 2  # edge-copied ghost cells per side; enough for the slope stencil
+# padded cells per stacked interface_values call: above the crossover one
+# field per call is faster (see tools/floor_fit.py)
+_STACK_CELLS = 16384
 
-_DEDICATED = 31  # u1, u2, tend (4 each), flux (4), speeds (2), 12 sides, L pad
+_DEDICATED = 31  # u1, u2, tend (4 each), flux (4), speeds (2), sides (10),
+#                  the v pair (2), the L row of the fields
 _SCRATCH = 11  # temporaries inside one call, which may write over them all
-_BOOLS = 4
+_BOOLS = 5
 
 
 def fresh(shape, floats: int, flags: int = 0) -> tuple:
@@ -50,7 +66,8 @@ class Workspace:
 
     def __init__(self, n: int):
         m, pad = n + 1, n + 2 * GHOST
-        block = np.empty((_DEDICATED + _SCRATCH, pad))
+        k = min(5, max(1, _STACK_CELLS // pad))
+        block = np.empty((_DEDICATED + max(_SCRATCH, 5 + 2 * k), pad))
         b = np.empty((_BOOLS, pad), dtype=bool)
         s = block[_DEDICATED:]
 
@@ -62,42 +79,48 @@ class Workspace:
         # the stage's fluxes and speeds
         self.flux = block[12:16, :m]
         self.speeds = (block[16, :m], block[17, :m])
-        # one-sided interface values; a "half" row holds the n+2 scaled
-        # slopes, and its tail [1:] becomes the plus side
-        self.q_out = (block[18, :m], block[19, :n + 2])
-        self.p_out = (block[20, :m], block[21, :n + 2])
-        self.l_out = (block[22, :m], block[23, :n + 2])
-        self.b_out = (block[24, :m], block[25, :n + 2])
-        self.h_minus, self.h_plus = block[26, :m], block[27, :m]
-        self.v_minus, self.v_plus = block[28, :m], block[29, :m]
-        self.l_pad = block[30]
-        self.l_cell = self.l_pad[GHOST:-GHOST]
-        self.l_cell_left = self.l_pad[1:-2]
-        self.l_cell_right = self.l_pad[2:-1]
+        # the one-sided values of the fields, sides[0] minus and sides[1]
+        # plus, at columns 1..n+1 of full rows: a minus row's first n+2
+        # columns are minmod's low scratch, and a plus row's hold the n+2
+        # scaled slopes, before the values. The (2, n+1) pairs of L, q, p,
+        # b and w, whose pair then takes the depths h:
+        sides = block[18:28].reshape(2, 5, pad)
+        self.sides = [sides[:, i, 1:n + 2] for i in range(5)]
+        self.v_side = block[28:30, :m]
+        # the padded fields L (dedicated), q, p, b, w (s0-s3)
+        self.fields = block[30:35]
+        cells = self.fields[:, GHOST:-GHOST]
+        self.l_cell, self.qp_cells, self.b_cell, self.w_cell = (
+            cells[0], cells[1:3], cells[3], cells[4])
+        self.l_cell_left = self.fields[0, 1:-2]
+        self.l_cell_right = self.fields[0, 2:-1]
 
-        # reconstruction: R (s0, s1; R at interfaces lives through the
-        # depth solves), its increments (s2-s4), the cell L (s2), the
-        # padded q, p (s2-s3), b (s2, ratio work s3) and surface w (s2,
-        # sides s3 and s6), slopes (s4, s5, s7), b_mid (s0), the depth
-        # solve's rootable test (s2, s4, s5, flags 0-2; its root branches
-        # gather into fresh temporaries) and v (s2)
-        self.r_center, self.r_iface = s[0, :n], s[1, :m]
+        # reconstruction: R at interfaces (s4, lives through the depth
+        # solve) and centres (s5), its increments (s6-s8), the cell L and
+        # b's ratio work (s6), the groups of k fields end to end with their
+        # one-sided differences and minmod's high scratch (s5 on, 2k rows),
+        # b_mid (s0), then the depth solve over g sides at a time: 27 b
+        # (s1), D (s2 on, g rows), its powers (s5 on, 2g rows) and flags
+        # 0-2g (its cubic branch gathers into fresh temporaries), and v
+        # (s2-s3)
+        self.r_iface, self.r_center = s[4, :m], s[5, :n]
         self.r_iface_tail = self.r_iface[1:]
-        self.sp_work = (s[2, :n], s[3, :n], s[4, :n])
-        self.cell_work = s[2, :n]
-        self.qp_pad = s[2:4]
-        self.qp_cells = self.qp_pad[:, GHOST:-GHOST]
-        self.iv_work = (s[4, :n + 3], s[5, :n + 2], s[7, :n + 2])
-        self.b_pad = s[2]
-        self.b_cell = self.b_pad[GHOST:-GHOST]
-        self.b_work = s[3, :n]
+        self.sp_work = (s[6, :n], s[7, :n], s[8, :n])
+        self.cell_work = s[6, :n]
+        self.iv_groups = []
+        for i in range(0, 5, k):
+            j = min(k, 5 - i)
+            minus, half = sides[0, i:i + j].ravel(), sides[1, i:i + j].ravel()
+            self.iv_groups.append((
+                self.fields[i:i + j].ravel(), (minus[1:-2], half[:-2]),
+                (s[5:5 + j].ravel()[:-1], minus[:-2],
+                 s[5 + k:5 + k + j].ravel()[:-2])))
         self.b_mid = s[0, :m]
-        self.w_pad = s[2]
-        self.w_cell = self.w_pad[GHOST:-GHOST]
-        self.w_out = (s[3, :m], s[6, :n + 2])
-        self.depth_work = (s[2, :m], s[4, :m], s[5, :m],
-                           b[0, :m], b[1, :m], b[2, :m])
-        self.ratio_work = s[2, :m]
+        g = min(k, 2)
+        self.depth_work = (s[2:2 + g, :m], s[5:5 + g, :m],
+                           s[5 + g:5 + 2 * g, :m], s[1, :m], b[0, :m],
+                           b[1:1 + g, :m], b[1 + g:1 + 2 * g, :m])
+        self.ratio_work = s[2:4, :m]
 
         # fluxes: the switch (s0, work s1-s2), the speeds (work s1-s4),
         # a+ - a- (s5), a+ a-/(a+ - a-) (s6), the products of the q and hb

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trsw import reconstruction
+from trsw import reconstruction, workspace
 from trsw.model import (ConservedState, CoriolisSpec, Topography,
                         build_grid, desingularized_ratio, flat_topography,
                         Numerics, sample_topography)
@@ -197,7 +197,8 @@ class TestGlobalPrimitive:
         solve = reconstruction.depth_from_equilibrium
 
         def spy(p_side, b_mid, l_side, r_iface, h_fallback, **kwargs):
-            seen.append(r_iface)
+            # one call solves both sides: the R row each side reads
+            seen.extend(np.broadcast_to(r_iface, np.shape(p_side)))
             return solve(p_side, b_mid, l_side, r_iface, h_fallback,
                          **kwargs)
 
@@ -318,7 +319,9 @@ def _fallback_depths(monkeypatch, h, topo, grid):
     solve = reconstruction.depth_from_equilibrium
 
     def spy(p_side, b_mid, l_side, r_iface, h_fallback, **kwargs):
-        seen.append(h_fallback)
+        # one call, the minus and plus rows, copied: the solve writes
+        # the depths over them
+        seen.extend(np.copy(h_fallback))
         return solve(p_side, b_mid, l_side, r_iface, h_fallback, **kwargs)
 
     monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
@@ -529,22 +532,119 @@ class TestOnePadPipeline:
            st.floats(1.0, 2.0))
     def test_matches_pad_then_compute_bit_for_bit(self, n, seed, f0, beta,
                                                    r_datum, sigma):
-        # dry cells, a random bottom, a beta-plane and a shifted datum
+        _check_against_pad_then_compute(n, seed, f0, beta, r_datum, sigma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 5]), st.integers(4, 40),
+           st.integers(0, 2 ** 32 - 1), st.floats(-2.0, 2.0),
+           st.floats(0.05, 1.0),
+           st.floats(1.0, 100.0) | st.floats(-100.0, -1.0),
+           st.floats(1.0, 2.0))
+    def test_field_groups_keep_the_bits(self, k, n, seed, f0, beta, r_datum,
+                                        sigma):
+        # k fields per interface_values call, as on a grid of
+        # _STACK_CELLS / k padded cells: one call for k = 5, three for
+        # k = 2, one per field for k = 1, as at N = 25600
+        calls = []
+        original = reconstruction.interface_values
+
+        def counted(padded, *args):
+            calls.append(np.shape(padded))
+            return original(padded, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workspace, "_STACK_CELLS", k * (n + 4))
+            mp.setattr(reconstruction, "interface_values", counted)
+            _check_against_pad_then_compute(n, seed, f0, beta, r_datum, sigma)
+        assert calls == [(min(k, 5 - i) * (n + 4),) for i in range(0, 5, k)]
+
+
+def _check_against_pad_then_compute(n, seed, f0, beta, r_datum, sigma):
+    """build_interface_states gives _pad_then_compute's bits on dry cells,
+    a random bottom, a beta-plane and a shifted datum."""
+    rng = np.random.default_rng(seed)
+    g = build_grid(-1.0, 1.0 + rng.uniform(), n)
+    h = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)
+    h[rng.uniform(size=n) < 0.1] = 1e-10
+    st_ = ConservedState.from_fields(
+        h, h * rng.normal(size=n), h * rng.normal(size=n),
+        h * rng.uniform(0.0, 3.0, n))
+    topo = Topography(rng.uniform(-0.5, 0.5, n + 1))
+    cor = CoriolisSpec(f0, beta)
+    num = Numerics(sigma=sigma)
+    with np.errstate(all="ignore"), shifted_datum(r_datum):
+        got = build_interface_states(st_, topo, cor, g, num)
+        want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
+    for name, value in want.items():
+        assert getattr(got, name).tobytes() == value.tobytes(), name
+
+
+def _edge_valued(rng, shape, lo, hi):
+    """Uniform values in [lo, hi) with a quarter replaced by zeros of both
+    signs, 1e-310, infinities and NaN."""
+    edges = np.array([0.0, -0.0, 1e-310, -1e-310, np.inf, -np.inf, np.nan])
+    vals = rng.uniform(lo, hi, shape)
+    pick = rng.uniform(size=shape) < 0.25
+    vals[pick] = rng.choice(edges, size=int(pick.sum()))
+    return vals
+
+
+class TestStackedSides:
+    """One depth solve over (2, m) sides with (m,) b_mid and r_iface gives
+    the bits of one (m,) solve per side, and the benchmark's fallback
+    count is the same for both forms."""
+
+    M = 3000
+
+    def _inputs(self, seed):
         rng = np.random.default_rng(seed)
-        g = build_grid(-1.0, 1.0 + rng.uniform(), n)
-        h = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)
-        h[rng.uniform(size=n) < 0.1] = 1e-10
-        st_ = ConservedState.from_fields(
-            h, h * rng.normal(size=n), h * rng.normal(size=n),
-            h * rng.uniform(0.0, 3.0, n))
-        topo = Topography(rng.uniform(-0.5, 0.5, n + 1))
-        cor = CoriolisSpec(f0, beta)
-        num = Numerics(sigma=sigma)
-        with np.errstate(all="ignore"), shifted_datum(r_datum):
-            got = build_interface_states(st_, topo, cor, g, num)
-            want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
-        for name, value in want.items():
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        m = self.M
+        p = _edge_valued(rng, (2, m), -3.0, 3.0)
+        p[rng.uniform(size=(2, m)) < 0.3] = 0.0  # the sqrt branch
+        return (p, _edge_valued(rng, m, -0.5, 3.0),
+                _edge_valued(rng, (2, m), -1.0, 10.0),
+                _edge_valued(rng, m, -1.0, 4.0),
+                _edge_valued(rng, (2, m), 0.0, 3.0))
+
+    @pytest.mark.parametrize("stack_cells", [0, 2 ** 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sides_match_separate_calls(self, monkeypatch, stack_cells,
+                                        seed):
+        # stack_cells 0 solves one side at a time, as at N = 25600;
+        # 2**20 solves both sides at once
+        p, b, l, r, fb = self._inputs(seed)
+        monkeypatch.setattr(workspace, "_STACK_CELLS", stack_cells)
+        ws = workspace.Workspace(self.M - 1)
+        assert len(ws.depth_work[0]) == (1 if stack_cells == 0 else 2)
+        with np.errstate(all="ignore"):
+            want = [depth_from_equilibrium(p[i], b, l[i], r, fb[i])
+                    for i in range(2)]
+            fresh = depth_from_equilibrium(p, b, l, r, fb)
+            # in place, as the pipeline solves: over the fallback pair
+            out = ws.sides[4]
+            np.copyto(out, fb)
+            got = depth_from_equilibrium(p, b, l, r, out, out=out,
+                                         work=ws.depth_work)
+        assert got is out
+        for i in range(2):
+            assert got[i].tobytes() == want[i].tobytes()
+            assert fresh[i].tobytes() == want[i].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fallback_count_matches_separate_calls(self, spans, seed):
+        from collections import Counter
+
+        p, b, l, r, fb = self._inputs(seed)
+        names = ("p_side", "b_mid", "l_side", "r_iface", "h_fallback")
+        stacked, separate = Counter(), Counter()
+        spans._count_fallback(stacked, dict(zip(names, (p, b, l, r, fb))),
+                              None)
+        for i in range(2):
+            spans._count_fallback(
+                separate, dict(zip(names, (p[i], b, l[i], r, fb[i]))), None)
+        assert stacked == separate
+        assert stacked["depth.total"] == 2 * self.M
+        assert 0 < stacked["depth.fallback"] < 2 * self.M
 
 
 class TestDatumInvariance:
