@@ -183,9 +183,9 @@ class DiagnosticsRecord:
 
 
 def make_record(t: float, state: ConservedState, scenario: Scenario,
-                ledger: ConservationLedger, ws=None) -> DiagnosticsRecord:
+                ledger: ConservationLedger, ws) -> DiagnosticsRecord:
     """The diagnostics record of ``state`` at time t; the per-cell
-    quantities go into rows of the run's workspace ``ws`` if given."""
+    quantities go into rows of the run's workspace ``ws``."""
     grid, topo = scenario.grid, scenario.topography
     h = state.h
     mass = float(h.sum() * grid.dy)
@@ -193,9 +193,7 @@ def make_record(t: float, state: ConservedState, scenario: Scenario,
     mass_drift, hb_drift = ledger.drifts(mass, hb_total)
     total_energy = (energy(state, grid, topo, ws) if flat_bottom(topo)
                     else float("nan"))
-    v_buf, w_buf, work = (ws.record_rows if ws is not None
-                          else (None,) * 3)
-    diff = ws.record_diff if ws is not None else None
+    v_buf, w_buf, work = ws.record_rows
     v = desingularized_ratio(h, state.p, out=v_buf, work=work)
     w = np.add(h, topo.z_center, out=w_buf)
     return DiagnosticsRecord(
@@ -206,5 +204,5 @@ def make_record(t: float, state: ConservedState, scenario: Scenario,
         hb_drift=hb_drift,
         energy=total_energy,
         max_abs_v=float(np.abs(v, out=work).max(initial=0.0)),
-        max_grad_v=gradient_max(v, grid.dy, diff),
-        tv_w=total_variation(w, diff))
+        max_grad_v=gradient_max(v, grid.dy, ws.record_diff),
+        tv_w=total_variation(w, ws.record_diff))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import _TINY
 from .reconstruction import InterfaceStates, minmod
-from .workspace import Workspace, fresh
+from .workspace import Workspace
 
 _DEGENERATE = 1.0e-12
 # constants C and m of the diffusion switch H(psi)
@@ -22,26 +22,19 @@ _SWITCH_C = 400.0
 _SWITCH_M = 8
 
 
-def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus,
-                 out=None, work=None):
+def local_speeds(v_minus, v_plus, hb_minus, hb_plus, out, work):
     """One-sided propagation speeds from the extreme eigenvalues
-    v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus.
+    v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus, given the
+    products h*b of both sides.
 
     ``out`` is a pair of arrays for (a_plus, a_minus) and ``work`` four
-    float and one boolean scratch arrays of their shape; without them
-    all are fresh."""
-    if out is None:
-        shape = np.broadcast_shapes(*(np.shape(a) for a in (
-            v_minus, v_plus, h_minus, h_plus, b_minus, b_plus)))
-        out, work = fresh(shape, 2), fresh(shape, 4, 1)
+    float and one boolean scratch arrays of their shape."""
     c_m, c_p, t_m, t_p, negative = work
-    hb_m = np.multiply(h_minus, b_minus, out=c_m)
-    hb_p = np.multiply(h_plus, b_plus, out=c_p)
-    if (np.less(hb_m, 0.0, out=negative).any()
-            or np.less(hb_p, 0.0, out=negative).any()):
+    if (np.less(hb_minus, 0.0, out=negative).any()
+            or np.less(hb_plus, 0.0, out=negative).any()):
         raise ValueError("negative h*b in speed estimate")
-    np.sqrt(hb_m, out=c_m)
-    np.sqrt(hb_p, out=c_p)
+    np.sqrt(hb_minus, out=c_m)
+    np.sqrt(hb_plus, out=c_p)
     a_plus = np.maximum(np.add(v_minus, c_m, out=t_m),
                         np.add(v_plus, c_p, out=t_p), out=out[0])
     np.maximum(a_plus, 0.0, out=a_plus)
@@ -52,7 +45,7 @@ def local_speeds(v_minus, v_plus, h_minus, h_plus, b_minus, b_plus,
 
 
 def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
-                     out=None, work=None):
+                     out, work):
     """Smooth cut-off H(psi) = (C psi)^m / (1 + (C psi)^m) of the scaled
     local variation of L between neighbouring cells.
 
@@ -60,14 +53,8 @@ def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
     denominator falls back to |L| (floored away from zero) when both cell
     values are nonpositive, which keeps the switch defined off the
     physically expected L > 0 regime. ``out`` receives H and ``work`` is
-    two float and one boolean scratch arrays of its shape; without them
-    all are fresh.
+    two float and one boolean scratch arrays of its shape.
     """
-    l_left = np.asarray(l_left, float)
-    l_right = np.asarray(l_right, float)
-    if out is None:
-        shape = np.broadcast_shapes(l_left.shape, l_right.shape)
-        out, work = np.empty(shape), fresh(shape, 2, 1)
     larger, denom, positive = work
     np.maximum(l_left, l_right, out=larger)
     np.abs(l_left, out=denom)
@@ -90,9 +77,8 @@ def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
     return np.divide(1.0, inv, out=out)
 
 
-def _central_upwind_row(out, u_minus, u_plus, g_minus, g_plus, a_plus,
-                        a_minus, safe, coef, fallback, switch=None,
-                        work=None):
+def _central_upwind_row(out, work, u_minus, u_plus, g_minus, g_plus, a_plus,
+                        a_minus, safe, coef, fallback, switch=None):
     """One component of the central-upwind flux, written into ``out``:
     (a+ G- - a- G+)/(a+ - a-) + a+ a-/(a+ - a-) * (U+ - U- - dU), with the
     built-in anti-diffusion dU = minmod(U+ - U*, U* - U-) of the
@@ -101,10 +87,9 @@ def _central_upwind_row(out, u_minus, u_plus, g_minus, g_plus, a_plus,
     ``safe`` is a+ - a- with degenerate entries set to one, ``coef`` is
     a+ a- / safe, ``switch`` scales the diffusion term, and the interfaces
     listed in ``fallback`` get the mean (G- + G+)/2 instead. ``work`` is
-    four scratch arrays shaped like ``out`` (fresh by default).
+    four scratch arrays shaped like ``out``.
     """
-    star, delta, *minmod_work = (work if work is not None
-                                 else fresh(out.shape, 4))
+    star, delta, *minmod_work = work
     u_star = np.multiply(a_plus, u_plus, out=star)
     u_star -= np.multiply(a_minus, u_minus, out=delta)
     u_star -= np.subtract(g_plus, g_minus, out=delta)
@@ -125,7 +110,7 @@ def _central_upwind_row(out, u_minus, u_plus, g_minus, g_plus, a_plus,
         out[fallback] = 0.5 * (g_minus[fallback] + g_plus[fallback])
 
 
-def numerical_flux(iface: InterfaceStates, switch, ws=None):
+def numerical_flux(iface: InterfaceStates, switch, ws: Workspace):
     """Central-upwind fluxes at every interface, (4, n_interfaces).
 
     The flux of U = (h, q, p, hb) is G = (p, q*v, L, p*b), built one
@@ -134,16 +119,14 @@ def numerical_flux(iface: InterfaceStates, switch, ws=None):
     (a+ - a- below round-off) fall back to the arithmetic mean of the
     one-sided fluxes.
 
-    Returns (fluxes, a_plus, a_minus), rows of the workspace ``ws`` (a
-    fresh one by default).
+    Returns (fluxes, a_plus, a_minus), rows of the workspace ``ws``.
     """
-    if ws is None:
-        ws = Workspace(np.size(iface.h_minus) - 1)
     h_m, h_p, b_m, b_p = iface.h_minus, iface.h_plus, iface.b_minus, iface.b_plus
     q_m, q_p, p_m, p_p = iface.q_minus, iface.q_plus, iface.p_minus, iface.p_plus
-    a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus,
-                                   h_m, h_p, b_m, b_p,
-                                   out=ws.speeds, work=ws.speed_work)
+    hb_m = np.multiply(h_m, b_m, out=ws.hb_minus)
+    hb_p = np.multiply(h_p, b_p, out=ws.hb_plus)
+    a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus, hb_m, hb_p,
+                                   ws.speeds, ws.speed_work)
     safe = np.subtract(a_plus, a_minus, out=ws.safe)
     degenerate = np.less(safe, _DEGENERATE, out=ws.degenerate)
     safe[degenerate] = 1.0
@@ -153,17 +136,15 @@ def numerical_flux(iface: InterfaceStates, switch, ws=None):
     work = ws.row_work
 
     flux = ws.flux
-    _central_upwind_row(flux[0], h_m, h_p, p_m, p_p, *common, work=work)
-    _central_upwind_row(flux[1], q_m, q_p,
+    _central_upwind_row(flux[0], work, h_m, h_p, p_m, p_p, *common)
+    _central_upwind_row(flux[1], work, q_m, q_p,
                         np.multiply(q_m, iface.v_minus, out=ws.g_minus),
                         np.multiply(q_p, iface.v_plus, out=ws.g_plus),
-                        *common, switch, work=work)
-    _central_upwind_row(flux[2], p_m, p_p, iface.l_minus, iface.l_plus,
-                        *common, work=work)
-    _central_upwind_row(flux[3],
-                        np.multiply(h_m, b_m, out=ws.hb_minus),
-                        np.multiply(h_p, b_p, out=ws.hb_plus),
+                        *common, switch)
+    _central_upwind_row(flux[2], work, p_m, p_p, iface.l_minus,
+                        iface.l_plus, *common)
+    _central_upwind_row(flux[3], work, hb_m, hb_p,
                         np.multiply(p_m, b_m, out=ws.g_minus),
                         np.multiply(p_p, b_p, out=ws.g_plus),
-                        *common, switch, work=work)
+                        *common, switch)
     return flux, a_plus, a_minus

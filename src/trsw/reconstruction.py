@@ -18,17 +18,16 @@ from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
 from .workspace import GHOST, Workspace, fresh
 
 
-def minmod(*args, out=None, work=None):
+def minmod(*args, out, work):
     """Componentwise minmod of two or more arguments: min of the arguments
-    if all positive, max if all negative, zero otherwise. Accepts scalars
-    or equally shaped arrays; ``out`` receives the result and may be one
-    of the arguments, and ``work`` is a pair of scratch arrays shaped like
-    it. Without ``out`` the result is fresh, a float for scalars.
+    if all positive, max if all negative, zero otherwise. ``out`` receives
+    the result and may be one of the arguments, and ``work`` is a pair of
+    scratch arrays shaped like it.
 
     Evaluated branch-free as max(min(args), 0) + min(max(args), 0), so a
     NaN argument gives NaN.
     """
-    lo_buf, hi_buf = work if work is not None else (None, None)
+    lo_buf, hi_buf = work
     lo = np.minimum(args[0], args[1], out=lo_buf)
     hi = np.maximum(args[0], args[1], out=hi_buf)
     for a in args[2:]:
@@ -36,13 +35,10 @@ def minmod(*args, out=None, work=None):
         hi = np.maximum(hi, a, out=hi_buf)
     res = np.maximum(lo, 0.0, out=out)
     res += np.minimum(hi, 0.0, out=hi_buf)
-    if out is None and all(np.ndim(a) == 0 for a in args):
-        return float(res)
     return res
 
 
-def interface_values(padded: np.ndarray, sigma: float, dy: float, out=None,
-                     work=None):
+def interface_values(padded: np.ndarray, sigma: float, dy: float, out, work):
     """One-sided interface values of a cell field carrying GHOST=2 ghosts.
 
     For a physical grid of n cells (padded length n+4) returns the left
@@ -58,20 +54,19 @@ def interface_values(padded: np.ndarray, sigma: float, dy: float, out=None,
     j's values start at j(n+4) of minus and of plus, and the three values
     between two fields mix them and mean nothing.
     """
-    v = np.asarray(padded, float)
-    minus_buf, half_buf = out if out is not None else (None, None)
-    sided_buf, *minmod_work = work if work is not None else (None,) * 3
+    minus_buf, half_buf = out
+    sided_buf, *minmod_work = work
     # one-sided differences: the left slope of cell i is the right of i-1
-    sided = np.subtract(v[1:], v[:-1], out=sided_buf)
+    sided = np.subtract(padded[1:], padded[:-1], out=sided_buf)
     sided /= dy
     sided *= sigma
-    central = np.subtract(v[2:], v[:-2], out=half_buf)
+    central = np.subtract(padded[2:], padded[:-2], out=half_buf)
     central /= 2.0 * dy
     half = minmod(sided[:-1], central, sided[1:], out=central,
                   work=minmod_work)
     half *= 0.5 * dy
-    minus = np.add(v[1:-2], half[:-1], out=minus_buf)
-    plus = np.subtract(v[2:-1], half[1:], out=half[1:])
+    minus = np.add(padded[1:-2], half[:-1], out=minus_buf)
+    plus = np.subtract(padded[2:-1], half[1:], out=half[1:])
     return minus, plus
 
 
@@ -84,19 +79,17 @@ def _fill_ghosts(padded: np.ndarray) -> np.ndarray:
 
 
 def source_potential(state: ConservedState, topo: Topography,
-                     coriolis: CoriolisSpec, grid: Grid, ws=None):
+                     coriolis: CoriolisSpec, grid: Grid, ws: Workspace):
     """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces.
 
     ``state`` is a ConservedState or its (4, n) array; the results are
-    rows of the workspace ``ws`` (a fresh one by default).
+    rows of the workspace ``ws``.
 
     The interface recursion uses the cell value of f*q and hb times the
     interface jump of Z; the center recursion uses trapezoidal averages.
     The datum is R = 0 at the left boundary interface, and the first center
     value is the average of the two enclosing interface values.
     """
-    if ws is None:
-        ws = Workspace(grid.n)
     dy = grid.dy
     u = getattr(state, "array", state)
     # constant f is the scalar f0, as in the source term; a variable f is
@@ -236,7 +229,8 @@ class InterfaceStates:
 
 def build_interface_states(state: ConservedState, topo: Topography,
                            coriolis: CoriolisSpec, grid: Grid,
-                           numerics: Numerics, ws=None) -> InterfaceStates:
+                           numerics: Numerics,
+                           ws: Workspace) -> InterfaceStates:
     """Full reconstruction pipeline from cell averages to interface states.
 
     ``state`` is a ConservedState or its (4, n) array; it is not checked
@@ -245,10 +239,8 @@ def build_interface_states(state: ConservedState, topo: Topography,
     edge-padded there, which gives the same ghost values as forming b, L
     and w on the padded state. interface_values takes the fields in the
     workspace's groups and one depth solve takes both sides. The interface
-    states are rows of the workspace ``ws`` (a fresh one by default).
+    states are rows of the workspace ``ws``.
     """
-    if ws is None:
-        ws = Workspace(grid.n)
     sigma, dy = numerics.sigma, grid.dy
 
     u = getattr(state, "array", state)

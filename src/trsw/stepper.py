@@ -13,8 +13,7 @@ run, and every kernel of a stage writes into it. Arrays handed out under
 a run's workspace (interface states, fluxes, speeds, stage states and
 tendencies) are valid until the next stage, which writes over them; the
 draining limiter scales the stage's fluxes in place. The accepted state
-of a step is a copy, and so are the snapshots and records. The public
-kernels called without a workspace return fresh arrays.
+of a step is a copy, and so are the snapshots and records.
 """
 
 from __future__ import annotations
@@ -43,15 +42,13 @@ class IntegrationError(RuntimeError):
 
 
 def source_term(state: ConservedState, iface: InterfaceStates,
-                coriolis: CoriolisSpec, grid: Grid, out=None,
-                work=None) -> np.ndarray:
+                coriolis: CoriolisSpec, grid: Grid, out, work) -> np.ndarray:
     """Coriolis source for the q component.
 
     Constant f uses f * p_bar directly; variable f integrates f*p over the
     cell with Simpson's rule on the inner one-sided interface values.
     ``state`` is a ConservedState or its (4, n) array. ``out`` receives
-    the source and ``work`` is one scratch array of n values; without
-    them both are fresh.
+    the source and ``work`` is one scratch array of n values.
     """
     p = getattr(state, "array", state)[2]
     if coriolis.is_constant:
@@ -68,14 +65,12 @@ def source_term(state: ConservedState, iface: InterfaceStates,
 
 def assemble_fluxes(state: ConservedState, topo: Topography,
                     coriolis: CoriolisSpec, grid: Grid, numerics: Numerics,
-                    ws: Optional[Workspace] = None):
+                    ws: Workspace):
     """Interface states plus central-upwind fluxes for the current state,
-    in the workspace ``ws`` (a fresh one by default).
+    in the workspace ``ws``.
 
     Returns (fluxes, a_plus, a_minus, iface).
     """
-    if ws is None:
-        ws = Workspace(grid.n)
     iface = build_interface_states(state, topo, coriolis, grid, numerics, ws)
     switch = diffusion_switch(iface.l_cell_left, iface.l_cell_right,
                               grid.dy, grid.length, out=ws.switch,
@@ -98,16 +93,13 @@ def _tendency(state, flux: np.ndarray, iface: InterfaceStates,
 
 
 def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
-        grid: Grid, numerics: Numerics,
-        ws: Optional[Workspace] = None) -> np.ndarray:
+        grid: Grid, numerics: Numerics, ws: Workspace) -> np.ndarray:
     """Semi-discrete tendencies d/dt (h, q, p, hb) per cell, (4, n), in
-    the workspace ``ws`` (a fresh one by default).
+    the workspace ``ws``.
 
     Flux divergence plus the Coriolis source on q; no positivity limiting
     (that is time-step dependent and belongs to the stepper).
     """
-    if ws is None:
-        ws = Workspace(grid.n)
     flux, _, _, iface = assemble_fluxes(state, topo, coriolis, grid,
                                         numerics, ws)
     return _tendency(state, flux, iface, coriolis, grid, ws)
@@ -125,7 +117,7 @@ def cfl_dt(a_max: float, dy: float, cfl: float, t_remaining: float) -> float:
 
 
 def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
-                   ws: Optional[Workspace] = None) -> Tuple[np.ndarray, int]:
+                   ws: Workspace) -> Tuple[np.ndarray, int]:
     """Rescale the h and hb flux components so no cell loses more of either
     quantity than it holds within dt.
 
@@ -140,10 +132,8 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     ``flux`` comes back with the number of limited interfaces. When no
     donor drains within dt every scale would be exactly dt/dt = 1, so
     ``flux`` comes back unwritten with a count of 0. The temporaries are
-    rows of the workspace ``ws`` (a fresh one by default).
+    rows of the workspace ``ws``.
     """
-    if ws is None:
-        ws = Workspace(u.shape[1])
     # rows h and hb side by side, each flux row with a zero on either side
     flux_rows, rho = flux[::3], u[::3]
     ext = ws.drain_ext

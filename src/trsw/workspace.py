@@ -13,8 +13,7 @@ hundred per stage let malloc hand the heap top back to the kernel, which
 the next stage then faults in again.
 
 An array handed out under a workspace is valid until the next stage
-writes over it. A public kernel called without a workspace builds a
-fresh one, so its results are fresh arrays.
+writes over it.
 
 Every row is a view of one float block with n + 4 columns (the padded
 cell count) or of one boolean block of five rows. The rule: every value
@@ -55,7 +54,7 @@ _BOOLS = 5
 
 def fresh(shape, floats: int, flags: int = 0) -> tuple:
     """``floats`` float and ``flags`` boolean arrays of ``shape``, the
-    scratch of a kernel called without a workspace."""
+    scratch of a depth solve called without buffers."""
     return (tuple(np.empty(shape) for _ in range(floats))
             + tuple(np.empty(shape, bool) for _ in range(flags)))
 
@@ -122,9 +121,10 @@ class Workspace:
                            b[1:1 + g, :m], b[1 + g:1 + 2 * g, :m])
         self.ratio_work = s[2:4, :m]
 
-        # fluxes: the switch (s0, work s1-s2), the speeds (work s1-s4),
-        # a+ - a- (s5), a+ a-/(a+ - a-) (s6), the products of the q and hb
-        # rows (s7-s10) and one row's work (s1-s4)
+        # fluxes: the switch (s0, work s1-s2), h*b of both sides (s9-s10,
+        # formed once for the speeds and the hb row), the speeds (work
+        # s1-s4), a+ - a- (s5), a+ a-/(a+ - a-) (s6), the products of the
+        # q and hb rows (s7-s8) and one row's work (s1-s4)
         self.switch = s[0, :m]
         self.switch_work = (s[1, :m], s[2, :m], b[0, :m])
         self.speed_work = (s[1, :m], s[2, :m], s[3, :m], s[4, :m], b[0, :m])

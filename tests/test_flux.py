@@ -10,6 +10,7 @@ from trsw.model import (ConservedState, CoriolisSpec, Numerics, build_grid,
                         desingularized_ratio, flat_topography)
 from trsw.reconstruction import InterfaceStates, minmod
 from trsw.stepper import rhs
+from trsw.workspace import Workspace, fresh
 
 
 def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p):
@@ -24,13 +25,34 @@ def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p):
         l_cell_left=l_m, l_cell_right=l_p)
 
 
+def _speeds(v_m, v_p, h_m, h_p, b_m, b_p):
+    """local_speeds on fresh buffers, from the h and b of both sides."""
+    shape = np.broadcast_shapes(*map(np.shape, (v_m, v_p, h_m, h_p, b_m, b_p)))
+    return local_speeds(v_m, v_p, np.multiply(h_m, b_m),
+                        np.multiply(h_p, b_p), fresh(shape, 2),
+                        fresh(shape, 4, 1))
+
+
+def _switch(l_left, l_right, dy, length):
+    """diffusion_switch on fresh buffers."""
+    shape = np.broadcast_shapes(np.shape(l_left), np.shape(l_right))
+    return diffusion_switch(l_left, l_right, dy, length, np.empty(shape),
+                            fresh(shape, 2, 1))
+
+
+def _flux(iface, switch):
+    """numerical_flux under a workspace of its own."""
+    return numerical_flux(iface, switch,
+                          Workspace(np.size(iface.h_minus) - 1))
+
+
 def _stacked_flux(iface, switch):
     """The central-upwind flux as one stacked (4, n) formula, with
     G = (p, q*v, L, p*b) and minmod written out; numerical_flux must
     reproduce it bit for bit."""
-    a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus,
-                                   iface.h_minus, iface.h_plus,
-                                   iface.b_minus, iface.b_plus)
+    a_plus, a_minus = _speeds(iface.v_minus, iface.v_plus,
+                              iface.h_minus, iface.h_plus,
+                              iface.b_minus, iface.b_plus)
     u_minus = np.stack([iface.h_minus, iface.q_minus, iface.p_minus,
                         iface.h_minus * iface.b_minus])
     u_plus = np.stack([iface.h_plus, iface.q_plus, iface.p_plus,
@@ -81,17 +103,17 @@ def _random_interfaces(draw):
 
 class TestLocalSpeeds:
     def test_symmetric_gravity_waves(self):
-        a_plus, a_minus = local_speeds(0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+        a_plus, a_minus = _speeds(0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
         assert a_plus == 1.0 and a_minus == -1.0
 
     def test_supersonic_clamps_left_speed(self):
-        a_plus, a_minus = local_speeds(5.0, 5.0, 1.0, 1.0, 1.0, 1.0)
+        a_plus, a_minus = _speeds(5.0, 5.0, 1.0, 1.0, 1.0, 1.0)
         assert a_plus == 6.0 and a_minus == 0.0
 
     def test_dry_interface(self):
-        a_plus, a_minus = local_speeds(0.3, 0.3, 0.0, 0.0, 0.0, 0.0)
+        a_plus, a_minus = _speeds(0.3, 0.3, 0.0, 0.0, 0.0, 0.0)
         assert a_plus == 0.3 and a_minus == 0.0
-        a_plus, a_minus = local_speeds(-0.3, -0.3, 0.0, 0.0, 0.0, 0.0)
+        a_plus, a_minus = _speeds(-0.3, -0.3, 0.0, 0.0, 0.0, 0.0)
         assert a_plus == 0.0 and a_minus == -0.3
 
     def test_ordering_property(self):
@@ -99,12 +121,12 @@ class TestLocalSpeeds:
         v = rng.uniform(-3, 3, (2, 100))
         h = rng.uniform(0, 2, (2, 100))
         b = rng.uniform(0, 2, (2, 100))
-        a_plus, a_minus = local_speeds(v[0], v[1], h[0], h[1], b[0], b[1])
+        a_plus, a_minus = _speeds(v[0], v[1], h[0], h[1], b[0], b[1])
         assert np.all(a_plus >= 0.0) and np.all(a_minus <= 0.0)
 
     def test_negative_product_rejected(self):
         with pytest.raises(ValueError):
-            local_speeds(0.0, 0.0, -1.0, 1.0, 1.0, 1.0)
+            _speeds(0.0, 0.0, -1.0, 1.0, 1.0, 1.0)
 
 
 def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
@@ -121,7 +143,8 @@ def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
     safe = a_plus - a_minus
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flux, "minmod", spy)
-        flux._central_upwind_row(np.empty(u_minus.size), u_minus, u_plus,
+        flux._central_upwind_row(np.empty(u_minus.size),
+                                 fresh(u_minus.size, 4), u_minus, u_plus,
                                  g_minus, g_plus, a_plus, a_minus, safe,
                                  a_plus * a_minus / safe,
                                  np.array([], dtype=int))
@@ -173,7 +196,7 @@ class TestAntiDiffusion:
         l_plus = a_plus * u_plus - a_minus * u_minus - denom * u_star
         ifs = _states_from_sides(1.0, 1.0, 0.0, 0.0, u_minus, u_plus,
                                  c * c, c * c, 0.0, l_plus)
-        flux, ap, am = numerical_flux(ifs, np.ones(1))
+        flux, ap, am = _flux(ifs, np.ones(1))
         assert (ap[0], am[0]) == (a_plus, a_minus)
         central = -a_minus * l_plus / denom
         diffusion = flux[2, 0] - central
@@ -191,7 +214,7 @@ class TestAntiDiffusion:
 
 class TestDiffusionSwitch:
     def test_zero_at_equal_values(self):
-        assert diffusion_switch(72.0, 72.0, 0.04, 4.0) == 0.0
+        assert _switch(72.0, 72.0, 0.04, 4.0) == 0.0
 
     @staticmethod
     def _jump_for_psi(psi, dy, length, l_left):
@@ -202,7 +225,7 @@ class TestDiffusionSwitch:
         # psi = 1/400 makes C*psi = 1, so H = 1/2
         dy, length = 0.04, 4.0
         x = self._jump_for_psi(1.0 / 400.0, dy, length, 1.0)
-        h = diffusion_switch(1.0, 1.0 + x, dy, length)
+        h = _switch(1.0, 1.0 + x, dy, length)
         # tolerance limited by the (1 + x) - 1 cancellation in the L jump
         assert h == pytest.approx(0.5, rel=1e-9)
 
@@ -210,22 +233,22 @@ class TestDiffusionSwitch:
         # psi = 1/100 gives 4^8 / (1 + 4^8)
         dy, length = 0.04, 4.0
         x = self._jump_for_psi(1.0 / 100.0, dy, length, 1.0)
-        h = diffusion_switch(1.0, 1.0 + x, dy, length)
+        h = _switch(1.0, 1.0 + x, dy, length)
         assert h == pytest.approx(4.0 ** 8 / (1.0 + 4.0 ** 8), rel=1e-12)
         assert h == pytest.approx(0.9999847, abs=1e-6)
 
     def test_monotone_and_bounded(self):
         l_right = 1.0 + np.linspace(0.0, 1.0, 50)
-        h = diffusion_switch(np.ones(50), l_right, 0.1, 10.0)
+        h = _switch(np.ones(50), l_right, 0.1, 10.0)
         assert np.all(np.diff(h) >= 0.0)
         # H < 1 mathematically; float evaluation may round up to 1.0
         assert np.all((h >= 0.0) & (h <= 1.0))
         assert np.all(np.isfinite(h))
 
     def test_nonpositive_values_guarded(self):
-        h = diffusion_switch(-1.0, -2.0, 0.1, 10.0)
+        h = _switch(-1.0, -2.0, 0.1, 10.0)
         assert np.isfinite(h) and 0.0 <= h <= 1.0
-        assert np.isfinite(diffusion_switch(0.0, 0.0, 0.1, 10.0))
+        assert np.isfinite(_switch(0.0, 0.0, 0.1, 10.0))
 
 
 class TestNumericalFlux:
@@ -234,14 +257,14 @@ class TestNumericalFlux:
         v = p / h
         l = p * v + 0.5 * b * h * h
         ifs = _states_from_sides(h, h, q, q, p, p, b, b, l, l)
-        flux, a_plus, a_minus = numerical_flux(ifs, np.zeros(1))
+        flux, a_plus, a_minus = _flux(ifs, np.zeros(1))
         expected = [p, q * v, l, p * b]
         assert flux[:, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_speeds_average_physical_fluxes(self):
         ifs = _states_from_sides(0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0,
                                  1.0, 2.0)
-        flux, a_plus, a_minus = numerical_flux(ifs, np.zeros(1))
+        flux, a_plus, a_minus = _flux(ifs, np.zeros(1))
         assert a_plus[0] == 0.0 and a_minus[0] == 0.0
         assert flux[2, 0] == pytest.approx(1.5)  # mean of the two L values
 
@@ -253,14 +276,15 @@ class TestNumericalFlux:
         b = np.where(np.arange(n) < half, 4.0, 9.0)
         st = ConservedState.from_fields(h, 0 * h, 0 * h, h * b)
         g = build_grid(-2.0, 2.0, n)
-        tend = rhs(st, flat_topography(g), CoriolisSpec(0.0), g, Numerics())
+        tend = rhs(st, flat_topography(g), CoriolisSpec(0.0), g, Numerics(),
+                   Workspace(n))
         assert np.abs(tend).max() <= 1e-13 * 72.0
 
     @settings(max_examples=300, deadline=None)
     @given(_random_interfaces())
     def test_matches_stacked_formula_bit_for_bit(self, drawn):
         ifs, switch = drawn
-        got = numerical_flux(ifs, switch)
+        got = _flux(ifs, switch)
         want = _stacked_flux(ifs, switch)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -270,8 +294,8 @@ class TestNumericalFlux:
         # q and hb fluxes reduce to their central parts
         ifs = _states_from_sides(2.0, 2.0, 1.0, 3.0, 0.0, 0.0, 4.0, 9.0,
                                  72.0, 72.0)
-        flux_off, _, _ = numerical_flux(ifs, np.zeros(1))
-        flux_on, _, _ = numerical_flux(ifs, np.ones(1))
+        flux_off, _, _ = _flux(ifs, np.zeros(1))
+        flux_on, _, _ = _flux(ifs, np.ones(1))
         assert flux_off[1, 0] == pytest.approx(0.0, abs=1e-14)
         assert flux_off[3, 0] == pytest.approx(0.0, abs=1e-14)
         assert flux_on[1, 0] != flux_off[1, 0]

@@ -96,6 +96,40 @@ class TestReach:
         assert _unreached_definitions() == []
 
 
+def _buffer_defaults(tree):
+    """(function, argument) for every function in ``tree`` that gives one
+    of its buffer arguments ``ws``, ``out`` or ``work`` a default."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        found += [(node.name, a.arg) for a in defaulted
+                  if a.arg in ("ws", "out", "work")]
+    return found
+
+
+class TestStageBuffers:
+    def test_stage_kernels_take_their_buffers(self):
+        # a kernel of a stage writes into the run's workspace only; a
+        # default that allocates fresh buffers would be a second path
+        # that only tests take. The public depth solve keeps its
+        # broadcast entry.
+        found = []
+        for name in ("stepper", "flux", "reconstruction"):
+            (tree,) = _parsed(f"src/trsw/{name}.py")
+            found += _buffer_defaults(tree)
+        (tree,) = _parsed("src/trsw/diagnostics.py")
+        found += [hit for hit in _buffer_defaults(tree)
+                  if hit[0] == "make_record"]
+        assert sorted(found) == [("depth_from_equilibrium", "out"),
+                                 ("depth_from_equilibrium", "work")]
+
+
 class TestSpanTargets:
     def test_every_target_records_a_call(self, tmp_path, capsys, spans):
         # a call that stops going through a rebound name would leave its

@@ -15,6 +15,7 @@ from trsw.reconstruction import (_fill_ghosts, build_interface_states,
                                  minmod, source_potential)
 from trsw.scenarios import _ex1_bottom, _ex2_bottom, make_scenario
 from trsw.stepper import rhs
+from trsw.workspace import Workspace, fresh
 
 
 @contextlib.contextmanager
@@ -40,7 +41,21 @@ def uniform_interfaces(h, p, hb, datum=0.0):
                                     np.full(4, p), np.full(4, hb))
     with shifted_datum(datum):
         return build_interface_states(st, flat_topography(g),
-                                      CoriolisSpec(0.0), g, Numerics())
+                                      CoriolisSpec(0.0), g, Numerics(),
+                                      Workspace(4))
+
+
+def _minmod(*args):
+    """minmod into fresh buffers of the arguments' shape."""
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    return minmod(*args, out=np.empty(shape), work=fresh(shape, 2))
+
+
+def _interface_values(padded, sigma, dy):
+    """interface_values of one padded field into fresh buffers."""
+    m = np.size(padded) - 3  # the interfaces
+    return interface_values(padded, sigma, dy, fresh(m, 1) + fresh(m + 1, 1),
+                            fresh(m + 2, 1) + fresh(m + 1, 2))
 
 
 def bisect_phi(p, b, d, lo, hi, iters=200):
@@ -65,16 +80,16 @@ _MINMOD_VALUES = st.one_of(
 
 class TestMinmod:
     def test_all_positive(self):
-        assert minmod(1.0, 2.0, 3.0) == 1.0
+        assert _minmod(1.0, 2.0, 3.0) == 1.0
 
     def test_all_negative(self):
-        assert minmod(-1.0, -2.0, -3.0) == -1.0
+        assert _minmod(-1.0, -2.0, -3.0) == -1.0
 
     def test_mixed_signs(self):
-        assert minmod(1.0, -1.0, 2.0) == 0.0
+        assert _minmod(1.0, -1.0, 2.0) == 0.0
 
     def test_vectorized(self):
-        out = minmod(np.array([1.0, -1.0, 2.0]), np.array([2.0, -3.0, -1.0]))
+        out = _minmod(np.array([1.0, -1.0, 2.0]), np.array([2.0, -3.0, -1.0]))
         assert np.array_equal(out, [1.0, -1.0, 0.0])
 
     @staticmethod
@@ -92,8 +107,7 @@ class TestMinmod:
     @given(st.integers(2, 3), st.data())
     def test_scalars_match_definition(self, k, data):
         xs = data.draw(st.lists(_MINMOD_VALUES, min_size=k, max_size=k))
-        out = minmod(*xs)
-        assert type(out) is float
+        out = _minmod(*xs)
         assert self._same_bits(out, self._definition(*xs))
 
     @given(st.integers(2, 3), st.integers(1, 12), st.data())
@@ -102,10 +116,10 @@ class TestMinmod:
                 for _ in range(n)]
         args = [np.array(col) for col in zip(*cols)]
         expected = [self._definition(*col) for col in cols]
-        assert self._same_bits(minmod(*args), expected)
+        assert self._same_bits(_minmod(*args), expected)
         # writing into one of the arguments gives the same result
         target = args[-1].copy()
-        minmod(*args[:-1], target, out=target)
+        minmod(*args[:-1], target, out=target, work=fresh(n, 2))
         assert self._same_bits(target, expected)
 
 
@@ -134,14 +148,16 @@ class TestSourcePotential:
         g = build_grid(0.0, 1.0, 10)
         st = ConservedState.from_fields(np.ones(10), np.ones(10),
                                         np.zeros(10), np.ones(10))
-        rc, ri = source_potential(st, flat_topography(g), CoriolisSpec(0.0), g)
+        rc, ri = source_potential(st, flat_topography(g), CoriolisSpec(0.0), g,
+                                  Workspace(10))
         assert np.all(rc == 0.0) and np.all(ri == 0.0)
 
     def test_constant_integrand_exact(self):
         g = build_grid(0.0, 1.0, 10)
         st = ConservedState.from_fields(np.ones(10), np.ones(10),
                                         np.zeros(10), np.ones(10))
-        rc, ri = source_potential(st, flat_topography(g), CoriolisSpec(1.0), g)
+        rc, ri = source_potential(st, flat_topography(g), CoriolisSpec(1.0), g,
+                                  Workspace(10))
         assert ri == pytest.approx(np.linspace(0.0, 1.0, 11), rel=1e-14)
         assert rc == pytest.approx(np.arange(10) * 0.1 + 0.05, rel=1e-13)
 
@@ -151,7 +167,8 @@ class TestSourcePotential:
         # error remains
         s = make_scenario("ex1-steady", cells=100)
         st = s.initial_state()
-        _, ri = source_potential(st, s.topography, s.coriolis, s.grid)
+        _, ri = source_potential(st, s.topography, s.coriolis, s.grid,
+                                 Workspace(100))
 
         yy = np.linspace(-2.0, 2.0, 1_000_001)
         w = np.where(yy < 0, 6.0, 4.0)
@@ -175,7 +192,7 @@ class TestSourcePotential:
             u = np.sin(y) * np.exp(-0.1 * y * y)
             st = ConservedState.from_fields(h, h * u, 0 * y, h)
             _, ri = source_potential(st, flat_topography(g),
-                                     CoriolisSpec(0.5, 0.2), g)
+                                     CoriolisSpec(0.5, 0.2), g, Workspace(n))
             yy = np.linspace(-5.0, 5.0, 2_000_001)
             hh = 1.0 + 0.3 * np.exp(-yy * yy)
             gg = (0.5 + 0.2 * yy) * hh * np.sin(yy) * np.exp(-0.1 * yy * yy)
@@ -204,8 +221,9 @@ class TestGlobalPrimitive:
 
         monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
         ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics)
-        rc, ri = source_potential(st, s.topography, s.coriolis, s.grid)
+                                     s.numerics, Workspace(64))
+        rc, ri = source_potential(st, s.topography, s.coriolis, s.grid,
+                                  Workspace(64))
         assert len(seen) == 2
         for r_iface in seen:
             assert np.array_equal(r_iface, ri)
@@ -241,25 +259,25 @@ class TestEquilibriumCenters:
 class TestInterfaceValues:
     def test_constant_field(self):
         pad = np.full(14, 3.5)
-        minus, plus = interface_values(pad, 1.3, 0.1)
+        minus, plus = _interface_values(pad, 1.3, 0.1)
         assert np.all(minus == 3.5) and np.all(plus == 3.5)
 
     def test_linear_exactness(self):
         y = np.arange(14) * 0.1
-        minus, plus = interface_values(2.0 * y, 1.3, 0.1)
+        minus, plus = _interface_values(2.0 * y, 1.3, 0.1)
         assert minus == pytest.approx(plus, rel=1e-14)
         assert np.diff(minus) == pytest.approx(0.2, rel=1e-12)
 
     def test_isolated_jump(self):
         pad = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-        minus, plus = interface_values(pad, 1.3, 0.1)
+        minus, plus = _interface_values(pad, 1.3, 0.1)
         j = 2  # interface between the last 0-cell and first 1-cell
         assert minus[j] == 0.0 and plus[j] == 1.0
 
     @staticmethod
     def _tv_of_reconstruction(vals, sigma, dy):
         pad = np.pad(vals, 2, mode="edge")
-        minus, plus = interface_values(pad, sigma, dy)
+        minus, plus = _interface_values(pad, sigma, dy)
         # in-cell variation (a cell's right minus its left limit) plus the
         # jumps at the interior interfaces
         return (np.abs(minus[1:] - plus[:-1]).sum()
@@ -282,7 +300,7 @@ class TestInterfaceValues:
         rng = np.random.default_rng(4)
         vals = rng.uniform(-2, 2, 40)
         pad = np.pad(vals, 2, mode="edge")
-        minus, plus = interface_values(pad, 2.0, 0.1)
+        minus, plus = _interface_values(pad, 2.0, 0.1)
         lo = np.minimum(pad[1:-2], pad[2:-1])
         hi = np.maximum(pad[1:-2], pad[2:-1])
         assert np.all(minus >= lo - 1e-12) and np.all(minus <= hi + 1e-12)
@@ -327,7 +345,8 @@ def _fallback_depths(monkeypatch, h, topo, grid):
     monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
     zero = np.zeros_like(h)
     build_interface_states(ConservedState.from_fields(h, zero, zero, h),
-                           topo, CoriolisSpec(0.0), grid, Numerics(sigma=1.3))
+                           topo, CoriolisSpec(0.0), grid, Numerics(sigma=1.3),
+                           Workspace(grid.n))
     assert len(seen) == 2
     return seen
 
@@ -357,8 +376,8 @@ class TestFallbackDepth:
         g = build_grid(0.0, 3.0, 30)
         topo = flat_topography(g)
         fm, fp = _fallback_depths(monkeypatch, h, topo, g)
-        m2, p2 = interface_values(np.pad(h, 2, mode="edge"), 1.3,
-                                  g.dy)
+        m2, p2 = _interface_values(np.pad(h, 2, mode="edge"), 1.3,
+                                   g.dy)
         assert np.array_equal(fm, m2) and np.array_equal(fp, p2)
 
 
@@ -450,7 +469,7 @@ class TestBuildInterfaceStates:
         s = make_scenario("ex1-steady", cells=100)
         st = s.initial_state()
         ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics)
+                                     s.numerics, Workspace(100))
         assert np.abs(ifs.l_minus - 72.0).max() <= 1e-12 * 72.0
         assert np.abs(ifs.l_plus - 72.0).max() <= 1e-12 * 72.0
         assert np.all(ifs.p_minus == 0.0) and np.all(ifs.p_plus == 0.0)
@@ -461,7 +480,8 @@ class TestBuildInterfaceStates:
         st = ConservedState.from_fields(np.ones(16), np.zeros(16),
                                         np.zeros(16), np.ones(16))
         ifs = build_interface_states(st, flat_topography(g),
-                                     CoriolisSpec(0.0), g, Numerics())
+                                     CoriolisSpec(0.0), g, Numerics(),
+                                     Workspace(16))
         assert np.allclose(ifs.h_minus, 1.0, atol=1e-14)
         assert np.allclose(ifs.h_plus, 1.0, atol=1e-14)
         assert np.allclose(ifs.l_minus, 0.5, atol=1e-14)
@@ -477,7 +497,8 @@ class TestBuildInterfaceStates:
         b = 1.0 + 0.2 * np.cos(y)
         st = ConservedState.from_fields(h, 0 * y, h * v, h * b)
         ifs = build_interface_states(st, flat_topography(g),
-                                     CoriolisSpec(1.0), g, Numerics())
+                                     CoriolisSpec(1.0), g, Numerics(),
+                                     Workspace(n))
         assert np.array_equal(ifs.p_minus, ifs.h_minus * ifs.v_minus)
         assert np.array_equal(ifs.p_plus, ifs.h_plus * ifs.v_plus)
 
@@ -497,18 +518,19 @@ def _pad_then_compute(state, topo, cor, grid, num, r_datum):
     pad = np.pad(state.array, ((0, 0), (2, 2)), mode="edge")
     h_pad, q_pad, p_pad, hb_pad = pad
     b_pad = desingularized_ratio(h_pad, hb_pad)
-    r_center, r_iface = source_potential(state, topo, cor, grid)
+    r_center, r_iface = source_potential(state, topo, cor, grid,
+                                         Workspace(grid.n))
     r_center = r_center + r_datum
     r_iface = r_iface + r_datum
     kinetic = p_pad * desingularized_ratio(h_pad, p_pad)
     l_pad = (kinetic + 0.5 * hb_pad * h_pad
              + np.pad(r_center, 2, mode="edge"))
-    q_minus, q_plus = interface_values(q_pad, sigma, dy)
-    p_minus, p_plus = interface_values(p_pad, sigma, dy)
-    l_minus, l_plus = interface_values(l_pad, sigma, dy)
-    b_minus, b_plus = interface_values(b_pad, sigma, dy)
+    q_minus, q_plus = _interface_values(q_pad, sigma, dy)
+    p_minus, p_plus = _interface_values(p_pad, sigma, dy)
+    l_minus, l_plus = _interface_values(l_pad, sigma, dy)
+    b_minus, b_plus = _interface_values(b_pad, sigma, dy)
     b_mid = 0.5 * (b_minus + b_plus)
-    w_minus, w_plus = interface_values(
+    w_minus, w_plus = _interface_values(
         h_pad + np.pad(topo.z_center, 2, mode="edge"), sigma, dy)
     h_minus = depth_from_equilibrium(p_minus, b_mid, l_minus, r_iface,
                                      np.maximum(w_minus - topo.z_iface, 0.0))
@@ -573,7 +595,7 @@ def _check_against_pad_then_compute(n, seed, f0, beta, r_datum, sigma):
     cor = CoriolisSpec(f0, beta)
     num = Numerics(sigma=sigma)
     with np.errstate(all="ignore"), shifted_datum(r_datum):
-        got = build_interface_states(st_, topo, cor, g, num)
+        got = build_interface_states(st_, topo, cor, g, num, Workspace(n))
         want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
     for name, value in want.items():
         assert getattr(got, name).tobytes() == value.tobytes(), name
@@ -652,9 +674,9 @@ class TestDatumInvariance:
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
         args = (st, s.topography, s.coriolis, s.grid, s.numerics)
-        l0 = build_interface_states(*args)
+        l0 = build_interface_states(*args, Workspace(64))
         with shifted_datum(5.0):
-            l1 = build_interface_states(*args)
+            l1 = build_interface_states(*args, Workspace(64))
         for side in ("l_cell_left", "l_cell_right"):
             assert getattr(l1, side) == pytest.approx(
                 getattr(l0, side) + 5.0, rel=1e-14)
@@ -662,9 +684,11 @@ class TestDatumInvariance:
     def test_rhs_invariant_at_steady_state(self):
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
-        t0 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics)
+        t0 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics,
+                 Workspace(64))
         with shifted_datum(100.0):
-            t1 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics)
+            t1 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics,
+                     Workspace(64))
         assert np.abs(t1 - t0).max() <= 1e-10
 
     def test_h_and_p_tendencies_invariant_generic(self):
@@ -682,9 +706,9 @@ class TestDatumInvariance:
         st = ConservedState.from_fields(h, h * u, h * v, h * b)
         topo = sample_topography(lambda z: 0.1 * np.sin(z), g)
         cor = CoriolisSpec(0.7, 0.1)
-        t0 = rhs(st, topo, cor, g, Numerics())
+        t0 = rhs(st, topo, cor, g, Numerics(), Workspace(n))
         with shifted_datum(1000.0):
-            t1 = rhs(st, topo, cor, g, Numerics())
+            t1 = rhs(st, topo, cor, g, Numerics(), Workspace(n))
         scale = np.abs(t0).max()
         assert np.abs(t1[0] - t0[0]).max() <= 1e-9 * scale
         assert np.abs(t1[2] - t0[2]).max() <= 1e-9 * scale

@@ -8,11 +8,13 @@ import pytest
 from trsw.reconstruction import build_interface_states
 from trsw.scenarios import SCENARIO_IDS, make_scenario, perturbation_bump
 from trsw.stepper import rhs
+from trsw.workspace import Workspace
 
 
 def max_tendency(scenario, component=None):
     tend = rhs(scenario.initial_state(), scenario.topography,
-               scenario.coriolis, scenario.grid, scenario.numerics)
+               scenario.coriolis, scenario.grid, scenario.numerics,
+               Workspace(scenario.grid.n))
     if component is None:
         return np.abs(tend).max()
     return np.abs(tend[component]).max()
@@ -129,7 +131,7 @@ class TestDiscreteEquilibria:
                      b0=lambda y: 2.0 / h_fn(y) ** 2, t_final=0.1)
         st = s.initial_state()
         ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics)
+                                     s.numerics, Workspace(64))
         for l in (ifs.l_cell_left, ifs.l_cell_right):
             assert np.abs(l - 1.0).max() <= 1e-14
         assert max_tendency(s) <= 1e-13

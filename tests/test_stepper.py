@@ -24,6 +24,7 @@ from trsw.reconstruction import (_fill_ghosts, build_interface_states,
 from trsw.scenarios import make_scenario
 from trsw.stepper import (assemble_fluxes, cfl_dt, draining_limit, rhs,
                           run_simulation, source_term, ssp_rk3_combine)
+from trsw.workspace import Workspace, fresh
 
 
 def _rest_scenario(n=8, t_final=0.0, **kw):
@@ -67,18 +68,27 @@ class TestApplyBoundary:
 
     def test_constant_state_zero_slopes_at_boundary(self):
         padded = np.full(12, 3.0)
-        minus, plus = interface_values(padded, 1.3, 0.1)
+        minus, plus = interface_values(padded, 1.3, 0.1,
+                                       fresh(9, 1) + fresh(10, 1),
+                                       fresh(11, 1) + fresh(10, 2))
         assert np.all(minus == 3.0) and np.all(plus == 3.0)
 
 
 class TestSourceTerm:
+    @staticmethod
+    def _source(state, topo, cor, grid, numerics):
+        """source_term on the interface states of ``state``, each in
+        buffers of its own."""
+        ifs = build_interface_states(state, topo, cor, grid, numerics,
+                                     Workspace(grid.n))
+        return source_term(state, ifs, cor, grid, *fresh(grid.n, 2))
+
     def test_constant_f(self):
         s = _rest_scenario()
         st = ConservedState.from_fields(np.ones(8), np.zeros(8),
                                         np.full(8, 0.5), np.ones(8))
-        ifs = build_interface_states(st, s.topography, CoriolisSpec(1.0),
-                                     s.grid, s.numerics)
-        src = source_term(st, ifs, CoriolisSpec(1.0), s.grid)
+        src = self._source(st, s.topography, CoriolisSpec(1.0), s.grid,
+                           s.numerics)
         assert np.allclose(src, 0.5, atol=0.0)
 
     def test_simpson_exact_on_linear_f(self):
@@ -88,17 +98,14 @@ class TestSourceTerm:
         st = ConservedState.from_fields(np.ones(10), np.zeros(10),
                                         np.full(10, c), np.ones(10))
         cor = CoriolisSpec(0.0, 0.1)
-        ifs = build_interface_states(st, flat_topography(g), cor, g,
-                                     Numerics())
-        src = source_term(st, ifs, cor, g)
+        src = self._source(st, flat_topography(g), cor, g, Numerics())
         assert src == pytest.approx(0.1 * c * g.centers, rel=1e-13)
 
     def test_zero_f(self):
         s = _rest_scenario()
         st = s.initial_state()
-        ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics)
-        assert np.all(source_term(st, ifs, s.coriolis, s.grid) == 0.0)
+        assert np.all(self._source(st, s.topography, s.coriolis, s.grid,
+                                   s.numerics) == 0.0)
 
 
 class TestCflDt:
@@ -118,11 +125,16 @@ class TestCflDt:
         assert cfl_dt(1.0, 0.04, 0.5, dt * (1.0 + 1e-11)) == dt
 
 
+def _drain(u, flux, dt, dy):
+    """draining_limit under a workspace of its own."""
+    return draining_limit(u, flux, dt, dy, Workspace(u.shape[1]))
+
+
 class TestDrainingLimit:
     def test_no_limiting_when_deep(self):
         padded = np.ones((4, 9))
         flux = np.full((4, 6), 0.01)
-        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
+        out, n = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert n == 0
         assert np.array_equal(out, flux)
 
@@ -134,7 +146,7 @@ class TestDrainingLimit:
         flux[0, 3] = 0.5   # outgoing from the dry cell to the right
         flux[0, 2] = -0.5  # outgoing to the left
         flux[3] = flux[0]
-        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
+        out, n = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert out[0, 3] == 0.0 and out[0, 2] == 0.0
         assert out[3, 3] == 0.0 and out[3, 2] == 0.0
         assert n > 0
@@ -151,7 +163,7 @@ class TestDrainingLimit:
             flux = np.zeros((4, 11))
             flux[0] = rng.uniform(-1.0, 1.0, 11)
             flux[3] = rng.uniform(-1.0, 1.0, 11)
-            out, _ = draining_limit(padded[:, 2:-2], flux, dt, dy)
+            out, _ = _drain(padded[:, 2:-2], flux, dt, dy)
             h_new = h - dt / dy * (out[0, 1:] - out[0, :-1])
             hb_new = hb - dt / dy * (out[3, 1:] - out[3, :-1])
             assert np.all(h_new >= 0.0)
@@ -160,7 +172,7 @@ class TestDrainingLimit:
     def test_momentum_fluxes_untouched(self):
         padded = np.zeros((4, 9))
         flux = np.ones((4, 6))
-        out, _ = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
+        out, _ = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert np.array_equal(out[1], flux[1])
         assert np.array_equal(out[2], flux[2])
 
@@ -193,7 +205,7 @@ class TestDrainingLimit:
         padded = np.ones((4, 9))
         flux = np.full((4, 6), 0.01)
         flux[0, ::2] = -0.02
-        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
+        out, n = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert out is flux and n == 0
         assert np.array_equal(self._scaled(padded, flux, 0.1, 0.5), flux)
 
@@ -204,7 +216,7 @@ class TestDrainingLimit:
         padded[3] = np.pad(rng.uniform(0.0, 0.2, 10), 2, mode="edge")
         flux = rng.uniform(-1.0, 1.0, (4, 11))
         before = flux.copy()
-        out, n = draining_limit(padded[:, 2:-2], flux, 0.05, 0.1)
+        out, n = _drain(padded[:, 2:-2], flux, 0.05, 0.1)
         assert n > 0 and out is flux
         assert (self._scaled(padded, before, 0.05, 0.1).tobytes()
                 == out.tobytes())
@@ -214,7 +226,7 @@ class TestDrainingLimit:
         padded[0, 4] = np.nan  # the donor of interface 3 for f > 0
         flux = np.full((4, 6), 0.01)
         before = flux.copy()
-        out, n = draining_limit(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
+        out, n = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert np.isnan(out[0, 3]) and n == 0
         assert np.array_equal(np.isnan(out),
                               np.isnan(self._scaled(padded, before, 0.1, 0.5)))
@@ -238,7 +250,7 @@ class TestDrainingLimit:
             flux[row, -1] = abs(flux[row, -1]) * (-1 if inflow_right else 1)
         dt, dy = 0.05, 0.1
         before = flux.copy()
-        out, n_limited = draining_limit(u, flux, dt, dy)
+        out, n_limited = _drain(u, flux, dt, dy)
         padded = np.pad(u, ((0, 0), (2, 2)), mode="edge")
         assert out.tobytes() == self._scaled(padded, before, dt, dy).tobytes()
         scales = self._scales(padded, before, dt, dy)
@@ -368,9 +380,9 @@ class TestRhs:
         v = 0.2 * np.cos(y)
         st = ConservedState.from_fields(h, 0 * y, h * v, 2 * h)
         topo = flat_topography(g)
-        tend = rhs(st, topo, CoriolisSpec(0.0), g, Numerics())
+        tend = rhs(st, topo, CoriolisSpec(0.0), g, Numerics(), Workspace(n))
         flux, _, _, _ = assemble_fluxes(st, topo, CoriolisSpec(0.0), g,
-                                        Numerics())
+                                        Numerics(), Workspace(n))
         total = tend[0].sum() * g.dy
         assert total == pytest.approx(-(flux[0, -1] - flux[0, 0]),
                                       rel=1e-12, abs=1e-14)
@@ -378,7 +390,7 @@ class TestRhs:
     def test_lake_at_rest_zero_tendency(self):
         s = make_scenario("lake-at-rest", cells=200)
         tend = rhs(s.initial_state(), s.topography, s.coriolis, s.grid,
-                   s.numerics)
+                   s.numerics, Workspace(200))
         scale = 25.0  # max |L| for the 5-deep lake
         assert np.abs(tend).max() <= 1e-13 * scale
 
@@ -550,8 +562,7 @@ class TestWorkspace:
     """A run's stage arrays live in one workspace allocated per run, and
     a step allocates no n-float array but the accepted state's copy and
     the depth solve's transient gathers; the stage kernels never read what
-    a workspace held before; the public kernels called without one return
-    fresh arrays."""
+    a workspace held before."""
 
     @pytest.mark.parametrize("name,t_final", [
         ("ex2", 5e-4), ("ex3b", 0.3), ("ex6", 2.5),
@@ -585,28 +596,6 @@ class TestWorkspace:
         assert len(grown) == res.steps - 1
         assert max(grown) < 1.5 * state_bytes
 
-    def test_calls_without_workspace_return_fresh_arrays(self):
-        from dataclasses import fields
-
-        from trsw.reconstruction import InterfaceStates
-
-        s = make_scenario("ex2", cells=40)
-        args = (s.initial_state(), s.topography, s.coriolis, s.grid,
-                s.numerics)
-        first, second = assemble_fluxes(*args), assemble_fluxes(*args)
-
-        def arrays(out):
-            flux, a_plus, a_minus, iface = out
-            return [flux, a_plus, a_minus] + [
-                getattr(iface, f.name) for f in fields(InterfaceStates)]
-
-        for x, y in zip(arrays(first), arrays(second)):
-            assert np.array_equal(x, y)
-        for x in arrays(first):
-            assert not any(np.shares_memory(x, y) for y in arrays(second))
-        r1, r2 = rhs(*args), rhs(*args)
-        assert np.array_equal(r1, r2) and not np.shares_memory(r1, r2)
-
     @pytest.mark.parametrize("name,cells,n_limited", [
         # the drain at dt = 0.2 scales two interfaces
         ("ex2", 64, 2),
@@ -617,13 +606,12 @@ class TestWorkspace:
     def test_stage_kernels_ignore_stale_workspace(self, name, cells,
                                                    n_limited):
         from trsw.diagnostics import ConservationLedger, make_record
-        from trsw.workspace import Workspace
 
         s = make_scenario(name, cells=cells)
         state = s.initial_state()
         args = (state, s.topography, s.coriolis, s.grid, s.numerics)
         ledger = ConservationLedger(state, s.grid)
-        flux = assemble_fluxes(*args)[0]
+        flux = assemble_fluxes(*args, Workspace(cells))[0]
 
         def filled(value, flag):
             ws = Workspace(cells)

@@ -89,13 +89,17 @@ def stacked_times(trsw, cells: int, repeats: int):
     iv = trsw.reconstruction.interface_values
     pad = cells + 4
     field = np.random.default_rng(cells).normal(size=pad)
-    row_minus, row_plus = iv(field, 1.3, 0.01)
+
+    def buffers(k):
+        return ((np.empty(k * pad - 3), np.empty(k * pad - 2)),
+                (np.empty(k * pad - 1), np.empty(k * pad - 2),
+                 np.empty(k * pad - 2)))
+
+    row_minus, row_plus = iv(field, 1.3, 0.01, *buffers(1))
     out = []
     for k in range(1, 6):
         flat = np.tile(field, k)
-        res = (np.empty(k * pad - 3), np.empty(k * pad - 2))
-        work = (np.empty(k * pad - 1), np.empty(k * pad - 2),
-                np.empty(k * pad - 2))
+        res, work = buffers(k)
         minus, plus = iv(flat, 1.3, 0.01, res, work)
         for j in range(k):
             got = slice(j * pad, j * pad + cells + 1)
