@@ -153,9 +153,9 @@ def total_variation(field, work=None) -> float:
     return float(np.abs(d, out=d).sum())
 
 
-def gradient_max(field, dy: float, work=None) -> float:
+def gradient_max(field, dy: float, work) -> float:
     """Largest discrete gradient magnitude max |delta field| / dy;
-    ``work`` receives the differences (fresh by default)."""
+    ``work`` receives the differences."""
     f = np.asarray(field, float)
     d = np.subtract(f[..., 1:], f[..., :-1], out=work)
     return float(np.abs(d, out=d).max(initial=0.0) / dy)

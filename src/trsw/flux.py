@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import _TINY
-from .reconstruction import InterfaceStates, minmod
+from .reconstruction import minmod
 from .workspace import Workspace
 
 _DEGENERATE = 1.0e-12
@@ -110,8 +110,9 @@ def _central_upwind_row(out, work, u_minus, u_plus, g_minus, g_plus, a_plus,
         out[fallback] = 0.5 * (g_minus[fallback] + g_plus[fallback])
 
 
-def numerical_flux(iface: InterfaceStates, switch, ws: Workspace):
-    """Central-upwind fluxes at every interface, (4, n_interfaces).
+def numerical_flux(switch, ws: Workspace):
+    """Central-upwind fluxes at every interface, (4, n_interfaces), from
+    the interface states in the workspace's side pairs.
 
     The flux of U = (h, q, p, hb) is G = (p, q*v, L, p*b), built one
     component at a time. Components h and L keep full diffusion; the q and
@@ -121,12 +122,12 @@ def numerical_flux(iface: InterfaceStates, switch, ws: Workspace):
 
     Returns (fluxes, a_plus, a_minus), rows of the workspace ``ws``.
     """
-    h_m, h_p, b_m, b_p = iface.h_minus, iface.h_plus, iface.b_minus, iface.b_plus
-    q_m, q_p, p_m, p_p = iface.q_minus, iface.q_plus, iface.p_minus, iface.p_plus
+    (h_m, h_p), (q_m, q_p), (p_m, p_p) = ws.h_side, ws.q_side, ws.p_side
+    (b_m, b_p), (l_m, l_p), (v_m, v_p) = ws.b_side, ws.l_side, ws.v_side
     hb_m = np.multiply(h_m, b_m, out=ws.hb_minus)
     hb_p = np.multiply(h_p, b_p, out=ws.hb_plus)
-    a_plus, a_minus = local_speeds(iface.v_minus, iface.v_plus, hb_m, hb_p,
-                                   ws.speeds, ws.speed_work)
+    a_plus, a_minus = local_speeds(v_m, v_p, hb_m, hb_p, ws.speeds,
+                                   ws.speed_work)
     safe = np.subtract(a_plus, a_minus, out=ws.safe)
     degenerate = np.less(safe, _DEGENERATE, out=ws.degenerate)
     safe[degenerate] = 1.0
@@ -138,11 +139,10 @@ def numerical_flux(iface: InterfaceStates, switch, ws: Workspace):
     flux = ws.flux
     _central_upwind_row(flux[0], work, h_m, h_p, p_m, p_p, *common)
     _central_upwind_row(flux[1], work, q_m, q_p,
-                        np.multiply(q_m, iface.v_minus, out=ws.g_minus),
-                        np.multiply(q_p, iface.v_plus, out=ws.g_plus),
+                        np.multiply(q_m, v_m, out=ws.g_minus),
+                        np.multiply(q_p, v_p, out=ws.g_plus),
                         *common, switch)
-    _central_upwind_row(flux[2], work, p_m, p_p, iface.l_minus,
-                        iface.l_plus, *common)
+    _central_upwind_row(flux[2], work, p_m, p_p, l_m, l_p, *common)
     _central_upwind_row(flux[3], work, hb_m, hb_p,
                         np.multiply(p_m, b_m, out=ws.g_minus),
                         np.multiply(p_p, b_p, out=ws.g_plus),

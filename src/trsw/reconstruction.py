@@ -9,12 +9,10 @@ discrete equilibria (p = 0, L = const) exactly stationary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
-                    Topography, desingularized_ratio)
+from .model import (_TINY, CoriolisSpec, Grid, Numerics, Topography,
+                    desingularized_ratio)
 from .workspace import GHOST, Workspace, fresh
 
 
@@ -78,12 +76,11 @@ def _fill_ghosts(padded: np.ndarray) -> np.ndarray:
     return padded
 
 
-def source_potential(state: ConservedState, topo: Topography,
+def source_potential(u: np.ndarray, topo: Topography,
                      coriolis: CoriolisSpec, grid: Grid, ws: Workspace):
-    """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces.
-
-    ``state`` is a ConservedState or its (4, n) array; the results are
-    rows of the workspace ``ws``.
+    """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces,
+    for the (4, n) state ``u``; the results are the workspace's
+    ``r_center`` and ``r_iface``.
 
     The interface recursion uses the cell value of f*q and hb times the
     interface jump of Z; the center recursion uses trapezoidal averages.
@@ -91,7 +88,6 @@ def source_potential(state: ConservedState, topo: Topography,
     value is the average of the two enclosing interface values.
     """
     dy = grid.dy
-    u = getattr(state, "array", state)
     # constant f is the scalar f0, as in the source term; a variable f is
     # evaluated once per grid
     f = (coriolis.f0 if coriolis.is_constant
@@ -201,49 +197,25 @@ def _solve_depth(p, b, l, r, fb, h, work):
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class InterfaceStates:
-    """One-sided reconstructed values at the n+1 physical interfaces.
-
-    ``minus`` quantities are limits from the left cell, ``plus`` from the
-    right; p has been recomputed as h*v after desingularization, so
-    p = h*v holds exactly. ``l_cell_left/right`` carry the cell-centered L
-    on either side for the diffusion switch.
-    """
-
-    h_minus: np.ndarray
-    h_plus: np.ndarray
-    q_minus: np.ndarray
-    q_plus: np.ndarray
-    p_minus: np.ndarray
-    p_plus: np.ndarray
-    b_minus: np.ndarray
-    b_plus: np.ndarray
-    l_minus: np.ndarray
-    l_plus: np.ndarray
-    v_minus: np.ndarray
-    v_plus: np.ndarray
-    l_cell_left: np.ndarray
-    l_cell_right: np.ndarray
-
-
-def build_interface_states(state: ConservedState, topo: Topography,
+def build_interface_states(u: np.ndarray, topo: Topography,
                            coriolis: CoriolisSpec, grid: Grid,
-                           numerics: Numerics,
-                           ws: Workspace) -> InterfaceStates:
-    """Full reconstruction pipeline from cell averages to interface states.
+                           numerics: Numerics, ws: Workspace) -> None:
+    """Full reconstruction pipeline from the cell averages of the (4, n)
+    state ``u``, not checked here, to the interface states: the
+    workspace's (2, n+1) pairs ``l_side``, ``q_side``, ``p_side``,
+    ``b_side``, ``h_side`` and ``v_side`` (row 0 the limit from the left
+    cell, row 1 from the right) and ``l_cell_left``/``l_cell_right``, the
+    cell L on either side for the diffusion switch. p is recomputed as h*v
+    after desingularization, so p = h*v holds exactly.
 
-    ``state`` is a ConservedState or its (4, n) array; it is not checked
-    here. The cell values of L, q, p, b and the surface w = h + Z are
-    written into the n cells of the workspace's (5, n+4) field block and
+    The cell values of L, q, p, b and the surface w = h + Z are written
+    into the n cells of the workspace's (5, n+4) field block and
     edge-padded there, which gives the same ghost values as forming b, L
     and w on the padded state. interface_values takes the fields in the
-    workspace's groups and one depth solve takes both sides. The interface
-    states are rows of the workspace ``ws``.
+    workspace's groups, and one depth solve takes both sides of w's pair
+    and writes the depths over it.
     """
     sigma, dy = numerics.sigma, grid.dy
-
-    u = getattr(state, "array", state)
     h, p, hb = u[0], u[2], u[3]
 
     # L = p^2/h + (hb/2) h + R, the kinetic term desingularized so dry
@@ -261,28 +233,19 @@ def build_interface_states(state: ConservedState, topo: Topography,
     _fill_ghosts(ws.fields)
     for padded, out, work in ws.iv_groups:
         interface_values(padded, sigma, dy, out, work)
-    l_side, q_side, p_side, b_side, fb_side = ws.sides
+    l_side, p_side, b_side, h_side = ws.l_side, ws.p_side, ws.b_side, ws.h_side
     b_mid = np.add(b_side[0], b_side[1], out=ws.b_mid)
     b_mid *= 0.5
 
     # surface-based fallback depths: w reconstructed like any other field,
     # less the interface bottom, clipped at zero
-    np.subtract(fb_side, topo.z_iface, out=fb_side)
-    np.maximum(fb_side, 0.0, out=fb_side)
+    np.subtract(h_side, topo.z_iface, out=h_side)
+    np.maximum(h_side, 0.0, out=h_side)
     # the depths replace the fallback depths that the solve starts from
-    h_side = depth_from_equilibrium(p_side, b_mid, l_side, r_iface, fb_side,
-                                    out=fb_side, work=ws.depth_work)
+    depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_side,
+                           out=h_side, work=ws.depth_work)
 
     # p = h*v over the reconstructed p, which the depth solve has read
     v_side = desingularized_ratio(h_side, p_side, out=ws.v_side,
                                   work=ws.ratio_work)
     np.multiply(h_side, v_side, out=p_side)
-
-    return InterfaceStates(
-        h_minus=h_side[0], h_plus=h_side[1],
-        q_minus=q_side[0], q_plus=q_side[1],
-        p_minus=p_side[0], p_plus=p_side[1],
-        b_minus=b_side[0], b_plus=b_side[1],
-        l_minus=l_side[0], l_plus=l_side[1],
-        v_minus=v_side[0], v_plus=v_side[1],
-        l_cell_left=ws.l_cell_left, l_cell_right=ws.l_cell_right)

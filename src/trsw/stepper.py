@@ -5,15 +5,18 @@ Boundary conditions are zero-order extrapolation: two ghost cells per side
 copy the outermost physical cells (one feeds the boundary-cell slopes, one
 spare for the stencil). The reconstruction pads the fields it limits, and
 the draining limiter reads h and hb from the (4, n) stage state, with one
-edge-copied ghost per side. Stage states are plain arrays checked for
-h, hb >= 0; a ConservedState is built only for the accepted step.
+edge-copied ghost per side. Stage states are plain (4, n) arrays checked
+for h, hb >= 0, and the stage kernels take them as such; a ConservedState
+is built only for the accepted step, and ``rhs`` alone takes one.
 
 ``run_simulation`` owns one Workspace (``trsw.workspace``) for the whole
 run, and every kernel of a stage writes into it. Arrays handed out under
-a run's workspace (interface states, fluxes, speeds, stage states and
-tendencies) are valid until the next stage, which writes over them; the
-draining limiter scales the stage's fluxes in place. The accepted state
-of a step is a copy, and so are the snapshots and records.
+a run's workspace (the interface states in its side pairs ``l_side``,
+``q_side``, ``p_side``, ``b_side``, ``h_side`` and ``v_side``, fluxes,
+speeds, stage states and tendencies) are valid until the next stage,
+which writes over them; the draining limiter scales the stage's fluxes in
+place. The accepted state of a step is a copy, and so are the snapshots
+and records.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .flux import diffusion_switch, numerical_flux
 from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
                     Scenario, Topography, check_nonnegative)
-from .reconstruction import InterfaceStates, build_interface_states
+from .reconstruction import build_interface_states
 from .workspace import Workspace
 
 # keeps the limited update strictly nonnegative under round-off
@@ -41,53 +44,51 @@ class IntegrationError(RuntimeError):
         super().__init__(f"{message} at t={t:.6g}")
 
 
-def source_term(state: ConservedState, iface: InterfaceStates,
-                coriolis: CoriolisSpec, grid: Grid, out, work) -> np.ndarray:
-    """Coriolis source for the q component.
+def source_term(u: np.ndarray, p_side: np.ndarray, coriolis: CoriolisSpec,
+                grid: Grid, out, work) -> np.ndarray:
+    """Coriolis source for the q component of the (4, n) state ``u``.
 
     Constant f uses f * p_bar directly; variable f integrates f*p over the
-    cell with Simpson's rule on the inner one-sided interface values.
-    ``state`` is a ConservedState or its (4, n) array. ``out`` receives
-    the source and ``work`` is one scratch array of n values.
+    cell with Simpson's rule on the inner one-sided interface values, the
+    (2, n+1) minus/plus pair ``p_side``. ``out`` receives the source and
+    ``work`` is one scratch array of n values.
     """
-    p = getattr(state, "array", state)[2]
+    p = u[2]
     if coriolis.is_constant:
         return np.multiply(p, coriolis.f0, out=out)
     f_center, f_iface = grid.coriolis_values(coriolis)
-    src = np.multiply(f_iface[:-1], iface.p_plus[:-1], out=out)
+    src = np.multiply(f_iface[:-1], p_side[1, :-1], out=out)
     centre = np.multiply(f_center, 4.0, out=work)
     centre *= p
     src += centre
-    src += np.multiply(f_iface[1:], iface.p_minus[1:], out=centre)
+    src += np.multiply(f_iface[1:], p_side[0, 1:], out=centre)
     src /= 6.0
     return src
 
 
-def assemble_fluxes(state: ConservedState, topo: Topography,
-                    coriolis: CoriolisSpec, grid: Grid, numerics: Numerics,
-                    ws: Workspace):
-    """Interface states plus central-upwind fluxes for the current state,
-    in the workspace ``ws``.
+def assemble_fluxes(u: np.ndarray, topo: Topography, coriolis: CoriolisSpec,
+                    grid: Grid, numerics: Numerics, ws: Workspace):
+    """Interface states plus central-upwind fluxes for the (4, n) state
+    ``u``, in the workspace ``ws``.
 
-    Returns (fluxes, a_plus, a_minus, iface).
+    Returns (fluxes, a_plus, a_minus).
     """
-    iface = build_interface_states(state, topo, coriolis, grid, numerics, ws)
-    switch = diffusion_switch(iface.l_cell_left, iface.l_cell_right,
-                              grid.dy, grid.length, out=ws.switch,
+    build_interface_states(u, topo, coriolis, grid, numerics, ws)
+    switch = diffusion_switch(ws.l_cell_left, ws.l_cell_right, grid.dy,
+                              grid.length, out=ws.switch,
                               work=ws.switch_work)
-    flux, a_plus, a_minus = numerical_flux(iface, switch, ws)
-    return flux, a_plus, a_minus, iface
+    return numerical_flux(switch, ws)
 
 
-def _tendency(state, flux: np.ndarray, iface: InterfaceStates,
-              coriolis: CoriolisSpec, grid: Grid,
-              ws: Workspace) -> np.ndarray:
+def _tendency(u: np.ndarray, flux: np.ndarray, coriolis: CoriolisSpec,
+              grid: Grid, ws: Workspace) -> np.ndarray:
     """Flux divergence plus the Coriolis source on q, per cell, (4, n),
-    in ``ws.tend``."""
+    in ``ws.tend``, for the state ``u`` whose interface states ``ws``
+    holds."""
     tend = np.subtract(flux[:, 1:], flux[:, :-1], out=ws.tend)
     np.negative(tend, out=tend)
     tend /= grid.dy
-    tend[1] += source_term(state, iface, coriolis, grid,
+    tend[1] += source_term(u, ws.p_side, coriolis, grid,
                            out=ws.source_out, work=ws.source_work)
     return tend
 
@@ -100,9 +101,9 @@ def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
     Flux divergence plus the Coriolis source on q; no positivity limiting
     (that is time-step dependent and belongs to the stepper).
     """
-    flux, _, _, iface = assemble_fluxes(state, topo, coriolis, grid,
-                                        numerics, ws)
-    return _tendency(state, flux, iface, coriolis, grid, ws)
+    u = state.array
+    flux, _, _ = assemble_fluxes(u, topo, coriolis, grid, numerics, ws)
+    return _tendency(u, flux, coriolis, grid, ws)
 
 
 def cfl_dt(a_max: float, dy: float, cfl: float, t_remaining: float) -> float:
@@ -165,15 +166,15 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     return flux, int(np.count_nonzero(limited))
 
 
-def ssp_rk3_combine(u, dt: float, f: Callable, u1=None, u2=None):
+def ssp_rk3_combine(u, dt: float, f: Callable, u1, u2):
     """Three-stage third-order strong-stability-preserving Runge-Kutta
-    update of u' = f(u) (Shu-Osher form); works on scalars and arrays
-    alike. f is called once per stage, on u, u1 and u2 in that order, and
-    the caller gives up what it returns: it is scaled in place.
+    update of u' = f(u) (Shu-Osher form). f is called once per stage, on
+    u, u1 and u2 in that order, and the caller gives up what it returns:
+    it is scaled in place.
 
     ``u1`` and ``u2``, arrays shaped like u, receive the stage states, and
-    the result is written over ``u1`` once f(u2) has returned; without
-    them each is fresh.
+    the result is written over ``u1`` once f(u2) has returned, so ``u``
+    must not be ``u1``.
     """
     out = u1
     k = f(u)
@@ -222,7 +223,7 @@ def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
     grid, coriolis = scenario.grid, scenario.coriolis
     fluxes = assemble_fluxes(u0, scenario.topography, coriolis, grid,
                              scenario.numerics, ws)
-    _, a_plus, a_minus, _ = fluxes
+    _, a_plus, a_minus = fluxes
     # the stage-1 speeds, read now, as stage 2 writes over them
     a_max = float(max(a_plus.max(initial=0.0), -a_minus.min(initial=0.0)))
     t_remaining = t_event - t
@@ -235,16 +236,15 @@ def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
     minima = []  # (min h, min hb) of u1 and of u2
 
     def stage(u):
-        flux, _, _, iface = fluxes
+        flux = fluxes[0]
         if stages:  # a later stage: check and reconstruct its state
             minima.append(check_nonnegative(u))
-            flux, _, _, iface = assemble_fluxes(
-                u, scenario.topography, coriolis, grid, scenario.numerics,
-                ws)
+            flux, _, _ = assemble_fluxes(u, scenario.topography, coriolis,
+                                         grid, scenario.numerics, ws)
         flux, limited = draining_limit(u, flux, dt, grid.dy, ws)
         stages.append(((flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]),
                        limited))
-        return _tendency(u, flux, iface, coriolis, grid, ws)
+        return _tendency(u, flux, coriolis, grid, ws)
 
     u_new = ssp_rk3_combine(u0, dt, stage, ws.u1, ws.u2)
     if not np.isfinite(u_new, out=ws.finite).all():

@@ -20,21 +20,22 @@ cell count) or of one boolean block of five rows. The rule: every value
 that crosses a call of ``assemble_fluxes``, ``draining_limit``,
 ``_tendency`` or ``make_record`` lives in one of the 31 dedicated rows:
 the two stage states and the tendency of the SSP-RK3 step, the interface
-states, the fluxes and the speeds. At least eleven scratch rows s0..
-hold the temporaries inside one such call, which may write over all of
-them; ``__init__`` lists which phase uses which.
+states (the side pairs below, v's pair and the row of L), the fluxes and
+the speeds. At least eleven scratch rows s0.. hold the temporaries inside
+one such call, which may write over all of them; ``__init__`` lists which
+phase uses which.
 
 The reconstruction runs over stacked blocks. The padded fields L, q, p, b
 and w are five whole rows, one (5, n+4) block, and their one-sided values
-a (2, 5, n+4) "sides" block, so each field's minus and plus values form a
-(2, n+1) pair without a copy. ``interface_values`` takes k of the fields
-at once, k = min(5, max(1, _STACK_CELLS // (n+4))), as one contiguous
-array of k rows end to end (numpy's iterator costs more per call on a
-strided (k, n+4) view): one call per stage on small grids, one per field
-where a row alone fills the cache. The depth solve takes g = min(k, 2) of
-the two sides at a time and writes the depths over w's pair, the
-fallback depths it starts from. A workspace has max(11, 5 + 2k) scratch
-rows.
+a (2, 5, n+4) block, so each field's minus and plus values form a (2, n+1)
+pair without a copy: ``l_side``, ``q_side``, ``p_side``, ``b_side`` and
+``h_side``, w's pair. ``interface_values`` takes k of the fields at once,
+k = min(5, max(1, _STACK_CELLS // (n+4))), as one contiguous array of k
+rows end to end (numpy's iterator costs more per call on a strided
+(k, n+4) view): one call per stage on small grids, one per field where a
+row alone fills the cache. The depth solve takes g = min(k, 2) of the two
+sides at a time and writes the depths over ``h_side``, the fallback
+depths it starts from. A workspace has max(11, 5 + 2k) scratch rows.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ GHOST = 2  # edge-copied ghost cells per side; enough for the slope stencil
 # field per call is faster (see tools/floor_fit.py)
 _STACK_CELLS = 16384
 
-_DEDICATED = 31  # u1, u2, tend (4 each), flux (4), speeds (2), sides (10),
-#                  the v pair (2), the L row of the fields
+_DEDICATED = 31  # u1, u2, tend (4 each), flux (4), speeds (2), the side
+#                  pairs of L, q, p, b, h and v (12), the L row of the fields
 _SCRATCH = 11  # temporaries inside one call, which may write over them all
 _BOOLS = 5
 
@@ -78,13 +79,13 @@ class Workspace:
         # the stage's fluxes and speeds
         self.flux = block[12:16, :m]
         self.speeds = (block[16, :m], block[17, :m])
-        # the one-sided values of the fields, sides[0] minus and sides[1]
-        # plus, at columns 1..n+1 of full rows: a minus row's first n+2
-        # columns are minmod's low scratch, and a plus row's hold the n+2
-        # scaled slopes, before the values. The (2, n+1) pairs of L, q, p,
-        # b and w, whose pair then takes the depths h:
+        # the interface states: (2, n+1) minus/plus pairs of L, q, p, b
+        # and h, the last first holding w, at columns 1..n+1 of full rows
+        # (a minus row's first n+2 columns are minmod's low scratch, and a
+        # plus row's hold the n+2 scaled slopes, before the values), and v
         sides = block[18:28].reshape(2, 5, pad)
-        self.sides = [sides[:, i, 1:n + 2] for i in range(5)]
+        self.l_side, self.q_side, self.p_side, self.b_side, self.h_side = (
+            sides[:, i, 1:n + 2] for i in range(5))
         self.v_side = block[28:30, :m]
         # the padded fields L (dedicated), q, p, b, w (s0-s3)
         self.fields = block[30:35]

@@ -227,7 +227,8 @@ class TestCriterion6Orders:
             u, t = 1.0, 0.0
             while t < 1.0 - 1e-12:
                 step = min(dt, 1.0 - t)
-                u = ssp_rk3_combine(u, step, lambda x: -x)
+                u = ssp_rk3_combine(u, step, lambda x: -x, np.empty(()),
+                                    np.empty(()))
                 t += step
             errors.append(abs(u - math.exp(-1.0)))
         order = np.polyfit(np.log(dts), np.log(errors), 1)[0]

@@ -235,4 +235,5 @@ class TestVariationMeasures:
         assert total_variation(np.full(9, 3.3)) == 0.0
 
     def test_gradient_max(self):
-        assert gradient_max([0.0, 1.0, 1.2], 0.5) == pytest.approx(2.0)
+        assert gradient_max([0.0, 1.0, 1.2], 0.5, np.empty(2)) == \
+            pytest.approx(2.0)

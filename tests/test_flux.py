@@ -8,21 +8,25 @@ from trsw import flux
 from trsw.flux import diffusion_switch, local_speeds, numerical_flux
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, build_grid,
                         desingularized_ratio, flat_topography)
-from trsw.reconstruction import InterfaceStates, minmod
+from trsw.reconstruction import minmod
 from trsw.stepper import rhs
 from trsw.workspace import Workspace, fresh
 
 
 def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p):
+    """A workspace whose side pairs hold the given interface states, with
+    p recomputed as h*v."""
     h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p = map(
         np.atleast_1d, (h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p))
     v_m = desingularized_ratio(h_m, p_m)
     v_p = desingularized_ratio(h_p, p_p)
-    return InterfaceStates(
-        h_minus=h_m, h_plus=h_p, q_minus=q_m, q_plus=q_p,
-        p_minus=h_m * v_m, p_plus=h_p * v_p, b_minus=b_m, b_plus=b_p,
-        l_minus=l_m, l_plus=l_p, v_minus=v_m, v_plus=v_p,
-        l_cell_left=l_m, l_cell_right=l_p)
+    ws = Workspace(h_m.size - 1)
+    for pair, minus, plus in ((ws.h_side, h_m, h_p), (ws.q_side, q_m, q_p),
+                              (ws.p_side, h_m * v_m, h_p * v_p),
+                              (ws.b_side, b_m, b_p), (ws.l_side, l_m, l_p),
+                              (ws.v_side, v_m, v_p)):
+        pair[0], pair[1] = minus, plus
+    return ws
 
 
 def _speeds(v_m, v_p, h_m, h_p, b_m, b_p):
@@ -40,27 +44,23 @@ def _switch(l_left, l_right, dy, length):
                             fresh(shape, 2, 1))
 
 
-def _flux(iface, switch):
-    """numerical_flux under a workspace of its own."""
-    return numerical_flux(iface, switch,
-                          Workspace(np.size(iface.h_minus) - 1))
+def _flux(ws, switch):
+    """numerical_flux of the interface states in ``ws``, copied, since the
+    next call writes over the workspace's flux and speeds."""
+    return tuple(x.copy() for x in numerical_flux(switch, ws))
 
 
-def _stacked_flux(iface, switch):
+def _stacked_flux(ws, switch):
     """The central-upwind flux as one stacked (4, n) formula, with
     G = (p, q*v, L, p*b) and minmod written out; numerical_flux must
     reproduce it bit for bit."""
-    a_plus, a_minus = _speeds(iface.v_minus, iface.v_plus,
-                              iface.h_minus, iface.h_plus,
-                              iface.b_minus, iface.b_plus)
-    u_minus = np.stack([iface.h_minus, iface.q_minus, iface.p_minus,
-                        iface.h_minus * iface.b_minus])
-    u_plus = np.stack([iface.h_plus, iface.q_plus, iface.p_plus,
-                       iface.h_plus * iface.b_plus])
-    g_minus = np.stack([iface.p_minus, iface.q_minus * iface.v_minus,
-                        iface.l_minus, iface.p_minus * iface.b_minus])
-    g_plus = np.stack([iface.p_plus, iface.q_plus * iface.v_plus,
-                       iface.l_plus, iface.p_plus * iface.b_plus])
+    (h_m, h_p), (q_m, q_p), (p_m, p_p) = ws.h_side, ws.q_side, ws.p_side
+    (b_m, b_p), (l_m, l_p), (v_m, v_p) = ws.b_side, ws.l_side, ws.v_side
+    a_plus, a_minus = _speeds(v_m, v_p, h_m, h_p, b_m, b_p)
+    u_minus = np.stack([h_m, q_m, p_m, h_m * b_m])
+    u_plus = np.stack([h_p, q_p, p_p, h_p * b_p])
+    g_minus = np.stack([p_m, q_m * v_m, l_m, p_m * b_m])
+    g_plus = np.stack([p_p, q_p * v_p, l_p, p_p * b_p])
     denom = a_plus - a_minus
     degenerate = denom < 1.0e-12
     safe = np.where(degenerate, 1.0, denom)
@@ -93,12 +93,12 @@ def _random_interfaces(draw):
     h_m, h_p = field(0.0, 10.0, True), field(0.0, 10.0, True)
     dry = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     h_m[dry] = h_p[dry] = 0.0
-    ifs = _states_from_sides(h_m, h_p, field(-10.0, 10.0),
-                             field(-10.0, 10.0), field(-10.0, 10.0),
-                             field(-10.0, 10.0), field(0.0, 5.0, True),
-                             field(0.0, 5.0, True), field(-50.0, 50.0),
-                             field(-50.0, 50.0))
-    return ifs, field(0.0, 1.0, True)
+    ws = _states_from_sides(h_m, h_p, field(-10.0, 10.0),
+                            field(-10.0, 10.0), field(-10.0, 10.0),
+                            field(-10.0, 10.0), field(0.0, 5.0, True),
+                            field(0.0, 5.0, True), field(-50.0, 50.0),
+                            field(-50.0, 50.0))
+    return ws, field(0.0, 1.0, True)
 
 
 class TestLocalSpeeds:
@@ -194,9 +194,9 @@ class TestAntiDiffusion:
         a_minus = min(u_minus - c, u_plus - c, 0.0)
         denom = a_plus - a_minus
         l_plus = a_plus * u_plus - a_minus * u_minus - denom * u_star
-        ifs = _states_from_sides(1.0, 1.0, 0.0, 0.0, u_minus, u_plus,
-                                 c * c, c * c, 0.0, l_plus)
-        flux, ap, am = _flux(ifs, np.ones(1))
+        ws = _states_from_sides(1.0, 1.0, 0.0, 0.0, u_minus, u_plus,
+                                c * c, c * c, 0.0, l_plus)
+        flux, ap, am = _flux(ws, np.ones(1))
         assert (ap[0], am[0]) == (a_plus, a_minus)
         central = -a_minus * l_plus / denom
         diffusion = flux[2, 0] - central
@@ -256,15 +256,15 @@ class TestNumericalFlux:
         h, q, p, b = 1.3, 0.4, -0.2, 2.0
         v = p / h
         l = p * v + 0.5 * b * h * h
-        ifs = _states_from_sides(h, h, q, q, p, p, b, b, l, l)
-        flux, a_plus, a_minus = _flux(ifs, np.zeros(1))
+        ws = _states_from_sides(h, h, q, q, p, p, b, b, l, l)
+        flux, a_plus, a_minus = _flux(ws, np.zeros(1))
         expected = [p, q * v, l, p * b]
         assert flux[:, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_speeds_average_physical_fluxes(self):
-        ifs = _states_from_sides(0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0,
-                                 1.0, 2.0)
-        flux, a_plus, a_minus = _flux(ifs, np.zeros(1))
+        ws = _states_from_sides(0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0,
+                                1.0, 2.0)
+        flux, a_plus, a_minus = _flux(ws, np.zeros(1))
         assert a_plus[0] == 0.0 and a_minus[0] == 0.0
         assert flux[2, 0] == pytest.approx(1.5)  # mean of the two L values
 
@@ -283,19 +283,19 @@ class TestNumericalFlux:
     @settings(max_examples=300, deadline=None)
     @given(_random_interfaces())
     def test_matches_stacked_formula_bit_for_bit(self, drawn):
-        ifs, switch = drawn
-        got = _flux(ifs, switch)
-        want = _stacked_flux(ifs, switch)
+        ws, switch = drawn
+        got = _flux(ws, switch)
+        want = _stacked_flux(ws, switch)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
     def test_switch_kills_q_and_hb_diffusion(self):
         # identical L and p but different q/b on each side: with H = 0 the
         # q and hb fluxes reduce to their central parts
-        ifs = _states_from_sides(2.0, 2.0, 1.0, 3.0, 0.0, 0.0, 4.0, 9.0,
-                                 72.0, 72.0)
-        flux_off, _, _ = _flux(ifs, np.zeros(1))
-        flux_on, _, _ = _flux(ifs, np.ones(1))
+        ws = _states_from_sides(2.0, 2.0, 1.0, 3.0, 0.0, 0.0, 4.0, 9.0,
+                                72.0, 72.0)
+        flux_off, _, _ = _flux(ws, np.zeros(1))
+        flux_on, _, _ = _flux(ws, np.ones(1))
         assert flux_off[1, 0] == pytest.approx(0.0, abs=1e-14)
         assert flux_off[3, 0] == pytest.approx(0.0, abs=1e-14)
         assert flux_on[1, 0] != flux_off[1, 0]

@@ -98,7 +98,8 @@ class TestReach:
 
 def _buffer_defaults(tree):
     """(function, argument) for every function in ``tree`` that gives one
-    of its buffer arguments ``ws``, ``out`` or ``work`` a default."""
+    of its buffer arguments ``ws``, ``out``, ``work``, ``u1`` or ``u2`` a
+    default."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -109,7 +110,7 @@ def _buffer_defaults(tree):
         defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
                       if d is not None]
         found += [(node.name, a.arg) for a in defaulted
-                  if a.arg in ("ws", "out", "work")]
+                  if a.arg in ("ws", "out", "work", "u1", "u2")]
     return found
 
 
@@ -125,7 +126,7 @@ class TestStageBuffers:
             found += _buffer_defaults(tree)
         (tree,) = _parsed("src/trsw/diagnostics.py")
         found += [hit for hit in _buffer_defaults(tree)
-                  if hit[0] == "make_record"]
+                  if hit[0] in ("make_record", "gradient_max")]
         assert sorted(found) == [("depth_from_equilibrium", "out"),
                                  ("depth_from_equilibrium", "work")]
 

@@ -34,15 +34,16 @@ def shifted_datum(shift):
 
 
 def uniform_interfaces(h, p, hb, datum=0.0):
-    """Interface states of four equal cells with q = 0 on a flat f = 0
-    plane, where R is zero up to ``datum``."""
+    """The workspace holding the interface states of four equal cells with
+    q = 0 on a flat f = 0 plane, where R is zero up to ``datum``."""
     g = build_grid(0.0, 1.0, 4)
     st = ConservedState.from_fields(np.full(4, h), np.zeros(4),
                                     np.full(4, p), np.full(4, hb))
+    ws = Workspace(4)
     with shifted_datum(datum):
-        return build_interface_states(st, flat_topography(g),
-                                      CoriolisSpec(0.0), g, Numerics(),
-                                      Workspace(4))
+        build_interface_states(st.array, flat_topography(g),
+                               CoriolisSpec(0.0), g, Numerics(), ws)
+    return ws
 
 
 def _minmod(*args):
@@ -129,9 +130,9 @@ class TestCellBuoyancy:
 
     @staticmethod
     def _b(h, hb):
-        ifs = uniform_interfaces(h, 0.0, hb)
-        assert np.array_equal(ifs.b_minus, ifs.b_plus)
-        return ifs.b_minus
+        ws = uniform_interfaces(h, 0.0, hb)
+        assert np.array_equal(ws.b_side[0], ws.b_side[1])
+        return ws.b_side[0]
 
     def test_exact_ratio(self):
         assert np.all(self._b(2.0, 8.0) == 4.0)
@@ -148,16 +149,16 @@ class TestSourcePotential:
         g = build_grid(0.0, 1.0, 10)
         st = ConservedState.from_fields(np.ones(10), np.ones(10),
                                         np.zeros(10), np.ones(10))
-        rc, ri = source_potential(st, flat_topography(g), CoriolisSpec(0.0), g,
-                                  Workspace(10))
+        rc, ri = source_potential(st.array, flat_topography(g),
+                                  CoriolisSpec(0.0), g, Workspace(10))
         assert np.all(rc == 0.0) and np.all(ri == 0.0)
 
     def test_constant_integrand_exact(self):
         g = build_grid(0.0, 1.0, 10)
         st = ConservedState.from_fields(np.ones(10), np.ones(10),
                                         np.zeros(10), np.ones(10))
-        rc, ri = source_potential(st, flat_topography(g), CoriolisSpec(1.0), g,
-                                  Workspace(10))
+        rc, ri = source_potential(st.array, flat_topography(g),
+                                  CoriolisSpec(1.0), g, Workspace(10))
         assert ri == pytest.approx(np.linspace(0.0, 1.0, 11), rel=1e-14)
         assert rc == pytest.approx(np.arange(10) * 0.1 + 0.05, rel=1e-13)
 
@@ -167,7 +168,7 @@ class TestSourcePotential:
         # error remains
         s = make_scenario("ex1-steady", cells=100)
         st = s.initial_state()
-        _, ri = source_potential(st, s.topography, s.coriolis, s.grid,
+        _, ri = source_potential(st.array, s.topography, s.coriolis, s.grid,
                                  Workspace(100))
 
         yy = np.linspace(-2.0, 2.0, 1_000_001)
@@ -191,7 +192,7 @@ class TestSourcePotential:
             h = 1.0 + 0.3 * np.exp(-y * y)
             u = np.sin(y) * np.exp(-0.1 * y * y)
             st = ConservedState.from_fields(h, h * u, 0 * y, h)
-            _, ri = source_potential(st, flat_topography(g),
+            _, ri = source_potential(st.array, flat_topography(g),
                                      CoriolisSpec(0.5, 0.2), g, Workspace(n))
             yy = np.linspace(-5.0, 5.0, 2_000_001)
             hh = 1.0 + 0.3 * np.exp(-yy * yy)
@@ -220,9 +221,10 @@ class TestGlobalPrimitive:
                          **kwargs)
 
         monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
-        ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics, Workspace(64))
-        rc, ri = source_potential(st, s.topography, s.coriolis, s.grid,
+        ws = Workspace(64)
+        build_interface_states(st.array, s.topography, s.coriolis, s.grid,
+                               s.numerics, ws)
+        rc, ri = source_potential(st.array, s.topography, s.coriolis, s.grid,
                                   Workspace(64))
         assert len(seen) == 2
         for r_iface in seen:
@@ -231,9 +233,9 @@ class TestGlobalPrimitive:
         assert rc[0] == 0.5 * (ri[0] + ri[1])
         l_cell = (st.p * desingularized_ratio(st.h, st.p)
                   + 0.5 * st.hb * st.h + rc)
-        assert np.array_equal(ifs.l_cell_right[:-1], l_cell)
-        assert np.array_equal(ifs.l_cell_left[1:], l_cell)
-        assert np.all(np.isfinite(ifs.l_cell_left))
+        assert np.array_equal(ws.l_cell_right[:-1], l_cell)
+        assert np.array_equal(ws.l_cell_left[1:], l_cell)
+        assert np.all(np.isfinite(ws.l_cell_left))
 
 
 class TestEquilibriumCenters:
@@ -242,9 +244,9 @@ class TestEquilibriumCenters:
 
     @staticmethod
     def _l(h, p, hb, datum=0.0):
-        ifs = uniform_interfaces(h, p, hb, datum)
-        assert np.array_equal(ifs.l_cell_left, ifs.l_cell_right)
-        return ifs.l_cell_left
+        ws = uniform_interfaces(h, p, hb, datum)
+        assert np.array_equal(ws.l_cell_left, ws.l_cell_right)
+        return ws.l_cell_left
 
     def test_left_state(self):
         assert np.all(self._l(6.0, 0.0, 24.0) == 72.0)
@@ -344,7 +346,7 @@ def _fallback_depths(monkeypatch, h, topo, grid):
 
     monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
     zero = np.zeros_like(h)
-    build_interface_states(ConservedState.from_fields(h, zero, zero, h),
+    build_interface_states(ConservedState.from_fields(h, zero, zero, h).array,
                            topo, CoriolisSpec(0.0), grid, Numerics(sigma=1.3),
                            Workspace(grid.n))
     assert len(seen) == 2
@@ -468,24 +470,25 @@ class TestBuildInterfaceStates:
     def test_steady_state_interface_values(self):
         s = make_scenario("ex1-steady", cells=100)
         st = s.initial_state()
-        ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics, Workspace(100))
-        assert np.abs(ifs.l_minus - 72.0).max() <= 1e-12 * 72.0
-        assert np.abs(ifs.l_plus - 72.0).max() <= 1e-12 * 72.0
-        assert np.all(ifs.p_minus == 0.0) and np.all(ifs.p_plus == 0.0)
-        assert np.abs(ifs.h_plus - ifs.h_minus).max() <= 1e-12 * 6.0
+        ws = Workspace(100)
+        build_interface_states(st.array, s.topography, s.coriolis, s.grid,
+                               s.numerics, ws)
+        assert np.abs(ws.l_side[0] - 72.0).max() <= 1e-12 * 72.0
+        assert np.abs(ws.l_side[1] - 72.0).max() <= 1e-12 * 72.0
+        assert np.all(ws.p_side[0] == 0.0) and np.all(ws.p_side[1] == 0.0)
+        assert np.abs(ws.h_side[1] - ws.h_side[0]).max() <= 1e-12 * 6.0
 
     def test_uniform_rest_state(self):
         g = build_grid(0.0, 1.0, 16)
         st = ConservedState.from_fields(np.ones(16), np.zeros(16),
                                         np.zeros(16), np.ones(16))
-        ifs = build_interface_states(st, flat_topography(g),
-                                     CoriolisSpec(0.0), g, Numerics(),
-                                     Workspace(16))
-        assert np.allclose(ifs.h_minus, 1.0, atol=1e-14)
-        assert np.allclose(ifs.h_plus, 1.0, atol=1e-14)
-        assert np.allclose(ifs.l_minus, 0.5, atol=1e-14)
-        assert np.all(ifs.v_minus == 0.0) and np.all(ifs.v_plus == 0.0)
+        ws = Workspace(16)
+        build_interface_states(st.array, flat_topography(g),
+                               CoriolisSpec(0.0), g, Numerics(), ws)
+        assert np.allclose(ws.h_side[0], 1.0, atol=1e-14)
+        assert np.allclose(ws.h_side[1], 1.0, atol=1e-14)
+        assert np.allclose(ws.l_side[0], 0.5, atol=1e-14)
+        assert np.all(ws.v_side[0] == 0.0) and np.all(ws.v_side[1] == 0.0)
 
     def test_momentum_velocity_identity(self):
         rng = np.random.default_rng(23)
@@ -496,11 +499,11 @@ class TestBuildInterfaceStates:
         v = 0.3 * np.sin(2 * y)
         b = 1.0 + 0.2 * np.cos(y)
         st = ConservedState.from_fields(h, 0 * y, h * v, h * b)
-        ifs = build_interface_states(st, flat_topography(g),
-                                     CoriolisSpec(1.0), g, Numerics(),
-                                     Workspace(n))
-        assert np.array_equal(ifs.p_minus, ifs.h_minus * ifs.v_minus)
-        assert np.array_equal(ifs.p_plus, ifs.h_plus * ifs.v_plus)
+        ws = Workspace(n)
+        build_interface_states(st.array, flat_topography(g),
+                               CoriolisSpec(1.0), g, Numerics(), ws)
+        assert np.array_equal(ws.p_side[0], ws.h_side[0] * ws.v_side[0])
+        assert np.array_equal(ws.p_side[1], ws.h_side[1] * ws.v_side[1])
 
     def test_well_balance_kernel_shared_b_mid(self):
         # equal L and zero p on both sides must give identical depths even
@@ -518,7 +521,7 @@ def _pad_then_compute(state, topo, cor, grid, num, r_datum):
     pad = np.pad(state.array, ((0, 0), (2, 2)), mode="edge")
     h_pad, q_pad, p_pad, hb_pad = pad
     b_pad = desingularized_ratio(h_pad, hb_pad)
-    r_center, r_iface = source_potential(state, topo, cor, grid,
+    r_center, r_iface = source_potential(state.array, topo, cor, grid,
                                          Workspace(grid.n))
     r_center = r_center + r_datum
     r_iface = r_iface + r_datum
@@ -538,11 +541,13 @@ def _pad_then_compute(state, topo, cor, grid, num, r_datum):
                                     np.maximum(w_plus - topo.z_iface, 0.0))
     v_minus = desingularized_ratio(h_minus, p_minus)
     v_plus = desingularized_ratio(h_plus, p_plus)
-    return dict(h_minus=h_minus, h_plus=h_plus, q_minus=q_minus,
-                q_plus=q_plus, p_minus=h_minus * v_minus,
-                p_plus=h_plus * v_plus, b_minus=b_minus, b_plus=b_plus,
-                l_minus=l_minus, l_plus=l_plus, v_minus=v_minus,
-                v_plus=v_plus, l_cell_left=l_pad[1:-2],
+    # the (minus, plus) pairs under the workspace's names
+    return dict(h_side=np.stack([h_minus, h_plus]),
+                q_side=np.stack([q_minus, q_plus]),
+                p_side=np.stack([h_minus * v_minus, h_plus * v_plus]),
+                b_side=np.stack([b_minus, b_plus]),
+                l_side=np.stack([l_minus, l_plus]),
+                v_side=np.stack([v_minus, v_plus]), l_cell_left=l_pad[1:-2],
                 l_cell_right=l_pad[2:-1])
 
 
@@ -595,7 +600,8 @@ def _check_against_pad_then_compute(n, seed, f0, beta, r_datum, sigma):
     cor = CoriolisSpec(f0, beta)
     num = Numerics(sigma=sigma)
     with np.errstate(all="ignore"), shifted_datum(r_datum):
-        got = build_interface_states(st_, topo, cor, g, num, Workspace(n))
+        got = Workspace(n)
+        build_interface_states(st_.array, topo, cor, g, num, got)
         want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
     for name, value in want.items():
         assert getattr(got, name).tobytes() == value.tobytes(), name
@@ -643,7 +649,7 @@ class TestStackedSides:
                     for i in range(2)]
             fresh = depth_from_equilibrium(p, b, l, r, fb)
             # in place, as the pipeline solves: over the fallback pair
-            out = ws.sides[4]
+            out = ws.h_side
             np.copyto(out, fb)
             got = depth_from_equilibrium(p, b, l, r, out, out=out,
                                          work=ws.depth_work)
@@ -673,10 +679,11 @@ class TestDatumInvariance:
     def test_equilibrium_values_shift_with_datum(self):
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
-        args = (st, s.topography, s.coriolis, s.grid, s.numerics)
-        l0 = build_interface_states(*args, Workspace(64))
+        args = (st.array, s.topography, s.coriolis, s.grid, s.numerics)
+        l0, l1 = Workspace(64), Workspace(64)
+        build_interface_states(*args, l0)
         with shifted_datum(5.0):
-            l1 = build_interface_states(*args, Workspace(64))
+            build_interface_states(*args, l1)
         for side in ("l_cell_left", "l_cell_right"):
             assert getattr(l1, side) == pytest.approx(
                 getattr(l0, side) + 5.0, rel=1e-14)

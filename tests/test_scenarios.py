@@ -130,9 +130,10 @@ class TestDiscreteEquilibria:
                      topography=flat_topography(g), height=h_fn,
                      b0=lambda y: 2.0 / h_fn(y) ** 2, t_final=0.1)
         st = s.initial_state()
-        ifs = build_interface_states(st, s.topography, s.coriolis, s.grid,
-                                     s.numerics, Workspace(64))
-        for l in (ifs.l_cell_left, ifs.l_cell_right):
+        ws = Workspace(64)
+        build_interface_states(st.array, s.topography, s.coriolis, s.grid,
+                               s.numerics, ws)
+        for l in (ws.l_cell_left, ws.l_cell_right):
             assert np.abs(l - 1.0).max() <= 1e-14
         assert max_tendency(s) <= 1e-13
 

@@ -5,14 +5,15 @@ stacking fields in one ``interface_values`` call.
         [--repeats 3] [--json OUT]
 
 SRC is a checkout or its ``src`` directory (default: the checkout this
-file sits in). For ex2 and ex3b at each N the tool runs
-``run_simulation`` without records for ``--steps`` steps and takes the
-wall time from the first accepted step to the last, divided by the steps
-between them, so building the scenario and the first step stay outside;
-the best of ``--repeats`` runs counts. It then fits
-t(N) = floor + slope * N by least squares on the relative residuals
-(each point weighted by 1/t, so the small grids that set the floor count
-as much as the large ones) and prints each point with its residual.
+file sits in); its ``trsw`` package is the only one imported. For ex2
+and ex3b at each N the tool runs ``run_simulation`` without records for
+``--steps`` steps and takes the wall time from the first accepted step
+to the last, divided by the steps between them, so building the scenario
+and the first step stay outside; the best of ``--repeats`` runs counts.
+It then fits t(N) = floor + slope * N by least squares on the relative
+residuals (each point weighted by 1/t, so the small grids that set the
+floor count as much as the large ones) and prints each point with its
+residual.
 
 It also times ``interface_values`` on k = 1 to 5 copies of a random
 padded field of N cells laid end to end, with preallocated outputs and
@@ -35,6 +36,8 @@ import timeit
 
 import numpy as np
 
+from faults import import_trsw
+
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SCENARIOS = ("ex2", "ex3b")
 _CELLS = tuple(50 * 2 ** j for j in range(10))  # 50 .. 25600
@@ -42,14 +45,6 @@ _CELLS = tuple(50 * 2 ** j for j in range(10))  # 50 .. 25600
 
 class _Done(Exception):
     pass
-
-
-def _import_trsw(tree: str):
-    src = os.path.join(tree, "src")
-    sys.path.insert(0, src if os.path.isdir(os.path.join(src, "trsw"))
-                    else tree)
-    import trsw
-    return trsw
 
 
 def step_time(trsw, scenario: str, cells: int, steps: int) -> float:
@@ -125,7 +120,7 @@ def main(argv=None) -> int:
     if args.steps < 2 or args.repeats < 1:
         parser.error("--steps must be at least 2 and --repeats at least 1")
     cells = [int(c) for c in args.cells.split(",")]
-    trsw = _import_trsw(args.src)
+    trsw = import_trsw(args.src)
     doc = {"src": os.path.abspath(args.src), "cells": cells,
            "steps": args.steps, "repeats": args.repeats,
            "machine": {"cpu": platform.processor() or platform.machine(),
