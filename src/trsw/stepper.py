@@ -67,17 +67,15 @@ def source_term(u: np.ndarray, p_side: np.ndarray, coriolis: CoriolisSpec,
 
 
 def assemble_fluxes(u: np.ndarray, topo: Topography, coriolis: CoriolisSpec,
-                    grid: Grid, numerics: Numerics, ws: Workspace):
+                    grid: Grid, numerics: Numerics, ws: Workspace) -> None:
     """Interface states plus central-upwind fluxes for the (4, n) state
-    ``u``, in the workspace ``ws``.
-
-    Returns (fluxes, a_plus, a_minus).
-    """
+    ``u``, written into the workspace ``ws``: the fluxes to ``ws.flux``
+    and the one-sided speeds (a_plus, a_minus) to ``ws.speeds``."""
     build_interface_states(u, topo, coriolis, grid, numerics, ws)
     switch = diffusion_switch(ws.l_cell_left, ws.l_cell_right, grid.dy,
                               grid.length, out=ws.switch,
                               work=ws.switch_work)
-    return numerical_flux(switch, ws)
+    numerical_flux(switch, ws)
 
 
 def _tendency(u: np.ndarray, flux: np.ndarray, coriolis: CoriolisSpec,
@@ -102,8 +100,8 @@ def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
     (that is time-step dependent and belongs to the stepper).
     """
     u = state.array
-    flux, _, _ = assemble_fluxes(u, topo, coriolis, grid, numerics, ws)
-    return _tendency(u, flux, coriolis, grid, ws)
+    assemble_fluxes(u, topo, coriolis, grid, numerics, ws)
+    return _tendency(u, ws.flux, coriolis, grid, ws)
 
 
 def cfl_dt(a_max: float, dy: float, cfl: float, t_remaining: float) -> float:
@@ -130,10 +128,11 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     interface flux is scaled by min(dt, drain time of the donor cell)/dt,
     the donor being the upwind cell by flux sign. Momentum fluxes are left
     untouched. The h and hb rows of ``flux`` are scaled in place, and
-    ``flux`` comes back with the number of limited interfaces. When no
-    donor drains within dt every scale would be exactly dt/dt = 1, so
-    ``flux`` comes back unwritten with a count of 0. The temporaries are
-    rows of the workspace ``ws``.
+    ``flux`` comes back with the number of limited interfaces, those whose
+    nonzero h or hb flux was scaled down. When no donor drains within dt
+    every scale would be exactly dt/dt = 1, so ``flux`` comes back
+    unwritten with a count of 0. The temporaries are rows of the workspace
+    ``ws``.
     """
     # rows h and hb side by side, each flux row with a zero on either side
     flux_rows, rho = flux[::3], u[::3]
@@ -158,10 +157,13 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     # written so that a NaN drain time takes the scaling path below
     if np.greater_equal(donor_t, dt, out=ws.drain_mask).all():
         return flux, 0
+    # only a nonzero flux that is scaled down counts, tested before scaling
+    moving = np.not_equal(flux_rows, 0.0, out=ws.drain_moving)
     scale = np.minimum(dt, donor_t, out=donor_t)
     scale /= dt
     np.multiply(flux_rows, scale, out=flux_rows)
     below = np.less(scale, 1.0, out=ws.drain_mask)
+    below &= moving
     limited = np.logical_or(below[0], below[1], out=ws.limited)
     return flux, int(np.count_nonzero(limited))
 
@@ -203,7 +205,8 @@ class StepReport:
     dt: float             # step actually taken
     a_max: float          # largest one-sided wave speed at the step's start
     limit: str            # what set dt: "wave speed" or "event"
-    n_limited: int        # draining-limited interfaces over all stages
+    n_limited: int        # interfaces whose nonzero h or hb flux the
+                          # drain scaled down, over all stages
     min_h: float          # minimum depth over all stages
     min_hb: float
     # effective boundary fluxes of the whole step (SSP-weighted), for the
@@ -215,15 +218,16 @@ class StepReport:
 def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
               ws: Workspace) -> Tuple[ConservedState, StepReport]:
     """One SSP-RK3 step from the (4, n) state ``u0`` at time t, its stages
-    in ``ws``. cfl_dt sizes the step from the stage-1 speeds; a step that
-    reaches t_event ends on it exactly. Every stage drains its fluxes at
-    dt, so h and hb stay nonnegative; each later stage state is checked
-    for that once (ValueError), which gives the report its minima, before
-    it is reconstructed. Non-finite speeds or output raise IntegrationError."""
+    in ``ws``: each stage reads its fluxes and speeds from ``ws.flux`` and
+    ``ws.speeds``. cfl_dt sizes the step from the stage-1 speeds; a step
+    that reaches t_event ends on it exactly. Every stage drains its fluxes
+    at dt, so h and hb stay nonnegative; each later stage state and the new
+    state are checked for that once (ValueError), which gives the report
+    its minima. Non-finite speeds or output raise IntegrationError."""
     grid, coriolis = scenario.grid, scenario.coriolis
-    fluxes = assemble_fluxes(u0, scenario.topography, coriolis, grid,
-                             scenario.numerics, ws)
-    _, a_plus, a_minus = fluxes
+    assemble_fluxes(u0, scenario.topography, coriolis, grid,
+                    scenario.numerics, ws)
+    a_plus, a_minus = ws.speeds
     # the stage-1 speeds, read now, as stage 2 writes over them
     a_max = float(max(a_plus.max(initial=0.0), -a_minus.min(initial=0.0)))
     t_remaining = t_event - t
@@ -232,38 +236,33 @@ def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
         raise IntegrationError(t, "non-finite wave speed")
     landed = dt == t_remaining
     t_after = t_event if landed else t + dt
-    stages = []  # (boundary fluxes, limited count) per stage
-    minima = []  # (min h, min hb) of u1 and of u2
+    bounds = []  # the h and hb fluxes at both boundaries, per stage
+    limited = []  # interfaces with a flux the drain scaled down, per stage
+    minima = []  # (min h, min hb) of u1, u2 and the new state
 
     def stage(u):
-        flux = fluxes[0]
-        if stages:  # a later stage: check and reconstruct its state
+        if bounds:  # a later stage: check and reconstruct its state
             minima.append(check_nonnegative(u))
-            flux, _, _ = assemble_fluxes(u, scenario.topography, coriolis,
-                                         grid, scenario.numerics, ws)
-        flux, limited = draining_limit(u, flux, dt, grid.dy, ws)
-        stages.append(((flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]),
-                       limited))
+            assemble_fluxes(u, scenario.topography, coriolis, grid,
+                            scenario.numerics, ws)
+        flux, n = draining_limit(u, ws.flux, dt, grid.dy, ws)
+        bounds.append((flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]))
+        limited.append(n)
         return _tendency(u, flux, coriolis, grid, ws)
 
     u_new = ssp_rk3_combine(u0, dt, stage, ws.u1, ws.u2)
     if not np.isfinite(u_new, out=ws.finite).all():
         raise IntegrationError(t_after)
+    minima.append(check_nonnegative(u_new))
 
-    (b0, n0), (b1, n1), (b2, n2) = stages
-    (h1, hb1), (h2, hb2) = minima
+    min_h, min_hb = (float(min(m)) for m in zip(*minima))
     # the weights 1/6, 1/6, 2/3 with which each stage's fluxes enter u_new
-    weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(b0, b1, b2)]
-    report = StepReport(
-        t=t_after, dt=dt,
-        a_max=a_max,
+    weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(*bounds)]
+    return ConservedState(u_new), StepReport(
+        t=t_after, dt=dt, a_max=a_max,
         limit="event" if landed else "wave speed",
-        n_limited=n0 + n1 + n2,
-        min_h=float(min(h1, h2, u_new[0].min())),
-        min_hb=float(min(hb1, hb2, u_new[3].min())),
-        bflux_h=(weighted[0], weighted[1]),
-        bflux_hb=(weighted[2], weighted[3]))
-    return ConservedState(u_new), report
+        n_limited=sum(limited), min_h=min_h, min_hb=min_hb,
+        bflux_h=tuple(weighted[:2]), bflux_hb=tuple(weighted[2:]))
 
 
 @dataclass
@@ -287,10 +286,14 @@ def run_simulation(scenario: Scenario,
                    collect_records: bool = True) -> SimulationResult:
     """Integrate a scenario to its final time.
 
-    Steps are clipped so snapshot times and the final time are landed on
-    exactly (no output interpolation). ``on_step(state, report)`` fires
-    after every accepted step, ``on_snapshot(t, state)`` at snapshot times.
-    Deterministic: identical scenarios produce identical outputs.
+    The run steps from event to event, the snapshot times and the final
+    time in order: steps are clipped so each event is landed on exactly
+    (no output interpolation), and an event counts as reached once the
+    clock is at or past it, whether the step landed on it or got there by
+    rounding. ``on_step(state, report)`` fires after every accepted step,
+    ``on_snapshot(t, state)`` at snapshot times; a final time of 0 gives
+    one snapshot of the initial state. Deterministic: identical scenarios
+    produce identical outputs.
 
     A step that cannot be completed (non-finite wave speeds or solution,
     or negative h or h*b in a stage) ends the run with ``failed`` set; the
@@ -307,43 +310,29 @@ def run_simulation(scenario: Scenario,
     if collect_records:
         result.records.append(make_record(0.0, state, scenario, ledger, ws))
 
-    def emit_snapshot(t_snap, snap_state):
-        result.snapshots.append((t_snap, snap_state))
-        if on_snapshot is not None:
-            on_snapshot(t_snap, snap_state)
-
-    t_final = scenario.t_final
-    if t_final == 0.0 or 0.0 in scenario.snapshots:
-        emit_snapshot(0.0, state)
-    events = sorted(set(t for t in scenario.snapshots if t > 0.0) | {t_final})
-
-    t = 0.0
-    ev = 0
-    while t < t_final:
-        next_event = events[ev]
-        try:
-            state, report = _rk3_step(state.array, scenario, t, next_event,
-                                      ws)
-        except (IntegrationError, ValueError) as err:
-            result.failed = True
-            result.failure_message = str(err)
-            if isinstance(err, ValueError):  # h or h*b < 0 inside the step
-                result.failure_message += f" at t={t:.6g}"
-            result.state = state
-            result.t = t
-            return result
-        t = report.t
-        ledger.update(report)
-        result.steps += 1
-        if collect_records:
-            result.records.append(make_record(t, state, scenario, ledger,
-                                              ws))
-        if on_step is not None:
-            on_step(state, report)
-        if report.limit == "event":
-            if next_event in scenario.snapshots:
-                emit_snapshot(next_event, state)
-            ev += 1
-    result.state = state
-    result.t = t
+    t, t_final = 0.0, scenario.t_final
+    for t_event in sorted(set(scenario.snapshots) | {t_final}):
+        while t < t_event:
+            try:
+                state, report = _rk3_step(state.array, scenario, t, t_event,
+                                          ws)
+            except (IntegrationError, ValueError) as err:
+                result.failed = True
+                result.failure_message = str(err)
+                if isinstance(err, ValueError):  # h or h*b < 0 in the step
+                    result.failure_message += f" at t={t:.6g}"
+                return result
+            t = report.t
+            ledger.update(report)
+            result.state, result.t = state, t
+            result.steps += 1
+            if collect_records:
+                result.records.append(make_record(t, state, scenario, ledger,
+                                                  ws))
+            if on_step is not None:
+                on_step(state, report)
+        if t_event in scenario.snapshots or t_final == 0.0:
+            result.snapshots.append((t_event, state))
+            if on_snapshot is not None:
+                on_snapshot(t_event, state)
     return result

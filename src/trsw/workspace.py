@@ -12,8 +12,9 @@ N = 25600 a row is 200 KB, and temporaries allocated and freed by the
 hundred per stage let malloc hand the heap top back to the kernel, which
 the next stage then faults in again.
 
-An array handed out under a workspace is valid until the next stage
-writes over it.
+An array handed out under a workspace, or left in it (``assemble_fluxes``
+leaves the fluxes in ``flux`` and the speeds in ``speeds``), is valid
+until the next stage writes over it.
 
 Every row is a view of one float block with n + 4 columns (the padded
 cell count) or of one boolean block of five rows. The rule: every value
@@ -139,7 +140,8 @@ class Workspace:
         # zero on each side (s0-s1), outflows (s2-s3) and the negated
         # inflows (s4-s5); then the edge-padded densities and drain times
         # over the first (s0-s1) and the donor drain times over the third
-        # (s4-s5); the fluxes are scaled in their own rows
+        # (s4-s5), with the nonzero-flux mask in flags 3-4 (free until the
+        # step's finite check); the fluxes are scaled in their own rows
         ext = s[0:2, :n + 3]
         self.drain_ext = ext
         self.drain_ext_mid = ext[:, 1:-1]
@@ -154,6 +156,7 @@ class Workspace:
         self.donor = s[4:6, :m]
         self.drain_mask = b[0:2, :m]
         self.limited = b[2, :m]
+        self.drain_moving = b[3:5, :m]
 
         # the source term (s4-s5)
         self.source_out, self.source_work = s[4, :n], s[5, :n]

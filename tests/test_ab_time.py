@@ -19,7 +19,10 @@ def test_same_tree_both_sides(capsys):
                          "--pairs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("outputs identical: lake-at-rest at N = 8")
+    assert lines[1].startswith("A: median ") and ", IQR " in lines[1]
     assert lines[-1].startswith("B/A median ratio ")
+    # two pairs cannot tell the sides apart
+    assert ", not resolved; " in lines[-1]
     assert lines[-1].endswith(" of 2 pairs")
     # the copies are gone again, so a later call imports afresh
     assert not any(name.startswith(("trsw_a", "trsw_b"))
@@ -73,3 +76,18 @@ def test_cli_differing_file_bytes_refused(tmp_path, capsys):
     assert ab_time.main(args + ["--cli", "0.02,0.04"]) == 1
     assert capsys.readouterr().out == \
         "outputs differ: lake-at-rest at N = 8\n"
+
+
+def test_resolved_needs_nine_in_ten_pairs_beyond_the_spread():
+    a = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    faster = [t - 0.1 for t in a]
+    assert ab_time.score(a, faster) == (10, True)
+    assert ab_time.score(faster, a) == (0, True)
+    # 9 of 10 pairs still resolves, 8 of 10 does not
+    assert ab_time.score(a, faster[:9] + [a[9] + 0.1]) == (9, True)
+    assert ab_time.score(a, faster[:8] + [t + 0.1 for t in a[8:]]) == \
+        (8, False)
+    # B wins every pair, by less than A's interquartile range of 0.045
+    assert ab_time.score(a, [t - 0.04 for t in a]) == (10, False)
+    # fewer than ten pairs resolve nothing
+    assert ab_time.score(a[:9], faster[:9]) == (9, False)

@@ -210,6 +210,18 @@ class TestDrainingLimit:
         assert out is flux and n == 0
         assert np.array_equal(self._scaled(padded, flux, 0.1, 0.5), flux)
 
+    def test_dry_cell_without_flux_is_not_counted(self):
+        # the dry cell donates to both of its interfaces, whose fluxes are
+        # zero: its scale of 0 changes no flux, so neither interface counts
+        padded = np.ones((4, 9))
+        padded[::3, 4] = 0.0
+        flux = np.full((4, 6), 0.01)
+        flux[::3, 2:4] = 0.0
+        before = flux.copy()
+        out, n = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
+        assert out is flux and n == 0
+        assert np.array_equal(out, before)
+
     def test_limited_case_scales_in_place(self):
         rng = np.random.default_rng(5)
         padded = np.zeros((4, 14))
@@ -255,8 +267,10 @@ class TestDrainingLimit:
         padded = np.pad(u, ((0, 0), (2, 2)), mode="edge")
         assert out.tobytes() == self._scaled(padded, before, dt, dy).tobytes()
         scales = self._scales(padded, before, dt, dy)
-        assert n_limited == np.count_nonzero((scales[0] < 1.0)
-                                             | (scales[3] < 1.0))
+        # an interface counts when the scale changes its h or hb flux
+        assert n_limited == np.count_nonzero(
+            ((scales[0] < 1.0) & (before[0] != 0.0))
+            | ((scales[3] < 1.0) & (before[3] != 0.0)))
 
 
 class TestSspRk3:
@@ -384,8 +398,9 @@ class TestRhs:
         st = ConservedState.from_fields(h, 0 * y, h * v, 2 * h)
         topo = flat_topography(g)
         tend = rhs(st, topo, CoriolisSpec(0.0), g, Numerics(), Workspace(n))
-        flux, _, _ = assemble_fluxes(st.array, topo, CoriolisSpec(0.0), g,
-                                     Numerics(), Workspace(n))
+        ws = Workspace(n)
+        assemble_fluxes(st.array, topo, CoriolisSpec(0.0), g, Numerics(), ws)
+        flux = ws.flux
         total = tend[0].sum() * g.dy
         assert total == pytest.approx(-(flux[0, -1] - flux[0, 0]),
                                       rel=1e-12, abs=1e-14)
@@ -412,6 +427,36 @@ class TestRunSimulation:
         res = run_simulation(s)
         assert [t for t, _ in res.snapshots] == [0.03, 0.07, 0.1]
         assert res.t == 0.1
+
+    @staticmethod
+    def _rounding_run(monkeypatch, snapshots):
+        # each event is neared by a step 1e-5 short of it, then reached by
+        # rounding: a step a relative 2e-12 short, not clipped to land
+        calls = []
+
+        def short(a_max, dy, cfl, t_remaining):
+            calls.append(t_remaining)
+            return (t_remaining - 1e-5 if len(calls) % 2
+                    else t_remaining * (1.0 - 2e-12))
+
+        monkeypatch.setattr(stepper, "cfl_dt", short)
+        res, reports = _run_steps(_rest_scenario(t_final=1.0,
+                                                 snapshots=snapshots))
+        assert not res.failed, res.failure_message
+        assert all(r.limit == "wave speed" for r in reports)
+        assert [r.t for r in reports[1::2]] == list(snapshots)
+        return res
+
+    def test_event_reached_by_rounding_moves_on(self, monkeypatch):
+        res = self._rounding_run(monkeypatch, (0.5, 1.0))
+        assert [t for t, _ in res.snapshots] == [0.5, 1.0]
+        assert res.t == 1.0 and res.steps == 4
+
+    def test_final_time_reached_by_rounding_keeps_snapshot(self,
+                                                           monkeypatch):
+        res = self._rounding_run(monkeypatch, (1.0,))
+        assert [t for t, _ in res.snapshots] == [1.0]
+        assert res.t == 1.0 and res.steps == 2
 
     def test_deterministic(self):
         a = run_simulation(make_scenario("ex2", cells=64, t_final=0.05))
@@ -600,8 +645,8 @@ class TestWorkspace:
         assert max(grown) < 1.5 * state_bytes
 
     @pytest.mark.parametrize("name,cells,n_limited", [
-        # the drain at dt = 0.2 scales two interfaces
-        ("ex2", 64, 2),
+        # the drain at dt = 0.2 scales one interface's nonzero flux
+        ("ex2", 64, 1),
         # variable f and the Simpson source
         ("ex6", 200, 0),
         # every interface takes the depth solve's sqrt branch
@@ -614,7 +659,9 @@ class TestWorkspace:
         state = s.initial_state()
         args = (state.array, s.topography, s.coriolis, s.grid, s.numerics)
         ledger = ConservationLedger(state, s.grid)
-        flux = assemble_fluxes(*args, Workspace(cells))[0]
+        assembled = Workspace(cells)
+        assemble_fluxes(*args, assembled)
+        flux = assembled.flux
 
         def filled(value, flag):
             ws = Workspace(cells)
@@ -627,8 +674,8 @@ class TestWorkspace:
 
         def kernels(make_ws):
             ws = make_ws()
-            f, a_plus, a_minus = assemble_fluxes(*args, ws)
-            got = bits([f, a_plus, a_minus, ws.l_side, ws.q_side, ws.p_side,
+            assemble_fluxes(*args, ws)
+            got = bits([ws.flux, *ws.speeds, ws.l_side, ws.q_side, ws.p_side,
                         ws.b_side, ws.h_side, ws.v_side, ws.l_cell_left,
                         ws.l_cell_right])
             got += bits([rhs(state, *args[1:], make_ws())])
@@ -670,7 +717,9 @@ class TestWorkspace:
                     snaps, rows.tobytes())
 
         plain = run()
-        assert plain[:2] == (20, 1170)
+        # 4 interfaces with a nonzero flux are limited; the zero fluxes
+        # beside the dry cells do not count
+        assert plain[:2] == (20, 4)
 
         def poisoned(kernel):
             def call(*args):

@@ -12,8 +12,12 @@ momentary speed. One untimed run per side then checks that the final
 states, the snapshots and the diagnostics records are bit-identical; the
 tool exits 1 if they are not. After that the timed calls alternate which
 side goes first, and each call builds its scenario afresh outside the
-timed region. The tool prints each side's median time and the median of
-the per-pair ratios B/A with the number of pairs B won.
+timed region. The tool prints each side's median time and interquartile
+range (IQR), and the median of the per-pair ratios B/A with the number of
+pairs B won. It calls the difference ``resolved`` only when B wins, or
+loses, at least 9 in 10 of at least 10 pairs and the two medians differ
+by more than A's IQR, and ``not resolved`` otherwise: two runs on the same
+trees may read a few percent apart, so a ratio alone is no result.
 
 With ``--cli TIMES`` each call is ``trsw.cli.main`` instead, with
 ``--snapshots TIMES --diagnostics`` and each side's own output directory,
@@ -72,6 +76,23 @@ def _cli_outputs(call: tuple) -> tuple:
         with open(os.path.join(outdir, name), "rb") as fh:
             files.append((name, fh.read()))
     return code, text.replace(outdir, "OUT"), tuple(files)
+
+
+def _iqr(times) -> float:
+    q1, q3 = np.percentile(times, [25, 75])
+    return float(q3 - q1)
+
+
+def score(times_a, times_b) -> tuple:
+    """The pairs B won, and whether the paired times tell B from A: one
+    side faster in at least 9 in 10 of at least 10 pairs, with the medians
+    further apart than A's interquartile range."""
+    pairs = len(times_a)
+    wins = sum(b < a for a, b in zip(times_a, times_b))
+    losses = sum(b > a for a, b in zip(times_a, times_b))
+    gap = abs(statistics.median(times_b) - statistics.median(times_a))
+    return wins, (pairs >= 10 and 10 * max(wins, losses) >= 9 * pairs
+                  and gap > _iqr(times_a))
 
 
 def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
@@ -134,11 +155,12 @@ def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
                     del sys.modules[name]
 
     ratios = [b / a for a, b in zip(times["a"], times["b"])]
-    wins = sum(b < a for a, b in zip(times["a"], times["b"]))
+    wins, resolved = score(times["a"], times["b"])
     for side, tree in zip(_SIDES, (tree_a, tree_b)):
         print(f"{side.upper()}: median {statistics.median(times[side]):.4f} s"
-              f"  ({tree})")
-    print(f"B/A median ratio {statistics.median(ratios):.3f}; "
+              f", IQR {_iqr(times[side]):.4f} s  ({tree})")
+    verdict = "resolved" if resolved else "not resolved"
+    print(f"B/A median ratio {statistics.median(ratios):.3f}, {verdict}; "
           f"B faster in {wins} of {pairs} pairs")
     return 0
 
