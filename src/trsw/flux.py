@@ -6,6 +6,14 @@ G = (p, q*v, L, p*b). Numerical diffusion in the q and hb components is
 premultiplied by a smooth switch H that vanishes where L is locally
 constant, so equilibria see no spurious diffusion from the non-constant
 q and b profiles they carry.
+
+One formula serves all four components, and each of its arithmetic
+steps is one numpy call over a group of components: U of both sides is
+a view of the workspace's side rows h, q, p and hb, the products of G
+are formed once per call, and the groups are the workspace's
+``flux_groups``, four components at once on grids of up to 4095 cells
+and one at a time from 8192 on (see ``trsw.workspace``). The products
+h*b, q*v and p*b and the speeds each take both sides in one call.
 """
 
 from __future__ import annotations
@@ -22,24 +30,23 @@ _SWITCH_C = 400.0
 _SWITCH_M = 8
 
 
-def local_speeds(v_minus, v_plus, hb_minus, hb_plus, out, work):
+def local_speeds(v_side, hb_side, out, work):
     """One-sided propagation speeds from the extreme eigenvalues
-    v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus, given the
-    products h*b of both sides.
+    v +/- sqrt(h*b), clamped so that a_plus >= 0 >= a_minus, given v and
+    the products h*b as (2, m) minus/plus pairs.
 
-    ``out`` is a pair of arrays for (a_plus, a_minus) and ``work`` four
-    float and one boolean scratch arrays of their shape."""
-    c_m, c_p, t_m, t_p, negative = work
-    if (np.less(hb_minus, 0.0, out=negative).any()
-            or np.less(hb_plus, 0.0, out=negative).any()):
+    ``out`` is a pair of (m,) arrays for (a_plus, a_minus) and ``work``
+    two scratch pairs shaped like the sides. NaN neither raises nor hides
+    a negative product."""
+    c, t = work
+    if np.fmin.reduce(hb_side, axis=None) < 0.0:
         raise ValueError("negative h*b in speed estimate")
-    np.sqrt(hb_minus, out=c_m)
-    np.sqrt(hb_plus, out=c_p)
-    a_plus = np.maximum(np.add(v_minus, c_m, out=t_m),
-                        np.add(v_plus, c_p, out=t_p), out=out[0])
+    np.sqrt(hb_side, out=c)
+    np.add(v_side, c, out=t)
+    a_plus = np.maximum(t[0], t[1], out=out[0])
     np.maximum(a_plus, 0.0, out=a_plus)
-    a_minus = np.minimum(np.subtract(v_minus, c_m, out=t_m),
-                         np.subtract(v_plus, c_p, out=t_p), out=out[1])
+    np.subtract(v_side, c, out=t)
+    a_minus = np.minimum(t[0], t[1], out=out[1])
     np.minimum(a_minus, 0.0, out=a_minus)
     return a_plus, a_minus
 
@@ -77,74 +84,55 @@ def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
     return np.divide(1.0, inv, out=out)
 
 
-def _central_upwind_row(out, work, u_minus, u_plus, g_minus, g_plus, a_plus,
-                        a_minus, safe, coef, fallback, switch=None):
-    """One component of the central-upwind flux, written into ``out``:
+def numerical_flux(switch, ws: Workspace):
+    """Central-upwind fluxes at every interface, (4, n_interfaces), from
+    the interface states in the workspace's side pairs:
     (a+ G- - a- G+)/(a+ - a-) + a+ a-/(a+ - a-) * (U+ - U- - dU), with the
     built-in anti-diffusion dU = minmod(U+ - U*, U* - U-) of the
     intermediate state U* = (a+ U+ - a- U- - (G+ - G-)) / (a+ - a-).
 
-    ``safe`` is a+ - a- with degenerate entries set to one, ``coef`` is
-    a+ a- / safe, ``switch`` scales the diffusion term, and the interfaces
-    listed in ``fallback`` get the mean (G- + G+)/2 instead. ``work`` is
-    four scratch arrays shaped like ``out``.
-    """
-    star, delta, *minmod_work = work
-    u_star = np.multiply(a_plus, u_plus, out=star)
-    u_star -= np.multiply(a_minus, u_minus, out=delta)
-    u_star -= np.subtract(g_plus, g_minus, out=delta)
-    u_star /= safe
-    np.subtract(u_plus, u_star, out=delta)
-    np.subtract(u_star, u_minus, out=u_star)
-    minmod(delta, u_star, out=delta, work=minmod_work)
-    diffusion = np.subtract(u_plus, u_minus, out=u_star)
-    diffusion -= delta
-    diffusion *= coef
-    if switch is not None:
-        diffusion *= switch
-    np.multiply(a_plus, g_minus, out=out)
-    out -= np.multiply(a_minus, g_plus, out=delta)
-    out /= safe
-    out += diffusion
-    if fallback.size:
-        out[fallback] = 0.5 * (g_minus[fallback] + g_plus[fallback])
-
-
-def numerical_flux(switch, ws: Workspace):
-    """Central-upwind fluxes at every interface, (4, n_interfaces), from
-    the interface states in the workspace's side pairs.
-
-    The flux of U = (h, q, p, hb) is G = (p, q*v, L, p*b), built one
-    component at a time. Components h and L keep full diffusion; the q and
-    hb diffusion terms are multiplied by the switch. Degenerate speeds
-    (a+ - a- below round-off) fall back to the arithmetic mean of the
-    one-sided fluxes.
+    U = (h, q, p, hb) and G = (p, q*v, L, p*b). Components h and L keep
+    full diffusion; the q and hb diffusion terms are multiplied by the
+    switch. Degenerate speeds (a+ - a- below round-off) fall back to the
+    arithmetic mean of the one-sided fluxes. Each step runs over one of
+    the workspace's groups of components at a time.
 
     Returns (fluxes, a_plus, a_minus), rows of the workspace ``ws``.
     """
-    (h_m, h_p), (q_m, q_p), (p_m, p_p) = ws.h_side, ws.q_side, ws.p_side
-    (b_m, b_p), (l_m, l_p), (v_m, v_p) = ws.b_side, ws.l_side, ws.v_side
-    hb_m = np.multiply(h_m, b_m, out=ws.hb_minus)
-    hb_p = np.multiply(h_p, b_p, out=ws.hb_plus)
-    a_plus, a_minus = local_speeds(v_m, v_p, hb_m, hb_p, ws.speeds,
+    hb_side = np.multiply(ws.h_side, ws.b_side, out=ws.hb_side)
+    a_plus, a_minus = local_speeds(ws.v_side, hb_side, ws.speeds,
                                    ws.speed_work)
     safe = np.subtract(a_plus, a_minus, out=ws.safe)
     degenerate = np.less(safe, _DEGENERATE, out=ws.degenerate)
     safe[degenerate] = 1.0
     coef = np.multiply(a_plus, a_minus, out=ws.coef)
     coef /= safe
-    common = (a_plus, a_minus, safe, coef, degenerate.nonzero()[0])
-    work = ws.row_work
+    # G of both sides: the products q*v and p*b, and p and L beside them
+    # where a group stacks components
+    np.multiply(ws.q_side, ws.v_side, out=ws.g_products[0])
+    np.multiply(ws.p_side, ws.b_side, out=ws.g_products[1])
+    for stacked, side in ws.g_copies:
+        np.copyto(stacked, side)
 
-    flux = ws.flux
-    _central_upwind_row(flux[0], work, h_m, h_p, p_m, p_p, *common)
-    _central_upwind_row(flux[1], work, q_m, q_p,
-                        np.multiply(q_m, v_m, out=ws.g_minus),
-                        np.multiply(q_p, v_p, out=ws.g_plus),
-                        *common, switch)
-    _central_upwind_row(flux[2], work, p_m, p_p, l_m, l_p, *common)
-    _central_upwind_row(flux[3], work, hb_m, hb_p,
-                        np.multiply(p_m, b_m, out=ws.g_minus),
-                        np.multiply(p_p, b_p, out=ws.g_plus),
-                        *common, switch)
-    return flux, a_plus, a_minus
+    fallback = degenerate.nonzero()[0]
+    for out, u_m, u_p, g_m, g_p, delta, low, switched in ws.flux_groups:
+        # U* in the group's flux rows
+        u_star = np.multiply(a_plus, u_p, out=out)
+        u_star -= np.multiply(a_minus, u_m, out=delta)
+        u_star -= np.subtract(g_p, g_m, out=delta)
+        u_star /= safe
+        np.subtract(u_p, u_star, out=delta)
+        np.subtract(u_star, u_m, out=u_star)
+        # U* - U- is not read again, so it is minmod's high scratch
+        minmod(delta, u_star, out=delta, work=(low, u_star))
+        diffusion = np.subtract(u_p, u_m, out=out)
+        diffusion -= delta
+        diffusion *= coef
+        switched *= switch
+        central = np.multiply(a_plus, g_m, out=low)
+        central -= np.multiply(a_minus, g_p, out=delta)
+        central /= safe
+        out += central
+        if fallback.size:
+            out[:, fallback] = 0.5 * (g_m[:, fallback] + g_p[:, fallback])
+    return ws.flux, a_plus, a_minus

@@ -194,22 +194,26 @@ class ConservedState:
     """Cell averages of (h, q, p, hb) stored as a read-only (4, n) array.
 
     h is the layer depth, q = h*u and p = h*v the zonal and meridional
-    momentum densities, and hb the depth-weighted buoyancy.
+    momentum densities, and hb the depth-weighted buoyancy. ``minima``
+    holds (min h, min hb), from the one scan that checks them on
+    construction (``check_nonnegative``).
     """
 
     array: np.ndarray
+    minima: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _readonly(self.array)
         if arr.ndim != 2 or arr.shape[0] != 4:
             raise ValueError(f"expected a (4, n) array, got shape {arr.shape}")
-        check_nonnegative(arr)
+        object.__setattr__(self, "minima", check_nonnegative(arr))
         object.__setattr__(self, "array", arr)
 
     @classmethod
     def from_fields(cls, h, q, p, hb) -> "ConservedState":
-        return cls(np.stack([np.asarray(h, float), np.asarray(q, float),
-                             np.asarray(p, float), np.asarray(hb, float)]))
+        # the constructor's read-only copy stacks the four fields: the
+        # state's array is the only full-size array built
+        return cls([h, q, p, hb])
 
     @property
     def h(self) -> np.ndarray:

@@ -20,7 +20,8 @@ def minmod(*args, out, work):
     """Componentwise minmod of two or more arguments: min of the arguments
     if all positive, max if all negative, zero otherwise. ``out`` receives
     the result and may be one of the arguments, and ``work`` is a pair of
-    scratch arrays shaped like it.
+    scratch arrays shaped like it; of two arguments, the second may be
+    the second scratch array, which it then leaves overwritten.
 
     Evaluated branch-free as max(min(args), 0) + min(max(args), 0), so a
     NaN argument gives NaN.
@@ -208,7 +209,7 @@ def build_interface_states(u: np.ndarray, topo: Topography,
     cell L on either side for the diffusion switch. p is recomputed as h*v
     after desingularization, so p = h*v holds exactly.
 
-    The cell values of L, q, p, b and the surface w = h + Z are written
+    The cell values of L, b, the surface w = h + Z, q and p are written
     into the n cells of the workspace's (5, n+4) field block and
     edge-padded there, which gives the same ghost values as forming b, L
     and w on the padded state. interface_values takes the fields in the
@@ -219,16 +220,18 @@ def build_interface_states(u: np.ndarray, topo: Topography,
     h, p, hb = u[0], u[2], u[3]
 
     # L = p^2/h + (hb/2) h + R, the kinetic term desingularized so dry
-    # cells contribute zero
+    # cells contribute zero, and b = hb/h: the ratios p/h and hb/h in one
+    # call, into the rows of L and b
     r_center, r_iface = source_potential(u, topo, coriolis, grid, ws)
-    l_cell = desingularized_ratio(h, p, out=ws.l_cell, work=ws.cell_work)
+    desingularized_ratio(h, u[2:4], out=ws.ratio_cells,
+                         work=ws.ratio_cell_work)
+    l_cell = ws.l_cell
     l_cell *= p
     half_hb = np.multiply(hb, 0.5, out=ws.cell_work)
     half_hb *= h
     l_cell += half_hb
     l_cell += r_center
     np.copyto(ws.qp_cells, u[1:3])
-    desingularized_ratio(h, hb, out=ws.b_cell, work=ws.cell_work)
     np.add(h, topo.z_center, out=ws.w_cell)
     _fill_ghosts(ws.fields)
     for padded, out, work in ws.iv_groups:

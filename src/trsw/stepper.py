@@ -253,12 +253,13 @@ def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
     u_new = ssp_rk3_combine(u0, dt, stage, ws.u1, ws.u2)
     if not np.isfinite(u_new, out=ws.finite).all():
         raise IntegrationError(t_after)
-    minima.append(check_nonnegative(u_new))
+    state = ConservedState(u_new)  # checks it and takes its minima
+    minima.append(state.minima)
 
     min_h, min_hb = (float(min(m)) for m in zip(*minima))
     # the weights 1/6, 1/6, 2/3 with which each stage's fluxes enter u_new
     weighted = [(x0 + x1 + 4.0 * x2) / 6.0 for x0, x1, x2 in zip(*bounds)]
-    return ConservedState(u_new), StepReport(
+    return state, StepReport(
         t=t_after, dt=dt, a_max=a_max,
         limit="event" if landed else "wave speed",
         n_limited=sum(limited), min_h=min_h, min_hb=min_hb,

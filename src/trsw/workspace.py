@@ -16,27 +16,45 @@ An array handed out under a workspace, or left in it (``assemble_fluxes``
 leaves the fluxes in ``flux`` and the speeds in ``speeds``), is valid
 until the next stage writes over it.
 
-Every row is a view of one float block with n + 4 columns (the padded
-cell count) or of one boolean block of five rows. The rule: every value
+Every array is a view of one float block with n + 4 columns (the padded
+cell count), or of one boolean block of five rows. Most are rows of it;
+the fluxes and the flux's scratch are rows of n + 1 values laid end to
+end in whole rows of it (``_packed``). The rule: every value
 that crosses a call of ``assemble_fluxes``, ``draining_limit``,
-``_tendency`` or ``make_record`` lives in one of the 31 dedicated rows:
+``_tendency`` or ``make_record`` lives in one of the 33 dedicated rows:
 the two stage states and the tendency of the SSP-RK3 step, the interface
 states (the side pairs below, v's pair and the row of L), the fluxes and
-the speeds. At least eleven scratch rows s0.. hold the temporaries inside
-one such call, which may write over all of them; ``__init__`` lists which
-phase uses which.
+the speeds. At least nine scratch rows s0.. hold the temporaries
+inside one such call, which may write over all of them; ``__init__``
+lists which phase uses which.
 
-The reconstruction runs over stacked blocks. The padded fields L, q, p, b
-and w are five whole rows, one (5, n+4) block, and their one-sided values
-a (2, 5, n+4) block, so each field's minus and plus values form a (2, n+1)
-pair without a copy: ``l_side``, ``q_side``, ``p_side``, ``b_side`` and
-``h_side``, w's pair. ``interface_values`` takes k of the fields at once,
-k = min(5, max(1, _STACK_CELLS // (n+4))), as one contiguous array of k
-rows end to end (numpy's iterator costs more per call on a strided
-(k, n+4) view): one call per stage on small grids, one per field where a
-row alone fills the cache. The depth solve takes g = min(k, 2) of the two
-sides at a time and writes the depths over ``h_side``, the fallback
-depths it starts from. A workspace has max(11, 5 + 2k) scratch rows.
+The interface states are one (2, 6, n+4) block of side rows, ordered L,
+b, h, q, p, hb, so that each field's minus and plus values form a
+(2, n+1) pair without a copy: ``l_side``, ``b_side``, ``h_side`` (w's
+pair until the depth solve), ``q_side``, ``p_side`` and ``hb_side``, and
+rows 2-5 are U = (h, q, p, hb) of both sides, a (2, 4, n+1) view.
+
+The reconstruction runs over stacked blocks. The padded fields L, b, w,
+q and p are five whole rows, one (5, n+4) block, whose one-sided values
+are the first five side rows. ``interface_values`` takes k of the fields
+at once, k = min(5, max(1, _STACK_CELLS // (n+4))), as one contiguous
+array of k rows end to end (numpy's iterator costs more per call on a
+strided (k, n+4) view): one call per stage on small grids, one per field
+where a row alone fills the cache. The depth solve takes g = min(k, 2)
+of the two sides at a time and writes the depths over ``h_side``, the
+fallback depths it starts from.
+
+The central-upwind flux runs the same way over the four components of U
+and G = (p, q*v, L, p*b): each arithmetic step is one call over a group
+of kf = min(4, max(1, _STACK_CELLS // (n+1))) components, ``flux_groups``,
+four at once up to N = 4095 and one at a time from N = 8192, as at
+N = 25600. U of a group is a strided view of the side rows; its
+fluxes, its rows of G and its scratch are packed, so most of its calls
+take contiguous arrays only: at N = 200 a ``numerical_flux`` call takes
+0.68 times as long as with strided rows. Stacked groups need p and L
+copied beside the products of G; a component alone reads them from its
+side rows. A workspace has max(5 + 2k, 3 + g + 2kf) scratch rows, g = 8
+rows of G for stacked groups and 4 for one component at a time.
 """
 
 from __future__ import annotations
@@ -44,14 +62,22 @@ from __future__ import annotations
 import numpy as np
 
 GHOST = 2  # edge-copied ghost cells per side; enough for the slope stencil
-# padded cells per stacked interface_values call: above the crossover one
-# field per call is faster (see tools/floor_fit.py)
+# padded cells per stacked interface_values call, and interfaces per
+# numerical_flux group: above the crossover one field or component per
+# call is faster (see tools/floor_fit.py)
 _STACK_CELLS = 16384
 
-_DEDICATED = 31  # u1, u2, tend (4 each), flux (4), speeds (2), the side
-#                  pairs of L, q, p, b, h and v (12), the L row of the fields
-_SCRATCH = 11  # temporaries inside one call, which may write over them all
+_DEDICATED = 33  # u1, u2, tend (4 each), flux (4), speeds (2), the side
+#                  pairs of L, b, h, q, p, hb and v (14), the L row of the
+#                  fields
 _BOOLS = 5
+
+
+def _packed(rows: np.ndarray, width: int) -> np.ndarray:
+    """The whole rows ``rows`` of a block as rows of ``width`` values laid
+    end to end, (len(rows), width): the rows of a group are then one
+    contiguous array, which numpy's iterator takes in one pass."""
+    return rows.reshape(-1)[:len(rows) * width].reshape(-1, width)
 
 
 def fresh(shape, floats: int, flags: int = 0) -> tuple:
@@ -68,7 +94,10 @@ class Workspace:
     def __init__(self, n: int):
         m, pad = n + 1, n + 2 * GHOST
         k = min(5, max(1, _STACK_CELLS // pad))
-        block = np.empty((_DEDICATED + max(_SCRATCH, 5 + 2 * k), pad))
+        kf = min(4, max(1, _STACK_CELLS // m))
+        g_rows = 8 if kf > 1 else 4  # G of both sides, see the fluxes below
+        block = np.empty((_DEDICATED + max(5 + 2 * k, 3 + g_rows + 2 * kf),
+                          pad))
         b = np.empty((_BOOLS, pad), dtype=bool)
         s = block[_DEDICATED:]
 
@@ -77,28 +106,30 @@ class Workspace:
         self.u2 = block[4:8, :n]
         self.tend = block[8:12, :n]
         self.finite = b[0:4, :n]
-        # the stage's fluxes and speeds
-        self.flux = block[12:16, :m]
+        # the stage's fluxes, rows of n+1 end to end, and speeds
+        self.flux = _packed(block[12:16], m)
         self.speeds = (block[16, :m], block[17, :m])
-        # the interface states: (2, n+1) minus/plus pairs of L, q, p, b
-        # and h, the last first holding w, at columns 1..n+1 of full rows
-        # (a minus row's first n+2 columns are minmod's low scratch, and a
-        # plus row's hold the n+2 scaled slopes, before the values), and v
-        sides = block[18:28].reshape(2, 5, pad)
-        self.l_side, self.q_side, self.p_side, self.b_side, self.h_side = (
-            sides[:, i, 1:n + 2] for i in range(5))
-        self.v_side = block[28:30, :m]
-        # the padded fields L (dedicated), q, p, b, w (s0-s3)
-        self.fields = block[30:35]
+        # the interface states: (2, n+1) minus/plus pairs of L, b, h (first
+        # holding w), q, p and hb, at columns 1..n+1 of full rows (a minus
+        # row's first n+2 columns are minmod's low scratch, and a plus
+        # row's hold the n+2 scaled slopes, before the values), and v
+        sides = block[18:30].reshape(2, 6, pad)
+        (self.l_side, self.b_side, self.h_side, self.q_side, self.p_side,
+         self.hb_side) = (sides[:, i, 1:n + 2] for i in range(6))
+        u_sides = sides[:, 2:6, 1:n + 2]  # U = (h, q, p, hb)
+        self.v_side = block[30:32, :m]
+        # the padded fields L (dedicated), b, w, q, p (s0-s3)
+        self.fields = block[32:37]
         cells = self.fields[:, GHOST:-GHOST]
-        self.l_cell, self.qp_cells, self.b_cell, self.w_cell = (
-            cells[0], cells[1:3], cells[3], cells[4])
+        self.l_cell, self.w_cell = cells[0], cells[2]
+        self.ratio_cells, self.qp_cells = cells[0:2], cells[3:5]
         self.l_cell_left = self.fields[0, 1:-2]
         self.l_cell_right = self.fields[0, 2:-1]
 
         # reconstruction: R at interfaces (s4, lives through the depth
-        # solve) and centres (s5), its increments (s6-s8), the cell L and
-        # b's ratio work (s6), the groups of k fields end to end with their
+        # solve) and centres (s5), its increments (s6-s8), the cell ratios
+        # p/h and hb/h, into the rows of L and b, with their work (s6-s7)
+        # and hb/2 h (s6), the groups of k fields end to end with their
         # one-sided differences and minmod's high scratch (s5 on, 2k rows),
         # b_mid (s0), then the depth solve over g sides at a time: 27 b
         # (s1), D (s2 on, g rows), its powers (s5 on, 2g rows) and flags
@@ -108,6 +139,7 @@ class Workspace:
         self.r_iface_tail = self.r_iface[1:]
         self.sp_work = (s[6, :n], s[7, :n], s[8, :n])
         self.cell_work = s[6, :n]
+        self.ratio_cell_work = s[6:8, :n]
         self.iv_groups = []
         for i in range(0, 5, k):
             j = min(k, 5 - i)
@@ -123,18 +155,42 @@ class Workspace:
                            b[1:1 + g, :m], b[1 + g:1 + 2 * g, :m])
         self.ratio_work = s[2:4, :m]
 
-        # fluxes: the switch (s0, work s1-s2), h*b of both sides (s9-s10,
-        # formed once for the speeds and the hb row), the speeds (work
-        # s1-s4), a+ - a- (s5), a+ a-/(a+ - a-) (s6), the products of the
-        # q and hb rows (s7-s8) and one row's work (s1-s4)
+        # fluxes: the switch (s0, work s1-s2), the speeds (work s3-s6),
+        # a+ - a- (s1), a+ a-/(a+ - a-) (s2), G of both sides (s3 on) and,
+        # per group of kf components, the differences and minmod's low
+        # scratch (2kf rows after G); a group forms U*, then the diffusion,
+        # in its own flux rows, and the q and hb rows among them (odd rows
+        # of the flux) take the switch. Stacked groups read G from a (2, 4)
+        # block that holds copies of p and L beside the products q*v and
+        # p*b (8 rows); a component alone reads p or L from its side rows
+        # and a product from a (2, 2) block (4 rows), with nothing copied
         self.switch = s[0, :m]
         self.switch_work = (s[1, :m], s[2, :m], b[0, :m])
-        self.speed_work = (s[1, :m], s[2, :m], s[3, :m], s[4, :m], b[0, :m])
-        self.safe, self.coef = s[5, :m], s[6, :m]
-        self.degenerate = b[1, :m]
-        self.g_minus, self.g_plus = s[7, :m], s[8, :m]
-        self.hb_minus, self.hb_plus = s[9, :m], s[10, :m]
-        self.row_work = (s[1, :m], s[2, :m], s[3, :m], s[4, :m])
+        self.speed_work = (s[3:5, :m], s[5:7, :m])
+        self.safe, self.coef = s[1, :m], s[2, :m]
+        self.degenerate = b[0, :m]
+        if kf > 1:
+            g = _packed(s[3:11], m).reshape(2, 4, m)
+            self.g_copies = ((g[:, 0], self.p_side), (g[:, 2], self.l_side))
+            self.g_products = (g[:, 1], g[:, 3])
+            g_groups = [g[:, i:i + kf] for i in range(0, 4, kf)]
+        else:
+            products = _packed(s[3:7], m).reshape(2, 2, m)
+            self.g_copies = ()
+            self.g_products = (products[:, 0], products[:, 1])
+            g_groups = [pair[:, None] for pair in (
+                self.p_side, products[:, 0], self.l_side, products[:, 1])]
+        t = 3 + g_rows
+        delta, low = _packed(s[t:t + kf], m), _packed(s[t + kf:t + 2 * kf], m)
+        self.flux_groups = []
+        for i, g_group in zip(range(0, 4, kf), g_groups):
+            j = min(kf, 4 - i)
+            rows = slice(i, i + j)
+            out = self.flux[rows]
+            self.flux_groups.append((
+                out, u_sides[0, rows], u_sides[1, rows],
+                g_group[0], g_group[1], delta[:j], low[:j],
+                out[(i + 1) % 2::2]))
 
         # draining limiter, rows h and hb side by side: the fluxes with a
         # zero on each side (s0-s1), outflows (s2-s3) and the negated

@@ -7,6 +7,8 @@ import shutil
 import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the tools import their shared helpers as siblings, as when run as scripts
+sys.path.insert(0, os.path.join(_ROOT, "tools"))
 _spec = importlib.util.spec_from_file_location(
     "ab_time", os.path.join(_ROOT, "tools", "ab_time.py"))
 ab_time = importlib.util.module_from_spec(_spec)

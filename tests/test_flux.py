@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trsw import flux
+from trsw import flux, workspace
 from trsw.flux import diffusion_switch, local_speeds, numerical_flux
 from trsw.model import (ConservedState, CoriolisSpec, Numerics, build_grid,
                         desingularized_ratio, flat_topography)
@@ -30,11 +30,12 @@ def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p):
 
 
 def _speeds(v_m, v_p, h_m, h_p, b_m, b_p):
-    """local_speeds on fresh buffers, from the h and b of both sides."""
-    shape = np.broadcast_shapes(*map(np.shape, (v_m, v_p, h_m, h_p, b_m, b_p)))
-    return local_speeds(v_m, v_p, np.multiply(h_m, b_m),
-                        np.multiply(h_p, b_p), fresh(shape, 2),
-                        fresh(shape, 4, 1))
+    """local_speeds on fresh buffers, from the v, h and b of both sides."""
+    v_m, v_p, hb_m, hb_p = np.broadcast_arrays(
+        v_m, v_p, np.multiply(h_m, b_m), np.multiply(h_p, b_p))
+    shape = v_m.shape
+    return local_speeds(np.stack([v_m, v_p]), np.stack([hb_m, hb_p]),
+                        fresh(shape, 2), fresh((2,) + shape, 2))
 
 
 def _switch(l_left, l_right, dy, length):
@@ -93,12 +94,69 @@ def _random_interfaces(draw):
     h_m, h_p = field(0.0, 10.0, True), field(0.0, 10.0, True)
     dry = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     h_m[dry] = h_p[dry] = 0.0
-    ws = _states_from_sides(h_m, h_p, field(-10.0, 10.0),
-                            field(-10.0, 10.0), field(-10.0, 10.0),
-                            field(-10.0, 10.0), field(0.0, 5.0, True),
-                            field(0.0, 5.0, True), field(-50.0, 50.0),
-                            field(-50.0, 50.0))
-    return ws, field(0.0, 1.0, True)
+    sides = (h_m, h_p, field(-10.0, 10.0), field(-10.0, 10.0),
+             field(-10.0, 10.0), field(-10.0, 10.0), field(0.0, 5.0, True),
+             field(0.0, 5.0, True), field(-50.0, 50.0), field(-50.0, 50.0))
+    return sides, field(0.0, 1.0, True)
+
+
+def _per_component_flux(ws, switch):
+    """The central-upwind flux one component and one side at a time, on
+    fresh arrays: the reference that numerical_flux's groups of
+    components must reproduce bit for bit."""
+    (h_m, h_p), (q_m, q_p), (p_m, p_p) = ws.h_side, ws.q_side, ws.p_side
+    (b_m, b_p), (l_m, l_p), (v_m, v_p) = ws.b_side, ws.l_side, ws.v_side
+    hb_m, hb_p = h_m * b_m, h_p * b_p
+    if (hb_m < 0.0).any() or (hb_p < 0.0).any():
+        raise ValueError("negative h*b in speed estimate")
+    c_m, c_p = np.sqrt(hb_m), np.sqrt(hb_p)
+    a_plus = np.maximum(np.maximum(v_m + c_m, v_p + c_p), 0.0)
+    a_minus = np.minimum(np.minimum(v_m - c_m, v_p - c_p), 0.0)
+    safe = a_plus - a_minus
+    degenerate = safe < 1.0e-12
+    safe[degenerate] = 1.0
+    coef = a_plus * a_minus / safe
+    rows = []
+    for u_m, u_p, g_m, g_p, switched in (
+            (h_m, h_p, p_m, p_p, False),
+            (q_m, q_p, q_m * v_m, q_p * v_p, True),
+            (p_m, p_p, l_m, l_p, False),
+            (hb_m, hb_p, p_m * b_m, p_p * b_p, True)):
+        u_star = (a_plus * u_p - a_minus * u_m - (g_p - g_m)) / safe
+        x, y = u_p - u_star, u_star - u_m
+        delta = (np.maximum(np.minimum(x, y), 0.0)
+                 + np.minimum(np.maximum(x, y), 0.0))
+        diffusion = (u_p - u_m - delta) * coef
+        if switched:
+            diffusion = diffusion * switch
+        row = (a_plus * g_m - a_minus * g_p) / safe + diffusion
+        row[degenerate] = 0.5 * (g_m + g_p)[degenerate]
+        rows.append(row)
+    return np.stack(rows), a_plus, a_minus
+
+
+def _grouped_flux(k, sides, switch):
+    """numerical_flux with k components per group, as on a grid of
+    _STACK_CELLS / k interfaces, and that workspace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workspace, "_STACK_CELLS", k * sides[0].size)
+        ws = _states_from_sides(*sides)
+    assert [len(group[0]) for group in ws.flux_groups] == [k] * (4 // k)
+    return _flux(ws, switch), ws
+
+
+def _seeded_sides(seed, n=40):
+    """Interface states with dry interfaces (degenerate speeds) and a
+    switch strictly between 0 and 1."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.0, 2.0, (2, n))
+    h[:, rng.uniform(size=n) < 0.25] = 0.0
+    q, p = rng.normal(size=(2, 2, n))
+    b = rng.uniform(0.0, 3.0, (2, n))
+    l = rng.uniform(-5.0, 5.0, (2, n))
+    switch = rng.uniform(0.01, 0.99, n)
+    return (h[0], h[1], q[0], q[1], p[0], p[1], b[0], b[1], l[0],
+            l[1]), switch
 
 
 class TestLocalSpeeds:
@@ -130,24 +188,31 @@ class TestLocalSpeeds:
 
 
 def intermediate_state(u_minus, u_plus, g_minus, g_plus, a_plus, a_minus):
-    """U* = (a+ U+ - a- U- - (G+ - G-)) / (a+ - a-) as the flux row builds
-    it, read back from the second argument, U* - U-, of its minmod call."""
+    """U* = (a+ U+ - a- U- - (G+ - G-)) / (a+ - a-) as numerical_flux
+    builds it, for interfaces whose p component (U = p, G = L) holds the
+    given states and whose speeds are the given ones, read back from the
+    second argument, U* - U-, of its minmod call."""
     u_minus, u_plus, g_minus, g_plus = (
         np.asarray(x, float) for x in (u_minus, u_plus, g_minus, g_plus))
     seen = []
 
+    def speeds(v_side, hb_side, out, work):
+        out[0][...], out[1][...] = a_plus, a_minus
+        return out
+
     def spy(x, y, out=None, work=None):
-        seen.append(u_minus + y)
+        seen.append(u_minus + y[2])  # the group of all four components
         return minmod(x, y, out=out, work=work)
 
-    safe = a_plus - a_minus
+    ones = np.ones(u_minus.size)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workspace, "_STACK_CELLS", 2 ** 20)
+        # h = 1 on both sides keeps p = h*v exactly the given U
+        ws = _states_from_sides(ones, ones, ones, ones, u_minus, u_plus,
+                                ones, ones, g_minus, g_plus)
+        mp.setattr(flux, "local_speeds", speeds)
         mp.setattr(flux, "minmod", spy)
-        flux._central_upwind_row(np.empty(u_minus.size),
-                                 fresh(u_minus.size, 4), u_minus, u_plus,
-                                 g_minus, g_plus, a_plus, a_minus, safe,
-                                 a_plus * a_minus / safe,
-                                 np.array([], dtype=int))
+        numerical_flux(ones, ws)
     (u_star,) = seen
     return u_star
 
@@ -281,13 +346,15 @@ class TestNumericalFlux:
         assert np.abs(tend).max() <= 1e-13 * 72.0
 
     @settings(max_examples=300, deadline=None)
-    @given(_random_interfaces())
-    def test_matches_stacked_formula_bit_for_bit(self, drawn):
-        ws, switch = drawn
-        got = _flux(ws, switch)
-        want = _stacked_flux(ws, switch)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+    @given(_random_interfaces(), st.sampled_from([1, 2, 4]))
+    def test_matches_stacked_formula_bit_for_bit(self, drawn, k):
+        # with k components per group, against both references
+        sides, switch = drawn
+        got, ws = _grouped_flux(k, sides, switch)
+        for want in (_stacked_flux(ws, switch),
+                     _per_component_flux(ws, switch)):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
     def test_switch_kills_q_and_hb_diffusion(self):
         # identical L and p but different q/b on each side: with H = 0 the
@@ -300,3 +367,27 @@ class TestNumericalFlux:
         assert flux_off[3, 0] == pytest.approx(0.0, abs=1e-14)
         assert flux_on[1, 0] != flux_off[1, 0]
         assert flux_on[3, 0] != flux_off[3, 0]
+
+
+class TestComponentGroups:
+    """numerical_flux runs each step over groups of k components; every k
+    gives the bits of the flux evaluated one component at a time."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_groups_match_per_component_reference(self, k, seed):
+        sides, switch = _seeded_sides(seed)
+        got, ws = _grouped_flux(k, sides, switch)
+        want = _per_component_flux(ws, switch)
+        assert 0 < np.count_nonzero(got[1] - got[2] < 1.0e-12) < switch.size
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_negative_product_raises(self, k, side):
+        sides, switch = _seeded_sides(3)
+        sides[0][7] = sides[1][7] = 1.0
+        sides[6 + side][7] = -0.5  # b of one side, under a wet interface
+        with pytest.raises(ValueError, match=r"negative h\*b"):
+            _grouped_flux(k, sides, switch)

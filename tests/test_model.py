@@ -152,6 +152,22 @@ class TestConservedState:
             ConservedState.from_fields([1.0, -0.1, 1.0, 1.0], [0.0] * 4,
                                        [0.0] * 4, [1.0] * 4)
 
+    def test_from_fields_builds_one_array(self):
+        # the state's own read-only array is the only full-size one built,
+        # and no caller holds a writable alias of it
+        import tracemalloc
+
+        h = np.ones(100_000)
+        tracemalloc.start()
+        try:
+            st = ConservedState.from_fields(h, h, h, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * st.array.nbytes
+        assert st.array.base is None and not st.array.flags.writeable
+        assert st.minima == (1.0, 1.0)
+
     def test_field_views(self):
         st = ConservedState.from_fields([1, 2], [3, 4], [5, 6], [7, 8])
         assert st.h.shape == (2,)

@@ -386,6 +386,41 @@ class TestStageCheck:
         # the initial state, then one per accepted step
         assert len(built) == res.steps + 1
 
+    def test_each_state_scanned_once(self, monkeypatch):
+        # stages 2 and 3 and the accepted state, whose check is its
+        # constructor's, plus the initial state
+        from trsw import model
+
+        scans = []
+        check = model.check_nonnegative
+
+        def counted(u):
+            scans.append(1)
+            return check(u)
+
+        monkeypatch.setattr(model, "check_nonnegative", counted)
+        monkeypatch.setattr(stepper, "check_nonnegative", counted)
+        res, reports = _run_steps(make_scenario("ex2", cells=64,
+                                                t_final=0.02))
+        assert not res.failed and res.steps > 1
+        assert len(scans) == 3 * res.steps + 1
+        assert all(r.min_h >= 0.0 and r.min_hb >= 0.0 for r in reports)
+
+    @pytest.mark.parametrize("row,message", [
+        (0, "negative depth in conserved state"),
+        (3, "negative depth-weighted buoyancy in conserved state")])
+    def test_negative_accepted_state_raises(self, monkeypatch, row,
+                                            message):
+        def combine(u, dt, f, u1, u2):
+            out = ssp_rk3_combine(u, dt, f, u1, u2)
+            out[row, 2] = -1e-3
+            return out
+
+        monkeypatch.setattr(stepper, "ssp_rk3_combine", combine)
+        res, reports = _run_steps(_rest_scenario(t_final=0.01))
+        assert res.failed and not reports
+        assert res.failure_message == f"{message} at t=0"
+
 
 class TestRhs:
     def test_telescoping_mass_flux(self):

@@ -46,16 +46,9 @@ import time
 
 import numpy as np
 
+from trees import package_dir
+
 _SIDES = ("a", "b")
-
-
-def _package_dir(tree: str) -> str:
-    """The ``trsw`` package of a checkout or of its ``src`` directory."""
-    for candidate in (os.path.join(tree, "trsw"),
-                      os.path.join(tree, "src", "trsw")):
-        if os.path.isfile(os.path.join(candidate, "__init__.py")):
-            return candidate
-    raise SystemExit(f"error: no trsw package in {tree} or {tree}/src")
 
 
 def _outputs(result) -> tuple:
@@ -106,7 +99,7 @@ def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
         try:
             for side, tree in zip(_SIDES, (tree_a, tree_b)):
                 name = f"trsw_{side}"
-                shutil.copytree(_package_dir(tree), os.path.join(tmp, name),
+                shutil.copytree(package_dir(tree), os.path.join(tmp, name),
                                 ignore=shutil.ignore_patterns("__pycache__"))
                 modules[side] = importlib.import_module(name)
                 importlib.import_module(f"{name}.cli")

@@ -29,21 +29,9 @@ import time
 
 import numpy as np
 
+from trees import import_trsw
+
 KERNEL_STEPS = 50
-
-
-def import_trsw(tree: str):
-    """The ``trsw`` package of a checkout or of its ``src`` directory."""
-    for src in (os.path.join(tree, "src"), tree):
-        package = os.path.join(src, "trsw")
-        if os.path.isfile(os.path.join(package, "__init__.py")):
-            sys.path.insert(0, os.path.abspath(src))
-            import trsw
-            if os.path.dirname(os.path.abspath(trsw.__file__)) \
-                    != os.path.abspath(package):
-                raise SystemExit(f"error: imported trsw from {trsw.__file__}")
-            return trsw
-    raise SystemExit(f"error: no trsw package in {tree} or {tree}/src")
 
 
 def kernel(n: int) -> float:

@@ -1,5 +1,6 @@
 """Per-step wall time of a trsw tree as floor + slope * N, and the cost of
-stacking fields in one ``interface_values`` call.
+stacking fields in one ``interface_values`` call and components in one
+``numerical_flux`` group.
 
     python tools/floor_fit.py [SRC] [--cells 50,100,...,25600] [--steps 30]
         [--repeats 3] [--json OUT]
@@ -21,7 +22,15 @@ work, best of ``--repeats``, after checking each copy's values against a
 call on the field alone. It prints the time per field relative to one
 field per call: below 1, stacking k fields gains. The largest k(N+4)
 that still gains is the crossover behind ``workspace._STACK_CELLS``.
-``--json`` writes everything to a file.
+
+Last it times ``numerical_flux`` on the interface states of ex2's initial
+state at N cells, with k = 1, 2 and 4 components per group (forced
+through ``workspace._STACK_CELLS``), best of ``--repeats``, after
+checking that each k gives the fluxes and speeds of k = 1 bit for bit.
+It prints the time per call at k = 1 and the ratio of each k to it:
+below 1, the groups of k gain, and the largest k(N+1) that still gains
+is the flux's side of the same crossover. ``--json`` writes everything
+to a file.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import timeit
 
 import numpy as np
 
-from faults import import_trsw
+from trees import import_trsw
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SCENARIOS = ("ex2", "ex3b")
@@ -108,6 +117,35 @@ def stacked_times(trsw, cells: int, repeats: int):
     return out
 
 
+def flux_times(trsw, cells: int, repeats: int):
+    """Seconds per numerical_flux call with k = 1, 2 and 4 components per
+    group, on the interface states of ex2's initial state at ``cells``
+    cells; exits if a k gives other fluxes or speeds than k = 1."""
+    workspace = trsw.workspace
+    sc = trsw.make_scenario("ex2", cells=cells)
+    u = sc.initial_state().array
+    saved, want, out = workspace._STACK_CELLS, None, []
+    try:
+        for k in (1, 2, 4):
+            workspace._STACK_CELLS = k * (cells + 1)
+            ws = workspace.Workspace(cells)
+            trsw.stepper.assemble_fluxes(u, sc.topography, sc.coriolis,
+                                         sc.grid, sc.numerics, ws)
+            bits = [x.tobytes() for x in (ws.flux, *ws.speeds)]
+            if want is None:
+                want = bits
+            elif bits != want:
+                raise SystemExit(f"error: numerical_flux at k = {k}, "
+                                 f"N = {cells} differs from k = 1")
+            timer = timeit.Timer(
+                lambda: trsw.flux.numerical_flux(ws.switch, ws))
+            number = max(1, int(0.02 / max(timer.timeit(1), 1e-7)))
+            out.append(min(timer.repeat(repeats, number)) / number)
+    finally:
+        workspace._STACK_CELLS = saved
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", nargs="?", default=_ROOT,
@@ -126,7 +164,8 @@ def main(argv=None) -> int:
            "machine": {"cpu": platform.processor() or platform.machine(),
                        "python": platform.python_version(),
                        "numpy": np.__version__},
-           "step_s": {}, "fit": {}, "interface_values_s": {}}
+           "step_s": {}, "fit": {}, "interface_values_s": {},
+           "numerical_flux_s": {}}
 
     for scenario in _SCENARIOS:
         times = [min(step_time(trsw, scenario, n, args.steps)
@@ -145,6 +184,15 @@ def main(argv=None) -> int:
         doc["interface_values_s"][str(n)] = per_call
         ratios = "  ".join(f"k={k}: {t / (k * per_call[0]):.2f}"
                            for k, t in enumerate(per_call, 1))
+        print(f"  N = {n:6d}  k=1: {per_call[0] * 1e6:8.1f} us  {ratios}")
+
+    print("numerical_flux, time per call with k components per group "
+          "over k = 1:")
+    for n in cells:
+        per_call = flux_times(trsw, n, args.repeats)
+        doc["numerical_flux_s"][str(n)] = per_call
+        ratios = "  ".join(f"k={k}: {t / per_call[0]:.2f}"
+                           for k, t in zip((2, 4), per_call[1:]))
         print(f"  N = {n:6d}  k=1: {per_call[0] * 1e6:8.1f} us  {ratios}")
 
     if args.json:
