@@ -236,12 +236,15 @@ def _run_and_write(cfg: argparse.Namespace) -> int:
     fileio.ensure_outdir(cfg.out)
 
     written: List[str] = []
+    rows = None  # the rows of the last snapshot written, reused where equal
 
     def on_snapshot(t, state):
+        nonlocal rows
         path = os.path.join(cfg.out, fileio.snapshot_filename(
             scenario.name, scenario.grid.n, t))
-        fileio.write_snapshot(path, state, scenario.topography, scenario.grid,
-                              t, scenario.name, scenario.numerics)
+        rows = fileio.write_snapshot(path, state, scenario.topography,
+                                     scenario.grid, t, scenario.name,
+                                     scenario.numerics, rows)
         written.append(path)
 
     result = run_simulation(scenario, on_snapshot=on_snapshot,
@@ -264,7 +267,8 @@ def _run_and_write(cfg: argparse.Namespace) -> int:
         if final_path not in written:
             fileio.write_snapshot(final_path, result.state,
                                   scenario.topography, scenario.grid,
-                                  result.t, scenario.name, scenario.numerics)
+                                  result.t, scenario.name, scenario.numerics,
+                                  rows)
             print(final_path)
         table = fileio.compare_snapshots(fileio.read_comparable(final_path),
                                          reference)

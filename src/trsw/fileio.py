@@ -10,16 +10,26 @@ once per grid and held by it (``Grid.center_text``). Any other column
 formats each run of equal float64 bit patterns once if it has at most
 half as many runs as rows, and each field otherwise: a well-balanced run
 holds equilibria fixed to round-off, and an ex6 snapshot at N = 4000 has
-about 1,500 runs in the 36,000 fields outside y. Runs are cut where the
-bit pattern changes, not the float value: ``0.0 == -0.0`` although they
-print differently. Each field is the ``%.16e`` of the same float either
-way, so the files keep their bytes.
+about 1,500 runs in the 36,000 fields outside y.
+
+The same holds from one snapshot of a run to the next: on ex6 at
+N = 4000 with 16 snapshot times, 97% of the rows after the first
+snapshot keep all nine values bit for bit. ``write_snapshot`` returns what it wrote (``SnapshotRows``)
+and takes it back on the run's next call; a row whose nine bit patterns
+are unchanged keeps its text, and only the other rows are formatted. The
+y text is not compared, so rows made for another grid object are not
+reused.
+
+Runs and rows are compared by bit pattern, not by float value:
+``0.0 == -0.0`` although they print differently, and a NaN equals no
+value. Each field is the ``%.16e`` of the same float either way, so the
+files keep their bytes.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +59,34 @@ def _csv_rows(columns):
     return list(map(",".join, zip(*fields)))
 
 
+class SnapshotRows(NamedTuple):
+    """What ``write_snapshot`` wrote below its header: the grid, the int64
+    bit patterns of the nine value columns (h .. Z), shape (9, n), and the
+    n row strings, an object array."""
+
+    grid: Grid
+    bits: np.ndarray
+    rows: np.ndarray
+
+
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
-                   t: float, scenario_name: str, numerics: Numerics) -> None:
-    """Write one solution snapshot as CSV (see SNAPSHOT_COLUMNS)."""
-    u, v, b, w = primitives_from_state(state, topo)
-    columns = (grid.center_text, state.h, state.q, state.p, state.hb,
-               u, v, b, w, topo.z_center)
+                   t: float, scenario_name: str, numerics: Numerics,
+                   previous: Optional[SnapshotRows] = None) -> SnapshotRows:
+    """Write one solution snapshot as CSV (see SNAPSHOT_COLUMNS) and return
+    its rows. Given the rows of the run's previous snapshot, the rows whose
+    nine values keep their bit patterns keep their text; a ``previous`` of
+    another grid object counts every row as changed."""
+    values = np.vstack((state.array, *primitives_from_state(state, topo),
+                        topo.z_center))
+    bits = values.view(np.int64)
+    if previous is None or previous.grid is not grid:
+        rows = np.empty(grid.n, object)
+        changed = np.arange(grid.n)
+    else:
+        rows = previous.rows.copy()
+        changed = np.flatnonzero((bits != previous.bits).any(axis=0))
+    y_text = tuple(map(grid.center_text.__getitem__, changed.tolist()))
+    rows[changed] = _csv_rows((y_text, *values[:, changed]))
     lines = [
         f"# scenario: {scenario_name}",
         f"# N: {grid.n}",
@@ -65,9 +97,10 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
         f"# sigma: {CSV_FLOAT % numerics.sigma}",
         ",".join(SNAPSHOT_COLUMNS),
     ]
-    lines += _csv_rows(columns)
+    lines += rows.tolist()
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    return SnapshotRows(grid, bits, rows)
 
 
 def read_snapshot(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:

@@ -3,8 +3,11 @@ trees."""
 
 import importlib.util
 import os
+import re
 import shutil
 import sys
+
+import pytest
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the tools import their shared helpers as siblings, as when run as scripts
@@ -21,8 +24,10 @@ def test_same_tree_both_sides(capsys):
                          "--pairs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("outputs identical: lake-at-rest at N = 8")
-    assert lines[1].startswith("A: median ") and ", IQR " in lines[1]
-    assert lines[-1].startswith("B/A median ratio ")
+    for side, line in zip("AB", lines[1:3]):
+        assert re.fullmatch(rf"{side}: median \S+ s, IQR \S+ s; adjusted "
+                            r"median \S+ s, IQR \S+ s  \(.+\)", line)
+    assert re.match(r"B/A median ratio \S+ adjusted, \S+ raw, ", lines[-1])
     # two pairs cannot tell the sides apart
     assert ", not resolved; " in lines[-1]
     assert lines[-1].endswith(" of 2 pairs")
@@ -93,3 +98,36 @@ def test_resolved_needs_nine_in_ten_pairs_beyond_the_spread():
     assert ab_time.score(a, [t - 0.04 for t in a]) == (10, False)
     # fewer than ten pairs resolve nothing
     assert ab_time.score(a[:9], faster[:9]) == (9, False)
+
+
+def test_host_adjustment_cancels_a_slowdown():
+    # four calls of equal work; the host runs at half speed around the
+    # second and third, which doubles their times and the controls
+    # around them alike
+    raw = [0.2, 0.4, 0.4, 0.2]
+    controls = [0.01, 0.02, 0.02, 0.02, 0.01]
+    # each call's pair of controls: (0.01, 0.02), (0.02, 0.02), ...
+    adjusted = ab_time.host_adjusted(raw, controls, 0.01)
+    assert adjusted == pytest.approx([0.2 / 1.5, 0.2, 0.2, 0.2 / 1.5])
+    # a slower call between steady controls stays slower
+    assert ab_time.host_adjusted([0.2, 0.3], [0.01] * 3, 0.01) == \
+        pytest.approx([0.2, 0.3])
+
+
+def test_verdict_follows_adjusted_times():
+    # ten pairs, B doing 10% less work than A, on a host that switches
+    # between full and half speed every third control: A's raw times
+    # spread wider than the gap, its adjusted ones not at all
+    order = [side for k in range(10) for side in ("ab", "ba")[k % 2]]
+    slow = [1.0 + (k // 3) % 2 for k in range(len(order) + 1)]
+    work = {"a": 0.10, "b": 0.09}
+    raw = [work[side] * 0.5 * (x + y)
+           for side, x, y in zip(order, slow, slow[1:])]
+    adjusted = ab_time.host_adjusted(raw, [0.01 * x for x in slow], 0.01)
+
+    def by_side(times):
+        return [[t for side, t in zip(order, times) if side == s]
+                for s in "ab"]
+
+    assert not ab_time.score(*by_side(raw))[1]
+    assert ab_time.score(*by_side(adjusted)) == (10, True)

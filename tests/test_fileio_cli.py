@@ -2,6 +2,7 @@
 command-line interface."""
 
 import gc
+import inspect
 import os
 import re
 import struct
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trsw import cli
+from trsw import cli, fileio
 from trsw.cli import ConfigError, convergence_mode, main, parse_config
 from trsw.diagnostics import DiagnosticsRecord
 from trsw.fileio import (SNAPSHOT_COLUMNS, compare_snapshots, read_comparable,
@@ -186,6 +187,20 @@ def _runs(pool, size):
         lambda runs: [x for x, k in runs for _ in range(k)][:size])
 
 
+def _change(data, column, pool):
+    """Give one drawn entry of ``column`` a new value: one of ``pool``, or
+    a twin of the old value that equals it as a float (0.0 and -0.0) or is
+    a NaN of another payload or sign."""
+    j = data.draw(st.integers(0, len(column) - 1))
+    old = np.float64(column[j]).view(np.int64)
+    twins = [x for x in pool
+             if np.float64(x).view(np.int64) != old
+             and (x == column[j] or np.isnan(x) and np.isnan(column[j]))]
+    values = st.sampled_from(pool)
+    column[j] = data.draw(st.one_of(st.sampled_from(twins), values)
+                          if twins else values)
+
+
 class TestRepeatedBitPatterns:
     """Columns of runs drawn from a small pool of bit patterns, against the
     per-field formatter: the writers format each run once."""
@@ -221,6 +236,43 @@ class TestRepeatedBitPatterns:
         expected = [",".join(DiagnosticsRecord.FIELDS)]
         expected += [_old_row(values) for values in rows]
         assert text == "\n".join(expected) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(4, 24), st.integers(2, 4))
+    def test_snapshot_chain_reusing_rows(self, data, n, length):
+        # a run's snapshots, each written with the rows the one before
+        # returned: a few fields change per snapshot, often only in their
+        # bits, and the bottom changes now and then
+        pools = (_NONNEG, _POOL, _POOL, _NONNEG)
+        fields = [data.draw(_runs(pool, n)) for pool in pools]
+        z_iface = data.draw(_runs(_POOL, n + 1))
+        grid, numerics = build_grid(-1.0, 3.0, n), Numerics()
+        rows = None
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            for k in range(length):
+                if k:
+                    for _ in range(data.draw(st.integers(0, n))):
+                        i = data.draw(st.integers(0, 3))
+                        _change(data, fields[i], pools[i])
+                    if data.draw(st.booleans()):
+                        _change(data, z_iface, _POOL)
+                state = ConservedState.from_fields(*fields)
+                topo = Topography(np.array(z_iface))
+                path = os.path.join(tmp, f"snap{k}.csv")
+                rows = write_snapshot(path, state, topo, grid, float(k),
+                                      "chain", numerics, rows)
+                with open(path) as fh:
+                    assert fh.read() == _old_snapshot_text(
+                        state, topo, grid, float(k), "chain", numerics)
+            # the same n and values on another grid: the y text differs,
+            # so the rows of the first grid must not be reused
+            other = build_grid(-2.0, 3.0, n)
+            path = os.path.join(tmp, "other.csv")
+            write_snapshot(path, state, topo, other, 0.0, "chain", numerics,
+                           rows)
+            with open(path) as fh:
+                assert fh.read() == _old_snapshot_text(
+                    state, topo, other, 0.0, "chain", numerics)
 
     def test_signed_zeros_cut_a_run(self, tmp_path):
         # 0.0 == -0.0, so a run cut by float value would print 0.0 four
@@ -283,6 +335,46 @@ class TestCenterText:
         for path, t, state in written + [(after, res.t, res.state)]:
             assert path.read_text() == _old_snapshot_text(
                 state, s.topography, s.grid, t, s.name, s.numerics)
+
+    def test_cli_passes_each_write_the_rows_before(self, tmp_path,
+                                                    monkeypatch):
+        # as perfbench's tracer does: trsw.fileio.write_snapshot rebound to
+        # a wrapper that returns what it wraps. Each file is one call, and
+        # each call, the --compare-with write of the final state too, gets
+        # the rows that the call before returned
+        times = tuple(3.5 * np.pi * k / 17 for k in range(1, 17))
+        ref = tmp_path / "ref.csv"
+        _toy_snapshot(ref, n=400, y_min=-250.0, y_max=250.0)
+        signature = inspect.signature(write_snapshot)
+        calls = []
+
+        def counting(*args, **kwargs):
+            out = write_snapshot(*args, **kwargs)
+            calls.append((signature.bind(*args, **kwargs).arguments, out))
+            return out
+
+        monkeypatch.setattr(fileio, "write_snapshot", counting)
+        out = tmp_path / "out"
+        assert main(["--scenario", "ex6", "--cells", "400", "--snapshots",
+                     ",".join(map(repr, times)), "--out", str(out),
+                     "--compare-with", str(ref)]) == 0
+        s = make_scenario("ex6", cells=400, snapshots=times)
+        res = run_simulation(s)
+        assert not res.failed and res.t not in times
+        states = res.snapshots + [(res.t, res.state)]
+        assert len(states) == 17
+        assert sorted(os.listdir(out)) == sorted(
+            snapshot_filename(s.name, 400, t) for t, _ in states)
+        assert len(calls) == len(states)
+        previous = None
+        for (args, rows), (t, state) in zip(calls, states):
+            assert args["path"] == str(out / snapshot_filename(s.name, 400,
+                                                               t))
+            assert args.get("previous") is previous
+            previous = rows
+            with open(args["path"]) as fh:
+                assert fh.read() == _old_snapshot_text(
+                    state, s.topography, s.grid, t, s.name, s.numerics)
 
 
 class TestRestriction:

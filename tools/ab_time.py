@@ -12,12 +12,24 @@ momentary speed. One untimed run per side then checks that the final
 states, the snapshots and the diagnostics records are bit-identical; the
 tool exits 1 if they are not. After that the timed calls alternate which
 side goes first, and each call builds its scenario afresh outside the
-timed region. The tool prints each side's median time and interquartile
-range (IQR), and the median of the per-pair ratios B/A with the number of
-pairs B won. It calls the difference ``resolved`` only when B wins, or
-loses, at least 9 in 10 of at least 10 pairs and the two medians differ
-by more than A's IQR, and ``not resolved`` otherwise: two runs on the same
-trees may read a few percent apart, so a ratio alone is no result.
+timed region.
+
+A shared host changes speed by up to 2x over seconds, which can spread
+one side's times by a third of their median. So a small frozen control
+kernel (``perfbench/control.py``, about 20 ms) is timed right before and
+after every call, and each call is also scored host-adjusted: its time
+over the mean of the two control times around it, in seconds of the
+control's nominal time. A slowdown of the host stretches the call and
+its controls alike and cancels; a change of the code does not.
+
+The tool prints each side's raw and adjusted median time and
+interquartile range (IQR), and the medians of the per-pair ratios B/A,
+adjusted and raw, with the number of pairs B won on adjusted times. It
+calls the difference ``resolved`` only when, on adjusted times, B wins,
+or loses, at least 9 in 10 of at least 10 pairs and the two medians
+differ by more than A's IQR, and ``not resolved`` otherwise: two runs on
+the same trees may read a few percent apart, so a ratio alone is no
+result.
 
 With ``--cli TIMES`` each call is ``trsw.cli.main`` instead, with
 ``--snapshots TIMES --diagnostics`` and each side's own output directory,
@@ -48,7 +60,14 @@ import numpy as np
 
 from trees import package_dir
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from control import Control  # noqa: E402
+
 _SIDES = ("a", "b")
+# timed around every call; nominal_s is its fastest of 200 calls on a
+# 2-core Intel Xeon guest, Python 3.11, numpy 2.4
+CONTROL = Control(cells=200, steps=200, rows=2000, nominal_s=0.016)
 
 
 def _outputs(result) -> tuple:
@@ -69,6 +88,20 @@ def _cli_outputs(call: tuple) -> tuple:
         with open(os.path.join(outdir, name), "rb") as fh:
             files.append((name, fh.read()))
     return code, text.replace(outdir, "OUT"), tuple(files)
+
+
+def host_adjusted(times, controls, nominal_s: float) -> list:
+    """Each call's time over the mean of the control times right before
+    and after it, in seconds of ``nominal_s``; ``controls`` holds one more
+    time than ``times``, in the order they were taken."""
+    return [t * nominal_s / (0.5 * (before + after))
+            for t, before, after in zip(times, controls, controls[1:])]
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def _iqr(times) -> float:
@@ -137,23 +170,34 @@ def compare(tree_a: str, tree_b: str, scenario: str, cells: int,
                 f"{out[2]} steps" if cli_snapshots is None
                 else f"{len(out[2])} files, exit {out[0]}"))
 
-            times = {side: [] for side in _SIDES}
+            order, raw, controls = [], [], [_timed(CONTROL)]
             for k in range(pairs):
                 for side in (_SIDES if k % 2 == 0 else _SIDES[::-1]):
-                    times[side].append(call(side)[0])
+                    order.append(side)
+                    raw.append(call(side)[0])
+                    controls.append(_timed(CONTROL))
         finally:
             sys.path.remove(tmp)
             for name in list(sys.modules):
                 if name.split(".")[0] in {f"trsw_{s}" for s in _SIDES}:
                     del sys.modules[name]
 
-    ratios = [b / a for a, b in zip(times["a"], times["b"])]
-    wins, resolved = score(times["a"], times["b"])
+    adjusted = host_adjusted(raw, controls, CONTROL.nominal_s)
+    times = {side: [t for s, t in zip(order, raw) if s == side]
+             for side in _SIDES}
+    adj = {side: [t for s, t in zip(order, adjusted) if s == side]
+           for side in _SIDES}
+    wins, resolved = score(adj["a"], adj["b"])
     for side, tree in zip(_SIDES, (tree_a, tree_b)):
         print(f"{side.upper()}: median {statistics.median(times[side]):.4f} s"
-              f", IQR {_iqr(times[side]):.4f} s  ({tree})")
+              f", IQR {_iqr(times[side]):.4f} s; adjusted median "
+              f"{statistics.median(adj[side]):.4f} s, IQR "
+              f"{_iqr(adj[side]):.4f} s  ({tree})")
+    ratio = {name: statistics.median(b / a for a, b in zip(t["a"], t["b"]))
+             for name, t in (("adjusted", adj), ("raw", times))}
     verdict = "resolved" if resolved else "not resolved"
-    print(f"B/A median ratio {statistics.median(ratios):.3f}, {verdict}; "
+    print(f"B/A median ratio {ratio['adjusted']:.3f} adjusted, "
+          f"{ratio['raw']:.3f} raw, {verdict}; "
           f"B faster in {wins} of {pairs} pairs")
     return 0
 
