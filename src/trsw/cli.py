@@ -270,8 +270,9 @@ def _run_and_write(cfg: argparse.Namespace) -> int:
                                   result.t, scenario.name, scenario.numerics,
                                   rows)
             print(final_path)
-        table = fileio.compare_snapshots(fileio.read_comparable(final_path),
-                                         reference)
+        table = fileio.compare_snapshots(
+            fileio.comparable(result.state, scenario.topography,
+                              scenario.grid), reference)
         print(f"{'field':>6} {'L1':>13} {'Linf':>13}")
         for name, (l1, linf) in table.items():
             print(f"{name:>6} {l1:13.5e} {linf:13.5e}")

@@ -69,6 +69,12 @@ class SnapshotRows(NamedTuple):
     rows: np.ndarray
 
 
+def _values(state: ConservedState, topo: Topography) -> np.ndarray:
+    """The nine value columns h .. Z of a snapshot, (9, n)."""
+    return np.vstack((state.array, *primitives_from_state(state, topo),
+                      topo.z_center))
+
+
 def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
                    t: float, scenario_name: str, numerics: Numerics,
                    previous: Optional[SnapshotRows] = None) -> SnapshotRows:
@@ -76,8 +82,7 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
     its rows. Given the rows of the run's previous snapshot, the rows whose
     nine values keep their bit patterns keep their text; a ``previous`` of
     another grid object counts every row as changed."""
-    values = np.vstack((state.array, *primitives_from_state(state, topo),
-                        topo.z_center))
+    values = _values(state, topo)
     bits = values.view(np.int64)
     if previous is None or previous.grid is not grid:
         rows = np.empty(grid.n, object)
@@ -195,6 +200,15 @@ def read_comparable(path):
     return (_meta_value(path, meta, "N", int),
             _meta_value(path, meta, "y_min", float),
             _meta_value(path, meta, "y_max", float), data)
+
+
+def comparable(state: ConservedState, topo: Topography, grid: Grid):
+    """(N, y_min, y_max, columns) of the snapshot of ``state``, the values
+    ``read_comparable`` reads back from its file: ``%.16e`` reads back
+    exactly."""
+    columns = dict(zip(SNAPSHOT_COLUMNS,
+                       (grid.centers, *_values(state, topo))))
+    return grid.n, grid.y_min, grid.y_max, columns
 
 
 def check_nested(a, b) -> None:

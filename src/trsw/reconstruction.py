@@ -143,22 +143,23 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
             for a in (p_side, b_mid, l_side, r_iface, h_fallback)))
         shape = args[0].shape
         p, b, l, r, fb = (a.ravel() for a in args)
-        h = np.empty((1, p.size))  # one side
-        _solve_depth(p[None], b, l[None], r, fb[None], h,
-                     fresh(h.shape, 4, 3))
+        h = fb[None].copy()  # one side
+        _solve_depth(p[None], b, l[None], r, h, fresh(h.shape, 4, 3))
         return float(h[0, 0]) if not shape else h.reshape(shape)
+    if out is not h_fallback:
+        np.copyto(out, h_fallback)
     g = len(work[0])
     for i in range(0, len(out), g):
         _solve_depth(p_side[i:i + g], b_mid, l_side[i:i + g], r_iface,
-                     h_fallback[i:i + g], out[i:i + g], work)
+                     out[i:i + g], work)
     return out
 
 
-def _solve_depth(p, b, l, r, fb, h, work):
-    """depth_from_equilibrium on (g, m) sides into ``h``; see there."""
+def _solve_depth(p, b, l, r, h, work):
+    """depth_from_equilibrium on (g, m) sides, over the fallback depths
+    that ``h`` holds; see there."""
     d, x, t, b27, ok, rootable, mask = work
     np.subtract(l, r, out=d)
-    np.copyto(h, fb)
 
     np.greater(b, _TINY, out=ok)
     # 8 d^3 / (27 b), divided only where b > TINY: elsewhere ok masks it out
@@ -185,7 +186,8 @@ def _solve_depth(p, b, l, r, fb, h, work):
     m = np.not_equal(p, 0.0, out=mask)
     m &= rootable
     np.copyto(t, b)  # b on every side row, to gather like the others
-    dm, bm, pm, fbm = d[m], t[m], p[m], fb[m]
+    # where a cubic root exists, h still holds the fallback
+    dm, bm, pm, fbm = d[m], t[m], p[m], h[m]
     y = dm * 2.0 / (bm * 3.0)
     sq = np.sqrt(y)
     # the ratio is never positive, so only -1 can bound it

@@ -131,15 +131,14 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     ``flux`` comes back with the number of limited interfaces, those whose
     nonzero h or hb flux was scaled down. When no donor drains within dt
     every scale would be exactly dt/dt = 1, so ``flux`` comes back
-    unwritten with a count of 0. The temporaries are rows of the workspace
-    ``ws``.
+    unwritten with a count of 0. The temporaries are flat arrays of the
+    workspace ``ws``, the h and hb rows end to end (see ``trsw.workspace``).
     """
-    # rows h and hb side by side, each flux row with a zero on either side
+    # rows h and hb end to end, the flux rows with a zero before, between
+    # and after them
     flux_rows, rho = flux[::3], u[::3]
-    ext = ws.drain_ext
-    ext[:, 0] = 0.0
-    ext[:, -1] = 0.0
-    np.copyto(ws.drain_ext_mid, flux_rows)
+    ws.drain_ext_zeros[...] = 0.0
+    np.copyto(ws.drain_ext_rows, flux_rows)
     outgoing = np.maximum(ws.drain_ext_hi, 0.0, out=ws.drain_out)
     inflow = np.negative(ws.drain_ext_lo, out=ws.drain_neg)
     outgoing += np.maximum(inflow, 0.0, out=inflow)
@@ -153,18 +152,20 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     donor_t = ws.donor
     np.copyto(donor_t, ws.rho_hi)
     np.copyto(donor_t, ws.rho_lo,
-              where=np.greater(flux_rows, 0.0, out=ws.drain_mask))
+              where=np.greater(ws.drain_flux, 0.0, out=ws.drain_mask))
+    # the junction between the rows is no interface, so it never limits
+    donor_t[ws.junction] = np.inf
     # written so that a NaN drain time takes the scaling path below
     if np.greater_equal(donor_t, dt, out=ws.drain_mask).all():
         return flux, 0
     # only a nonzero flux that is scaled down counts, tested before scaling
-    moving = np.not_equal(flux_rows, 0.0, out=ws.drain_moving)
+    moving = np.not_equal(ws.drain_flux, 0.0, out=ws.drain_moving)
     scale = np.minimum(dt, donor_t, out=donor_t)
     scale /= dt
-    np.multiply(flux_rows, scale, out=flux_rows)
+    np.multiply(flux_rows, ws.donor_rows, out=flux_rows)
     below = np.less(scale, 1.0, out=ws.drain_mask)
     below &= moving
-    limited = np.logical_or(below[0], below[1], out=ws.limited)
+    limited = np.logical_or(*ws.drain_below, out=ws.limited)
     return flux, int(np.count_nonzero(limited))
 
 

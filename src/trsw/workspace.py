@@ -17,11 +17,30 @@ leaves the fluxes in ``flux`` and the speeds in ``speeds``), is valid
 until the next stage writes over it.
 
 Every array is a view of one float block with n + 4 columns (the padded
-cell count), or of one boolean block of five rows. Most are rows of it;
-the fluxes and the flux's scratch are rows of n + 1 values laid end to
-end in whole rows of it (``_packed``). The rule: every value
-that crosses a call of ``assemble_fluxes``, ``draining_limit``,
-``_tendency`` or ``make_record`` lives in one of the 33 dedicated rows:
+cell count), or of one boolean block of five rows. The packing rule: a
+buffer of several rows that a stage kernel hands whole to numpy is rows
+of n or n + 1 values laid end to end in whole rows of the block
+(``_packed``), so that numpy runs it as one 1-D loop; on a strided view,
+rows of n inside rows of n + 4, a call costs about 1 us more at N = 200.
+The stage states u1 and u2, the tendency, the finite mask, the fluxes,
+v's pair and the work rows of the ratios, the speeds, the depth solve
+and the flux groups are laid out so. The one exception is the side
+pairs of the interface states below: ``interface_values`` writes them as
+k fields end to end in rows of n + 4, which pins their rows to that
+width, and packing them by a copy would add a full pass per stage.
+
+The draining limiter lays the h and hb rows end to end as one flat
+array each: the fluxes with a zero before, between and after the rows,
+the outflows, densities and drain times of the n + 2 edge-padded cells
+of each row, and the donor drain times, with one slot per interface.
+The slot n + 1 of the fluxes and donors, between the rows, is a
+junction that belongs to neither row: its flux is the zero, and the
+drain sets its donor time to +inf before it tests whether any donor
+drains within dt, so the junction never decides anything.
+
+The workspace contract: every value that crosses a call of
+``assemble_fluxes``, ``draining_limit``, ``_tendency`` or
+``make_record`` lives in one of the 33 dedicated rows:
 the two stage states and the tendency of the SSP-RK3 step, the interface
 states (the side pairs below, v's pair and the row of L), the fluxes and
 the speeds. At least nine scratch rows s0.. hold the temporaries
@@ -73,11 +92,17 @@ _DEDICATED = 33  # u1, u2, tend (4 each), flux (4), speeds (2), the side
 _BOOLS = 5
 
 
+def _flat(rows: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` values of the whole rows ``rows`` of a block, one
+    contiguous array."""
+    return rows.reshape(-1)[:size]
+
+
 def _packed(rows: np.ndarray, width: int) -> np.ndarray:
     """The whole rows ``rows`` of a block as rows of ``width`` values laid
     end to end, (len(rows), width): the rows of a group are then one
     contiguous array, which numpy's iterator takes in one pass."""
-    return rows.reshape(-1)[:len(rows) * width].reshape(-1, width)
+    return _flat(rows, len(rows) * width).reshape(len(rows), width)
 
 
 def fresh(shape, floats: int, flags: int = 0) -> tuple:
@@ -102,10 +127,10 @@ class Workspace:
         s = block[_DEDICATED:]
 
         # the step: SSP-RK3 stage states and the one tendency buffer
-        self.u1 = block[0:4, :n]
-        self.u2 = block[4:8, :n]
-        self.tend = block[8:12, :n]
-        self.finite = b[0:4, :n]
+        self.u1 = _packed(block[0:4], n)
+        self.u2 = _packed(block[4:8], n)
+        self.tend = _packed(block[8:12], n)
+        self.finite = _packed(b[0:4], n)
         # the stage's fluxes, rows of n+1 end to end, and speeds
         self.flux = _packed(block[12:16], m)
         self.speeds = (block[16, :m], block[17, :m])
@@ -117,7 +142,7 @@ class Workspace:
         (self.l_side, self.b_side, self.h_side, self.q_side, self.p_side,
          self.hb_side) = (sides[:, i, 1:n + 2] for i in range(6))
         u_sides = sides[:, 2:6, 1:n + 2]  # U = (h, q, p, hb)
-        self.v_side = block[30:32, :m]
+        self.v_side = _packed(block[30:32], m)
         # the padded fields L (dedicated), b, w, q, p (s0-s3)
         self.fields = block[32:37]
         cells = self.fields[:, GHOST:-GHOST]
@@ -139,7 +164,7 @@ class Workspace:
         self.r_iface_tail = self.r_iface[1:]
         self.sp_work = (s[6, :n], s[7, :n], s[8, :n])
         self.cell_work = s[6, :n]
-        self.ratio_cell_work = s[6:8, :n]
+        self.ratio_cell_work = _packed(s[6:8], n)
         self.iv_groups = []
         for i in range(0, 5, k):
             j = min(k, 5 - i)
@@ -150,10 +175,11 @@ class Workspace:
                  s[5 + k:5 + k + j].ravel()[:-2])))
         self.b_mid = s[0, :m]
         g = min(k, 2)
-        self.depth_work = (s[2:2 + g, :m], s[5:5 + g, :m],
-                           s[5 + g:5 + 2 * g, :m], s[1, :m], b[0, :m],
-                           b[1:1 + g, :m], b[1 + g:1 + 2 * g, :m])
-        self.ratio_work = s[2:4, :m]
+        self.depth_work = (_packed(s[2:2 + g], m), _packed(s[5:5 + g], m),
+                           _packed(s[5 + g:5 + 2 * g], m), s[1, :m], b[0, :m],
+                           _packed(b[1:1 + g], m),
+                           _packed(b[1 + g:1 + 2 * g], m))
+        self.ratio_work = _packed(s[2:4], m)
 
         # fluxes: the switch (s0, work s1-s2), the speeds (work s3-s6),
         # a+ - a- (s1), a+ a-/(a+ - a-) (s2), G of both sides (s3 on) and,
@@ -166,7 +192,7 @@ class Workspace:
         # and a product from a (2, 2) block (4 rows), with nothing copied
         self.switch = s[0, :m]
         self.switch_work = (s[1, :m], s[2, :m], b[0, :m])
-        self.speed_work = (s[3:5, :m], s[5:7, :m])
+        self.speed_work = (_packed(s[3:5], m), _packed(s[5:7], m))
         self.safe, self.coef = s[1, :m], s[2, :m]
         self.degenerate = b[0, :m]
         if kf > 1:
@@ -192,27 +218,33 @@ class Workspace:
                 g_group[0], g_group[1], delta[:j], low[:j],
                 out[(i + 1) % 2::2]))
 
-        # draining limiter, rows h and hb side by side: the fluxes with a
-        # zero on each side (s0-s1), outflows (s2-s3) and the negated
-        # inflows (s4-s5); then the edge-padded densities and drain times
-        # over the first (s0-s1) and the donor drain times over the third
-        # (s4-s5), with the nonzero-flux mask in flags 3-4 (free until the
-        # step's finite check); the fluxes are scaled in their own rows
-        ext = s[0:2, :n + 3]
-        self.drain_ext = ext
-        self.drain_ext_mid = ext[:, 1:-1]
-        self.drain_ext_hi, self.drain_ext_lo = ext[:, 1:], ext[:, :-1]
-        self.drain_out = s[2:4, :n + 2]
-        self.drain_neg = s[4:6, :n + 2]
-        rho = s[0:2, :n + 2]
-        self.rho_ext = rho
-        self.rho_mid = rho[:, 1:-1]
-        self.rho_first, self.rho_last = rho[:, 0], rho[:, -1]
-        self.rho_hi, self.rho_lo = rho[:, 1:], rho[:, :-1]
-        self.donor = s[4:6, :m]
-        self.drain_mask = b[0:2, :m]
+        # draining limiter, rows h and hb end to end in flat arrays: the
+        # fluxes with a zero before, between and after the rows (s0-s1,
+        # live through the drain), outflows (s2-s3), the negated inflows
+        # (s4-s5), then the edge-padded densities and drain times over
+        # those (s4-s5) and the donor drain times over the outflows
+        # (s2-s3), with the flux-sign, nonzero-flux and below-one masks
+        # in flags 0-1, 3-4 (free until the step's finite check) and 0-1.
+        # The fluxes, donors and masks hold 2n+3 values: slot n+1, between
+        # the rows, is the junction, which belongs to neither row
+        ext = _flat(s[0:2], 2 * m + 3)
+        self.drain_ext_zeros = ext[::m + 1]
+        self.drain_ext_rows = ext[1:].reshape(2, m + 1)[:, :m]
+        self.drain_flux = ext[1:-1]
+        self.drain_ext_hi, self.drain_ext_lo = ext[1:], ext[:-1]
+        self.drain_out = _flat(s[2:4], 2 * n + 4)
+        self.drain_neg = self.rho_ext = rho = _flat(s[4:6], 2 * n + 4)
+        rho_rows = rho.reshape(2, n + 2)
+        self.rho_mid = rho_rows[:, 1:-1]
+        self.rho_first, self.rho_last = rho_rows[:, 0], rho_rows[:, -1]
+        self.rho_hi, self.rho_lo = rho[1:], rho[:-1]
+        self.donor = _flat(s[2:4], 2 * m + 1)
+        self.donor_rows = _flat(s[2:4], 2 * m + 2).reshape(2, m + 1)[:, :m]
+        self.junction = m
+        self.drain_mask = _flat(b[0:2], 2 * m + 1)
+        self.drain_below = (self.drain_mask[:m], self.drain_mask[m + 1:])
         self.limited = b[2, :m]
-        self.drain_moving = b[3:5, :m]
+        self.drain_moving = _flat(b[3:5], 2 * m + 1)
 
         # the source term (s4-s5)
         self.source_out, self.source_work = s[4, :n], s[5, :n]

@@ -650,6 +650,35 @@ class TestCliMain:
         text = capsys.readouterr().out
         assert "L1" in text and "0.00000e+00" in text
 
+    def test_compare_table_equals_table_of_written_file(self, tmp_path,
+                                                        capsys):
+        # the table compares the run's final state in memory, which must
+        # give the bytes of the table compared from its written file
+        ref_dir, out = tmp_path / "ref", tmp_path / "out"
+        common = ["--scenario", "ex1-perturbed", "--t-final", "0.1",
+                  "--snapshots", "0.05,0.1"]
+        assert main(common + ["--cells", "128", "--out", str(ref_dir)]) == 0
+        ref = ref_dir / snapshot_filename("ex1-perturbed", 128, 0.1)
+        assert main(common + ["--cells", "64", "--out", str(ref_dir)]) == 0
+        capsys.readouterr()
+        assert main(common + ["--cells", "64", "--out", str(out),
+                              "--compare-with", str(ref)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        final = out / snapshot_filename("ex1-perturbed", 64, 0.1)
+        assert printed[:2] == [
+            str(out / snapshot_filename("ex1-perturbed", 64, 0.05)),
+            str(final)]
+        table = compare_snapshots(read_comparable(final),
+                                  read_comparable(ref))
+        want = [f"{'field':>6} {'L1':>13} {'Linf':>13}"]
+        want += [f"{name:>6} {l1:13.5e} {linf:13.5e}"
+                 for name, (l1, linf) in table.items()]
+        assert printed[2:] == want
+        assert any(l1 > 0.0 for l1, _ in table.values())
+        # the file holds the final state that the run printed
+        assert final.read_bytes() == (
+            ref_dir / snapshot_filename("ex1-perturbed", 64, 0.1)).read_bytes()
+
     def test_malformed_reference_exit_code(self, tmp_path, capsys):
         ref = tmp_path / "header_only.csv"
         ref.write_text(",".join(SNAPSHOT_COLUMNS) + "\n")

@@ -43,6 +43,25 @@ def _edge_padded(u):
     return _fill_ghosts(padded)
 
 
+def _dry_bed(t_final=0.2, snapshots=(0.1, 0.2), b0=np.ones_like):
+    """A dam break onto a dry bed: unit depth left of 0 on [-1, 1], no
+    water right of it, 64 cells."""
+    g = build_grid(-1.0, 1.0, 64)
+    return Scenario(name="dry-bed", grid=g, coriolis=CoriolisSpec(0.0),
+                    topography=flat_topography(g),
+                    height=lambda y: np.where(y < 0.0, 1.0, 0.0),
+                    b0=b0, t_final=t_final, snapshots=snapshots)
+
+
+def _report_bits(report):
+    """A StepReport's fields, each float as its hex text."""
+    fields = []
+    for x in dataclasses.astuple(report):
+        for y in x if isinstance(x, tuple) else (x,):
+            fields.append(y.hex() if isinstance(y, float) else y)
+    return tuple(fields)
+
+
 def _run_steps(scenario):
     """Run ``scenario``; return the result and the report of each step."""
     reports = []
@@ -202,6 +221,31 @@ class TestDrainingLimit:
             out[row] = flux[row] * scale
         return out
 
+    @classmethod
+    def _oracle(cls, u, flux, dt, dy):
+        """The scaled flux, the count of interfaces whose nonzero h or hb
+        flux the scale changes, and whether every scale is 1, which is
+        when the drain must take its idle return."""
+        padded = np.pad(u, ((0, 0), (2, 2)), mode="edge")
+        scales = cls._scales(padded, flux, dt, dy)
+        count = np.count_nonzero(((scales[0] < 1.0) & (flux[0] != 0.0))
+                                 | ((scales[3] < 1.0) & (flux[3] != 0.0)))
+        idle = all(np.all(scale == 1.0) for scale in scales.values())
+        return cls._scaled(padded, flux, dt, dy), int(count), idle
+
+    @staticmethod
+    def _takes_idle_return(u, flux, dt, dy):
+        """Whether the drain returns without writing: the scaling path
+        writes its flux, which fails on a read-only copy."""
+        frozen = flux.copy()
+        frozen.flags.writeable = False
+        try:
+            out, n = _drain(u, frozen, dt, dy)
+        except ValueError:
+            return False
+        assert out is frozen and n == 0
+        return True
+
     def test_idle_returns_the_flux_itself(self):
         padded = np.ones((4, 9))
         flux = np.full((4, 6), 0.01)
@@ -221,6 +265,33 @@ class TestDrainingLimit:
         out, n = _drain(padded[:, 2:-2], flux, dt=0.1, dy=0.5)
         assert out is flux and n == 0
         assert np.array_equal(out, before)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_run_matches_padded_formula_drain(self, monkeypatch):
+        # a dam break onto a dry bed, whose front the drain limits in many
+        # steps: every stage drained by the padded formula instead gives
+        # the bits of every state and report. The buoyancy varies, so that
+        # the h and hb rows differ
+        scenario = _dry_bed(0.4, (), lambda y: 1.5 + 0.5 * np.sin(3.0 * y))
+
+        def run():
+            steps = []
+            res = run_simulation(scenario, on_step=lambda state, report:
+                                 steps.append((state.array.tobytes(),
+                                               _report_bits(report))))
+            assert not res.failed, res.failure_message
+            return steps
+
+        plain = run()
+        # field 4 of a report is n_limited
+        assert sum(bits[4] > 0 for _, bits in plain) == 10
+
+        def oracle_drain(u, flux, dt, dy, ws):
+            scaled, count, _ = self._oracle(u, flux, dt, dy)
+            return scaled, count
+
+        monkeypatch.setattr(stepper, "draining_limit", oracle_drain)
+        assert run() == plain
 
     def test_limited_case_scales_in_place(self):
         rng = np.random.default_rng(5)
@@ -262,15 +333,33 @@ class TestDrainingLimit:
             flux[row, 0] = abs(flux[row, 0]) * (1 if inflow_left else -1)
             flux[row, -1] = abs(flux[row, -1]) * (-1 if inflow_right else 1)
         dt, dy = 0.05, 0.1
-        before = flux.copy()
+        self._check_against_oracle(u, flux, dt, dy)
+
+    def _check_against_oracle(self, u, flux, dt, dy):
+        want, count, idle = self._oracle(u, flux, dt, dy)
+        assert self._takes_idle_return(u, flux, dt, dy) == idle
         out, n_limited = _drain(u, flux, dt, dy)
-        padded = np.pad(u, ((0, 0), (2, 2)), mode="edge")
-        assert out.tobytes() == self._scaled(padded, before, dt, dy).tobytes()
-        scales = self._scales(padded, before, dt, dy)
+        assert out.tobytes() == want.tobytes()
         # an interface counts when the scale changes its h or hb flux
-        assert n_limited == np.count_nonzero(
-            ((scales[0] < 1.0) & (before[0] != 0.0))
-            | ((scales[3] < 1.0) & (before[3] != 0.0)))
+        assert n_limited == count
+
+    @pytest.mark.parametrize("row", [0, 3])
+    @pytest.mark.parametrize("cell", [0, 3])
+    @pytest.mark.parametrize("value", [0.0, np.nan, 0.002])
+    @pytest.mark.parametrize("edge_flux", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("dt", [1e-6, 0.05])
+    def test_end_cells_beside_the_junction(self, row, cell, value,
+                                           edge_flux, dt):
+        # h and hb lie end to end in the drain's flat rows, so the last h
+        # cell and the first hb cell sit either side of the junction
+        # slot, which belongs to neither row; a dry, NaN or shallow cell
+        # at each end of both rows, its boundary flux of either sign or
+        # zero, under a dt at which the shallow cell drains or does not
+        u = np.full((4, 4), 0.2)
+        u[row, cell] = value
+        flux = np.random.default_rng(row + cell).uniform(-0.1, 0.1, (4, 5))
+        flux[row, 0 if cell == 0 else -1] = edge_flux
+        self._check_against_oracle(u, flux, dt, 0.1)
 
 
 class TestSspRk3:
@@ -679,6 +768,35 @@ class TestWorkspace:
         assert len(grown) == res.steps - 1
         assert max(grown) < 1.5 * state_bytes
 
+    @pytest.mark.parametrize("n", [4, 200, 4000, 25600])
+    def test_stage_buffers_are_contiguous(self, n):
+        # each multi-row buffer that a stage kernel hands whole to numpy
+        # is rows end to end, so that numpy runs it as one 1-D loop; the
+        # drain's rows are flat arrays
+        ws = Workspace(n)
+        d, x, t, _, _, rootable, mask = ws.depth_work
+        buffers = {
+            "u1": ws.u1, "u2": ws.u2, "tend": ws.tend, "finite": ws.finite,
+            "flux": ws.flux, "v_side": ws.v_side,
+            "ratio_work": ws.ratio_work,
+            "ratio_cell_work": ws.ratio_cell_work,
+            "speed_work": ws.speed_work[0], "speed_work[1]": ws.speed_work[1],
+            "depth d": d, "depth x": x, "depth t": t,
+            "depth rootable": rootable, "depth mask": mask,
+            "drain_flux": ws.drain_flux,
+            "drain_ext_hi": ws.drain_ext_hi, "drain_ext_lo": ws.drain_ext_lo,
+            "drain_out": ws.drain_out, "rho_ext": ws.rho_ext,
+            "rho_hi": ws.rho_hi, "rho_lo": ws.rho_lo, "donor": ws.donor,
+            "drain_mask": ws.drain_mask, "drain_moving": ws.drain_moving}
+        strided = [name for name, buf in buffers.items()
+                   if not buf.flags.c_contiguous]
+        assert strided == []
+        m = n + 1
+        assert ws.u1.shape == ws.tend.shape == ws.finite.shape == (4, n)
+        assert ws.v_side.shape == ws.ratio_work.shape == (2, m)
+        assert ws.drain_flux.shape == ws.donor.shape == (2 * m + 1,)
+        assert ws.rho_ext.shape == ws.drain_out.shape == (2 * n + 4,)
+
     @pytest.mark.parametrize("name,cells,n_limited", [
         # the drain at dt = 0.2 scales one interface's nonzero flux
         ("ex2", 64, 1),
@@ -735,11 +853,7 @@ class TestWorkspace:
         # scratch rows may hold anything once one of them returns
         from trsw import diagnostics, workspace
 
-        g = build_grid(-1.0, 1.0, 64)
-        s = Scenario(name="dry-bed", grid=g, coriolis=CoriolisSpec(0.0),
-                     topography=flat_topography(g),
-                     height=lambda y: np.where(y < 0.0, 1.0, 0.0),
-                     b0=np.ones_like, t_final=0.2, snapshots=(0.1, 0.2))
+        s = _dry_bed()
 
         def run():
             limited = []
