@@ -653,10 +653,18 @@ class TestStackedSides:
             np.copyto(out, fb)
             got = depth_from_equilibrium(p, b, l, r, out, out=out,
                                          work=ws.depth_work)
+            # into a buffer of its own, the fallback left as it was
+            fb_before = fb.copy()
+            apart = np.empty_like(fb)
+            got_apart = depth_from_equilibrium(p, b, l, r, fb, out=apart,
+                                               work=ws.depth_work)
         assert got is out
+        assert got_apart is apart
+        assert fb.tobytes() == fb_before.tobytes()
         for i in range(2):
             assert got[i].tobytes() == want[i].tobytes()
             assert fresh[i].tobytes() == want[i].tobytes()
+            assert got_apart[i].tobytes() == want[i].tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fallback_count_matches_separate_calls(self, spans, seed):

@@ -797,6 +797,18 @@ class TestWorkspace:
         assert ws.drain_flux.shape == ws.donor.shape == (2 * m + 1,)
         assert ws.rho_ext.shape == ws.drain_out.shape == (2 * n + 4,)
 
+    @pytest.mark.parametrize("n", [0, 4, 200, 4000, 25600])
+    def test_blocks_start_on_a_cache_line(self, n):
+        # wherever the heap puts the allocation: a large np.empty starts
+        # 16 bytes past a page
+        ws = Workspace(n)
+        assert ws.block.ctypes.data % 64 == 0
+        assert ws.flag_block.ctypes.data % 64 == 0
+        assert ws.block.flags.c_contiguous and ws.block.shape[1] == n + 4
+        assert ws.flag_block.shape == (5, n + 4)
+        assert ws.u1.ctypes.data == ws.block.ctypes.data
+        assert ws.finite.ctypes.data == ws.flag_block.ctypes.data
+
     @pytest.mark.parametrize("name,cells,n_limited", [
         # the drain at dt = 0.2 scales one interface's nonzero flux
         ("ex2", 64, 1),
@@ -818,8 +830,8 @@ class TestWorkspace:
 
         def filled(value, flag):
             ws = Workspace(cells)
-            ws.u1.base[...] = value  # the whole float block
-            ws.finite.base[...] = flag  # the whole flag block
+            ws.block[...] = value
+            ws.flag_block[...] = flag
             return ws
 
         def bits(out):
@@ -873,7 +885,7 @@ class TestWorkspace:
         def poisoned(kernel):
             def call(*args):
                 out = kernel(*args)
-                args[-1].u1.base[workspace._DEDICATED:] = np.nan
+                args[-1].block[workspace._DEDICATED:] = np.nan
                 return out
             return call
 

@@ -1,21 +1,21 @@
 """Count the numpy calls of one trsw run, kernel by kernel, and those that
 take a strided multi-row operand.
 
-    python tools/op_census.py SCENARIO --cells N [--t-final T] [--src SRC]
+    python tools/op_census.py SCENARIO --cells N [--src SRC]
 
 SRC is a checkout or its ``src`` directory (default: the checkout this
 file sits in). For one ``run_simulation`` of SCENARIO at N cells, with
-the scenario's own final time unless ``--t-final`` is given, its
-snapshot times and a diagnostics record per step, the name ``np`` of
-trsw's ``stepper``, ``reconstruction``, ``flux``, ``model`` and
-``diagnostics`` modules is bound to a proxy of numpy. The proxy counts
-every call of a numpy ufunc (``np.add(...)``, ``np.isfinite(...)``) and
-of ``np.copyto`` made by code of those modules, under the function that
-made it (``flux.numerical_flux``, ``reconstruction.minmod``). A call
-counts as strided when one of its array operands, inputs, ``out`` or
-``where``, has two or more rows and is not C-contiguous: numpy cannot
-run such an operand as one 1-D loop, and pays about 1 us more per call
-at N = 200 (rows of n or n+1 values inside rows of n+4).
+the scenario's own final time, its snapshot times and a diagnostics
+record per step, the name ``np`` of trsw's ``stepper``,
+``reconstruction``, ``flux``, ``model`` and ``diagnostics`` modules is
+bound to a proxy of numpy. The proxy counts every call of a numpy ufunc
+(``np.add(...)``, ``np.isfinite(...)``) and of ``np.copyto`` made by
+code of those modules, under the function that made it
+(``flux.numerical_flux``, ``reconstruction.minmod``). A call counts as
+strided when one of its array operands, inputs, ``out`` or ``where``,
+has two or more rows and is not C-contiguous: numpy cannot run such an
+operand as one 1-D loop, and pays about 1 us more per call at N = 200
+(rows of n or n+1 values inside rows of n+4).
 
 Not counted: in-place operators (``a += b``), indexing and slice
 assignment, array methods (``.all()``, ``.cumsum()``), ufunc methods
@@ -91,12 +91,12 @@ class _NumpyProxy:
         return self._counted[name]
 
 
-def census(trsw, scenario: str, cells: int, t_final=None):
+def census(trsw, scenario: str, cells: int):
     """(tally, steps) of one counted run of ``scenario``; exits if the run
     fails."""
     tally = _Tally()
     modules = [getattr(trsw, name) for name in _MODULES]
-    sc = trsw.make_scenario(scenario, cells=cells, t_final=t_final)
+    sc = trsw.make_scenario(scenario, cells=cells)
     for module in modules:
         module.np = _NumpyProxy(tally)
     try:
@@ -114,12 +114,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("scenario")
     parser.add_argument("--cells", type=int, required=True)
-    parser.add_argument("--t-final", type=float, dest="t_final")
     parser.add_argument("--src", default=_ROOT,
                         help="checkout or src directory (default: this one)")
     args = parser.parse_args(argv)
     trsw = import_trsw(args.src)
-    tally, steps = census(trsw, args.scenario, args.cells, args.t_final)
+    tally, steps = census(trsw, args.scenario, args.cells)
     stages = 3 * steps
     print(f"{args.scenario} at N = {args.cells}: {steps} steps, {stages} "
           "stages; numpy ufunc and copyto calls per stage (in-place "
