@@ -9,8 +9,8 @@ q and b profiles they carry.
 
 One formula serves all four components, and each of its arithmetic
 steps is one numpy call over a group of components: U of both sides is
-a view of the workspace's side rows h, q, p and hb, the products of G
-are formed once per call, and the groups are the workspace's
+a view of the workspace's side rows h, q, p and hb, G is formed once per
+call in one block, and the groups are the workspace's
 ``flux_groups``, four components at once on grids of up to 4095 cells
 and one at a time from 8192 on (see ``trsw.workspace``). The products
 h*b, q*v and p*b and the speeds each take both sides in one call.
@@ -108,7 +108,6 @@ def numerical_flux(switch, ws: Workspace):
     coef = np.multiply(a_plus, a_minus, out=ws.coef)
     coef /= safe
     # G of both sides: the products q*v and p*b, and p and L beside them
-    # where a group stacks components
     np.multiply(ws.q_side, ws.v_side, out=ws.g_products[0])
     np.multiply(ws.p_side, ws.b_side, out=ws.g_products[1])
     for stacked, side in ws.g_copies:

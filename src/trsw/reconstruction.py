@@ -118,7 +118,7 @@ def source_potential(u: np.ndarray, topo: Topography,
 
 
 def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
-                           out=None, work=None):
+                           work=None):
     """Recover the one-sided interface depth from p, L and R.
 
     The definition of L gives p^2/h + (b/2) h^2 = L - R =: D, a cubic in h.
@@ -129,15 +129,14 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
     In every other case (no positive root, D <= 0, or vanishing b) the
     fallback depth is returned, so the function is total.
 
-    With ``out``, p_side, l_side, h_fallback and ``out`` hold the sides
-    stacked on a leading axis, (s, m), and b_mid and r_iface are (m,)
-    rows broadcast over them; ``out`` may be h_fallback itself. The solve
-    takes g sides at a time, g being the rows of ``work``: three float
-    and, last, two flag blocks (g, m), with 27 b and a flag of b's shape
-    between them. Without ``out`` the inputs broadcast and the result is
-    fresh, a float for scalars.
+    With ``work``, p_side, l_side and h_fallback are (2, m) minus/plus
+    pairs and b_mid and r_iface (m,) rows broadcast over them; the depths
+    of both sides are written over h_fallback, which is returned.
+    ``work`` is three float and, last, two flag blocks (2, m), with 27 b
+    and a flag of b's shape between them. Without ``work`` the inputs
+    broadcast and the result is fresh, a float for scalars.
     """
-    if out is None:
+    if work is None:
         args = np.broadcast_arrays(*(
             np.asarray(a, float)
             for a in (p_side, b_mid, l_side, r_iface, h_fallback)))
@@ -146,17 +145,11 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
         h = fb[None].copy()  # one side
         _solve_depth(p[None], b, l[None], r, h, fresh(h.shape, 4, 3))
         return float(h[0, 0]) if not shape else h.reshape(shape)
-    if out is not h_fallback:
-        np.copyto(out, h_fallback)
-    g = len(work[0])
-    for i in range(0, len(out), g):
-        _solve_depth(p_side[i:i + g], b_mid, l_side[i:i + g], r_iface,
-                     out[i:i + g], work)
-    return out
+    return _solve_depth(p_side, b_mid, l_side, r_iface, h_fallback, work)
 
 
 def _solve_depth(p, b, l, r, h, work):
-    """depth_from_equilibrium on (g, m) sides, over the fallback depths
+    """depth_from_equilibrium on (s, m) sides, over the fallback depths
     that ``h`` holds; see there."""
     d, x, t, b27, ok, rootable, mask = work
     np.subtract(l, r, out=d)
@@ -248,7 +241,7 @@ def build_interface_states(u: np.ndarray, topo: Topography,
     np.maximum(h_side, 0.0, out=h_side)
     # the depths replace the fallback depths that the solve starts from
     depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_side,
-                           out=h_side, work=ws.depth_work)
+                           work=ws.depth_work)
 
     # p = h*v over the reconstructed p, which the depth solve has read
     v_side = desingularized_ratio(h_side, p_side, out=ws.v_side,

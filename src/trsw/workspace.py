@@ -45,7 +45,7 @@ The workspace contract: every value that crosses a call of
 ``make_record`` lives in one of the 33 dedicated rows:
 the two stage states and the tendency of the SSP-RK3 step, the interface
 states (the side pairs below, v's pair and the row of L), the fluxes and
-the speeds. At least nine scratch rows s0.. hold the temporaries
+the speeds. The scratch rows s0.. below hold the temporaries
 inside one such call, which may write over all of them; ``__init__``
 lists which phase uses which.
 
@@ -61,9 +61,9 @@ are the first five side rows. ``interface_values`` takes k of the fields
 at once, k = min(5, max(1, _STACK_CELLS // (n+4))), as one contiguous
 array of k rows end to end (numpy's iterator costs more per call on a
 strided (k, n+4) view): one call per stage on small grids, one per field
-where a row alone fills the cache. The depth solve takes g = min(k, 2)
-of the two sides at a time and writes the depths over ``h_side``, the
-fallback depths it starts from.
+where a row alone fills the cache. The depth solve takes both sides in
+one call and writes the depths over ``h_side``, the fallback depths it
+starts from.
 
 The central-upwind flux runs the same way over the four components of U
 and G = (p, q*v, L, p*b): each arithmetic step is one call over a group
@@ -72,10 +72,16 @@ four at once up to N = 4095 and one at a time from N = 8192, as at
 N = 25600. U of a group is a strided view of the side rows; its
 fluxes, its rows of G and its scratch are packed, so most of its calls
 take contiguous arrays only: at N = 200 a ``numerical_flux`` call takes
-0.68 times as long as with strided rows. Stacked groups need p and L
-copied beside the products of G; a component alone reads them from its
-side rows. A workspace has max(5 + 2k, 3 + g + 2kf) scratch rows, g = 8
-rows of G for stacked groups and 4 for one component at a time.
+0.68 times as long as with strided rows. G of both sides is one (2, 4)
+block of 8 rows that holds copies of p and L beside the products, and a
+group's G is a slice of its rows.
+
+The grid size selects k and kf and nothing else. A workspace has
+11 + 2kf scratch rows, the fluxes' (the switch, the two speed terms, G
+and 2kf rows of group scratch). The reconstruction's 5 + 2k rows and
+the depth solve's nine fit in them: n+1 interfaces are fewer than n+4
+padded cells, so kf >= min(k, 4), and 5 + 2k <= 11 + 2 min(k, 4) for
+every k up to 5.
 """
 
 from __future__ import annotations
@@ -134,9 +140,8 @@ class Workspace:
         m, pad = n + 1, n + 2 * GHOST
         k = min(5, max(1, _STACK_CELLS // pad))
         kf = min(4, max(1, _STACK_CELLS // m))
-        g_rows = 8 if kf > 1 else 4  # G of both sides, see the fluxes below
-        self.block = block = _aligned(
-            (_DEDICATED + max(5 + 2 * k, 3 + g_rows + 2 * kf), pad))
+        # the fluxes' scratch rows, which hold the reconstruction's too
+        self.block = block = _aligned((_DEDICATED + 11 + 2 * kf, pad))
         self.flag_block = b = _aligned((_BOOLS, pad), bool)
         s = block[_DEDICATED:]
 
@@ -170,10 +175,9 @@ class Workspace:
         # p/h and hb/h, into the rows of L and b, with their work (s6-s7)
         # and hb/2 h (s6), the groups of k fields end to end with their
         # one-sided differences and minmod's high scratch (s5 on, 2k rows),
-        # b_mid (s0), then the depth solve over g sides at a time: 27 b
-        # (s1), D (s2 on, g rows), its powers (s5 on, 2g rows) and flags
-        # 0-2g (its cubic branch gathers into fresh temporaries), and v
-        # (s2-s3)
+        # b_mid (s0), then the depth solve over both sides: 27 b (s1), D
+        # (s2-s3), its powers (s5-s8) and flags 0-4 (its cubic branch
+        # gathers into fresh temporaries), and v (s2-s3)
         self.r_iface, self.r_center = s[4, :m], s[5, :n]
         self.r_iface_tail = self.r_iface[1:]
         self.sp_work = (s[6, :n], s[7, :n], s[8, :n])
@@ -188,49 +192,36 @@ class Workspace:
                 (s[5:5 + j].ravel()[:-1], minus[:-2],
                  s[5 + k:5 + k + j].ravel()[:-2])))
         self.b_mid = s[0, :m]
-        g = min(k, 2)
-        self.depth_work = (_packed(s[2:2 + g], m), _packed(s[5:5 + g], m),
-                           _packed(s[5 + g:5 + 2 * g], m), s[1, :m], b[0, :m],
-                           _packed(b[1:1 + g], m),
-                           _packed(b[1 + g:1 + 2 * g], m))
+        self.depth_work = (_packed(s[2:4], m), _packed(s[5:7], m),
+                           _packed(s[7:9], m), s[1, :m], b[0, :m],
+                           _packed(b[1:3], m), _packed(b[3:5], m))
         self.ratio_work = _packed(s[2:4], m)
 
         # fluxes: the switch (s0, work s1-s2), the speeds (work s3-s6),
-        # a+ - a- (s1), a+ a-/(a+ - a-) (s2), G of both sides (s3 on) and,
-        # per group of kf components, the differences and minmod's low
-        # scratch (2kf rows after G); a group forms U*, then the diffusion,
-        # in its own flux rows, and the q and hb rows among them (odd rows
-        # of the flux) take the switch. Stacked groups read G from a (2, 4)
-        # block that holds copies of p and L beside the products q*v and
-        # p*b (8 rows); a component alone reads p or L from its side rows
-        # and a product from a (2, 2) block (4 rows), with nothing copied
+        # a+ - a- (s1), a+ a-/(a+ - a-) (s2), G of both sides as a (2, 4)
+        # block (s3-s10) that holds copies of p and L beside the products
+        # q*v and p*b, and, per group of kf components, the differences
+        # and minmod's low scratch (s11 on, 2kf rows); a group forms U*,
+        # then the diffusion, in its own flux rows, and the q and hb rows
+        # among them (odd rows of the flux) take the switch
         self.switch = s[0, :m]
         self.switch_work = (s[1, :m], s[2, :m], b[0, :m])
         self.speed_work = (_packed(s[3:5], m), _packed(s[5:7], m))
         self.safe, self.coef = s[1, :m], s[2, :m]
         self.degenerate = b[0, :m]
-        if kf > 1:
-            g = _packed(s[3:11], m).reshape(2, 4, m)
-            self.g_copies = ((g[:, 0], self.p_side), (g[:, 2], self.l_side))
-            self.g_products = (g[:, 1], g[:, 3])
-            g_groups = [g[:, i:i + kf] for i in range(0, 4, kf)]
-        else:
-            products = _packed(s[3:7], m).reshape(2, 2, m)
-            self.g_copies = ()
-            self.g_products = (products[:, 0], products[:, 1])
-            g_groups = [pair[:, None] for pair in (
-                self.p_side, products[:, 0], self.l_side, products[:, 1])]
-        t = 3 + g_rows
-        delta, low = _packed(s[t:t + kf], m), _packed(s[t + kf:t + 2 * kf], m)
+        g = _packed(s[3:11], m).reshape(2, 4, m)
+        self.g_copies = ((g[:, 0], self.p_side), (g[:, 2], self.l_side))
+        self.g_products = (g[:, 1], g[:, 3])
+        delta = _packed(s[11:11 + kf], m)
+        low = _packed(s[11 + kf:11 + 2 * kf], m)
         self.flux_groups = []
-        for i, g_group in zip(range(0, 4, kf), g_groups):
+        for i in range(0, 4, kf):
             j = min(kf, 4 - i)
             rows = slice(i, i + j)
             out = self.flux[rows]
             self.flux_groups.append((
-                out, u_sides[0, rows], u_sides[1, rows],
-                g_group[0], g_group[1], delta[:j], low[:j],
-                out[(i + 1) % 2::2]))
+                out, u_sides[0, rows], u_sides[1, rows], g[0, rows],
+                g[1, rows], delta[:j], low[:j], out[(i + 1) % 2::2]))
 
         # draining limiter, rows h and hb end to end in flat arrays: the
         # fluxes with a zero before, between and after the rows (s0-s1,

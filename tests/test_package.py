@@ -127,8 +127,7 @@ class TestStageBuffers:
         (tree,) = _parsed("src/trsw/diagnostics.py")
         found += [hit for hit in _buffer_defaults(tree)
                   if hit[0] in ("make_record", "gradient_max")]
-        assert sorted(found) == [("depth_from_equilibrium", "out"),
-                                 ("depth_from_equilibrium", "work")]
+        assert found == [("depth_from_equilibrium", "work")]
 
 
 class TestSpanTargets:

@@ -860,9 +860,13 @@ class TestWorkspace:
         assert count == n_limited
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    def test_no_stage_result_crosses_scratch(self, monkeypatch):
+    @pytest.mark.parametrize("stack_cells", [None, 0], ids=["default", "0"])
+    def test_no_stage_result_crosses_scratch(self, monkeypatch, stack_cells):
         # what crosses a call of these lives in a dedicated row, so the
-        # scratch rows may hold anything once one of them returns
+        # scratch rows may hold anything once one of them returns.
+        # stack_cells 0 gives k = kf = 1, one field per interface_values
+        # call and one flux component per group: the layout of every grid
+        # from N = 8192 on, whose run keeps the default layout's bits
         from trsw import diagnostics, workspace
 
         s = _dry_bed()
@@ -881,6 +885,11 @@ class TestWorkspace:
         # 4 interfaces with a nonzero flux are limited; the zero fluxes
         # beside the dry cells do not count
         assert plain[:2] == (20, 4)
+        if stack_cells is not None:
+            monkeypatch.setattr(workspace, "_STACK_CELLS", stack_cells)
+            ws = Workspace(s.grid.n)
+            assert (len(ws.iv_groups), len(ws.flux_groups)) == (5, 4)
+            assert run() == plain
 
         def poisoned(kernel):
             def call(*args):

@@ -18,33 +18,44 @@ residual.
 
 It also times ``interface_values`` on k = 1 to 5 copies of a random
 padded field of N cells laid end to end, with preallocated outputs and
-work, best of ``--repeats``, after checking each copy's values against a
-call on the field alone. It prints the time per field relative to one
-field per call: below 1, stacking k fields gains. The largest k(N+4)
-that still gains is the crossover behind ``workspace._STACK_CELLS``.
+work, after checking each copy's values against a call on the field
+alone. It prints the time per field relative to one field per call:
+below 1, stacking k fields gains. The largest k(N+4) that still gains
+is the crossover behind ``workspace._STACK_CELLS``.
 
 Last it times ``numerical_flux`` on the interface states of ex2's initial
 state at N cells, with k = 1, 2 and 4 components per group (forced
-through ``workspace._STACK_CELLS``), best of ``--repeats``, after
-checking that each k gives the fluxes and speeds of k = 1 bit for bit.
-It prints the time per call at k = 1 and the ratio of each k to it:
-below 1, the groups of k gain, and the largest k(N+1) that still gains
-is the flux's side of the same crossover. ``--json`` writes everything
-to a file.
+through ``workspace._STACK_CELLS``), after checking that each k gives
+the fluxes and speeds of k = 1 bit for bit. It prints the time per call
+at k = 1 and the ratio of each k to it: below 1, the groups of k gain,
+and the largest k(N+1) that still gains is the flux's side of the same
+crossover. ``--json`` writes everything to a file.
+
+The candidates of one N, the k of either sweep, are timed in batches of
+about 20 ms, ``--repeats`` rounds that take each candidate in turn, and
+the control kernel of ``tools/ab_time.py`` is timed before the first
+batch and after each. Each batch is host-adjusted as ab_time adjusts a
+call, its time over the mean of the two control times around it, and a
+candidate's time is the median of its adjusted batches, in seconds of
+the control's reference host: a host that slows down between two
+candidates stretches their controls alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 import timeit
 
 import numpy as np
 
+from ab_time import CONTROL, host_adjusted
 from trees import import_trsw
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -86,10 +97,29 @@ def fit(cells, seconds) -> dict:
             "relative_residuals": ((t - model) / model).tolist()}
 
 
+def adjusted_times(calls, repeats: int) -> list:
+    """Host-adjusted seconds per call of each function of ``calls``, in
+    batches of about 20 ms between calls of the control kernel, over
+    ``repeats`` rounds that take the functions in turn; the median of
+    each function's batches counts."""
+    timers = [timeit.Timer(fn) for fn in calls]
+    numbers = [max(1, int(0.02 / max(t.timeit(1), 1e-7))) for t in timers]
+    control = timeit.Timer(CONTROL)
+    raw, controls = [], [control.timeit(1)]
+    for _ in range(repeats):
+        for timer, number in zip(timers, numbers):
+            raw.append(timer.timeit(number) / number)
+            controls.append(control.timeit(1))
+    adjusted = host_adjusted(raw, controls, CONTROL.nominal_s)
+    return [statistics.median(adjusted[i::len(calls)])
+            for i in range(len(calls))]
+
+
 def stacked_times(trsw, cells: int, repeats: int):
-    """Seconds per interface_values call on k = 1..5 padded fields of
-    ``cells`` cells laid end to end, with preallocated outputs and work;
-    exits if a field's values differ from those of a call on it alone."""
+    """Host-adjusted seconds per interface_values call on k = 1..5
+    padded fields of ``cells`` cells laid end to end, with preallocated
+    outputs and work; exits if a field's values differ from those of a
+    call on it alone."""
     iv = trsw.reconstruction.interface_values
     pad = cells + 4
     field = np.random.default_rng(cells).normal(size=pad)
@@ -100,7 +130,7 @@ def stacked_times(trsw, cells: int, repeats: int):
                  np.empty(k * pad - 2)))
 
     row_minus, row_plus = iv(field, 1.3, 0.01, *buffers(1))
-    out = []
+    calls = []
     for k in range(1, 6):
         flat = np.tile(field, k)
         res, work = buffers(k)
@@ -111,20 +141,19 @@ def stacked_times(trsw, cells: int, repeats: int):
                     and np.array_equal(plus[got], row_plus)):
                 raise SystemExit(f"error: field {j} of {k} at N = {cells} "
                                  "differs from a call on it alone")
-        timer = timeit.Timer(lambda: iv(flat, 1.3, 0.01, res, work))
-        number = max(1, int(0.02 / max(timer.timeit(1), 1e-7)))
-        out.append(min(timer.repeat(repeats, number)) / number)
-    return out
+        calls.append(functools.partial(iv, flat, 1.3, 0.01, res, work))
+    return adjusted_times(calls, repeats)
 
 
 def flux_times(trsw, cells: int, repeats: int):
-    """Seconds per numerical_flux call with k = 1, 2 and 4 components per
-    group, on the interface states of ex2's initial state at ``cells``
-    cells; exits if a k gives other fluxes or speeds than k = 1."""
+    """Host-adjusted seconds per numerical_flux call with k = 1, 2 and 4
+    components per group, on the interface states of ex2's initial state
+    at ``cells`` cells; exits if a k gives other fluxes or speeds than
+    k = 1."""
     workspace = trsw.workspace
     sc = trsw.make_scenario("ex2", cells=cells)
     u = sc.initial_state().array
-    saved, want, out = workspace._STACK_CELLS, None, []
+    saved, want, calls = workspace._STACK_CELLS, None, []
     try:
         for k in (1, 2, 4):
             workspace._STACK_CELLS = k * (cells + 1)
@@ -137,13 +166,11 @@ def flux_times(trsw, cells: int, repeats: int):
             elif bits != want:
                 raise SystemExit(f"error: numerical_flux at k = {k}, "
                                  f"N = {cells} differs from k = 1")
-            timer = timeit.Timer(
-                lambda: trsw.flux.numerical_flux(ws.switch, ws))
-            number = max(1, int(0.02 / max(timer.timeit(1), 1e-7)))
-            out.append(min(timer.repeat(repeats, number)) / number)
+            calls.append(functools.partial(trsw.flux.numerical_flux,
+                                           ws.switch, ws))
     finally:
         workspace._STACK_CELLS = saved
-    return out
+    return adjusted_times(calls, repeats)
 
 
 def main(argv=None) -> int:
