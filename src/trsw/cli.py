@@ -146,6 +146,10 @@ def _scenario_from_config(cfg: argparse.Namespace, cells: Optional[int] = None
         raise ConfigError(str(err)) from None
 
 
+# the conserved fields of a convergence table
+_CONVERGENCE_FIELDS = ("h", "q", "p", "hb")
+
+
 def convergence_mode(cfg: argparse.Namespace) -> List[dict]:
     """Run the scenario at each requested resolution and tabulate
     successive L1 differences with observed orders.
@@ -172,36 +176,32 @@ def convergence_mode(cfg: argparse.Namespace) -> List[dict]:
         result = run_simulation(scenario, collect_records=False)
         if result.failed:
             raise RuntimeError(f"run at N={n} failed: {result.failure_message}")
-        finals.append((n, scenario.grid, result.state))
+        finals.append(fileio.comparable(result.state, scenario))
 
-    fields = ("h", "q", "p", "hb")
     rows: List[dict] = []
-    for (n_c, grid_c, state_c), (n_f, _, state_f) in zip(finals, finals[1:]):
-        errors = {}
-        for i, name in enumerate(fields):
-            l1, linf = fileio.compare_fields(state_c.array[i],
-                                             state_f.array[i], grid_c.dy)
-            errors[name] = l1
-        rows.append({"n_coarse": n_c, "n_fine": n_f, "l1": errors})
+    for coarse, fine in zip(finals, finals[1:]):
+        table = fileio.compare_snapshots(coarse, fine)
+        rows.append({"n_coarse": coarse[0], "n_fine": fine[0],
+                     "l1": {name: table[name][0]
+                            for name in _CONVERGENCE_FIELDS}})
     for prev, cur in zip(rows, rows[1:]):
         ratio = cur["n_coarse"] / prev["n_coarse"]
         cur["order"] = {
             name: (math.log(prev["l1"][name] / cur["l1"][name])
                    / math.log(ratio))
             if prev["l1"][name] > 0 and cur["l1"][name] > 0 else float("nan")
-            for name in fields}
+            for name in _CONVERGENCE_FIELDS}
     return rows
 
 
 def _print_convergence(rows: List[dict]) -> None:
-    fields = ("h", "q", "p", "hb")
     header = f"{'N':>6} {'vs':>6}"
-    for name in fields:
+    for name in _CONVERGENCE_FIELDS:
         header += f" {'L1(' + name + ')':>12} {'order':>7}"
     print(header)
     for row in rows:
         line = f"{row['n_coarse']:>6} {row['n_fine']:>6}"
-        for name in fields:
+        for name in _CONVERGENCE_FIELDS:
             order = row.get("order", {}).get(name)
             order_text = f"{order:7.3f}" if order is not None \
                 and not math.isnan(order) else f"{'-':>7}"
@@ -242,9 +242,7 @@ def _run_and_write(cfg: argparse.Namespace) -> int:
         nonlocal rows
         path = os.path.join(cfg.out, fileio.snapshot_filename(
             scenario.name, scenario.grid.n, t))
-        rows = fileio.write_snapshot(path, state, scenario.topography,
-                                     scenario.grid, t, scenario.name,
-                                     scenario.numerics, rows)
+        rows = fileio.write_snapshot(path, state, scenario, t, rows)
         written.append(path)
 
     result = run_simulation(scenario, on_snapshot=on_snapshot,
@@ -265,14 +263,11 @@ def _run_and_write(cfg: argparse.Namespace) -> int:
         final_path = os.path.join(cfg.out, fileio.snapshot_filename(
             scenario.name, scenario.grid.n, result.t))
         if final_path not in written:
-            fileio.write_snapshot(final_path, result.state,
-                                  scenario.topography, scenario.grid,
-                                  result.t, scenario.name, scenario.numerics,
-                                  rows)
+            fileio.write_snapshot(final_path, result.state, scenario,
+                                  result.t, rows)
             print(final_path)
         table = fileio.compare_snapshots(
-            fileio.comparable(result.state, scenario.topography,
-                              scenario.grid), reference)
+            fileio.comparable(result.state, scenario), reference)
         print(f"{'field':>6} {'L1':>13} {'Linf':>13}")
         for name, (l1, linf) in table.items():
             print(f"{name:>6} {l1:13.5e} {linf:13.5e}")

@@ -5,20 +5,20 @@ comments, a header row, one data row per cell, real values as ``%.16e``
 (17 significant digits), so identical runs produce byte-identical files.
 
 A table is built as one list of ``%.16e`` strings per column, and each
-row is one ``",".join`` of its fields. The cell centres y are formatted
-once per grid and held by it (``Grid.center_text``). Any other column
-formats each run of equal float64 bit patterns once if it has at most
-half as many runs as rows, and each field otherwise: a well-balanced run
-holds equilibria fixed to round-off, and an ex6 snapshot at N = 4000 has
-about 1,500 runs in the 36,000 fields outside y.
+row is one ``",".join`` of its fields. A column formats each run of
+equal float64 bit patterns once if it has at most half as many runs as
+rows, and each field otherwise: a well-balanced run holds equilibria
+fixed to round-off, and an ex6 snapshot at N = 4000 has about 1,500 runs
+in the 36,000 fields outside y.
 
 The same holds from one snapshot of a run to the next: on ex6 at
 N = 4000 with 16 snapshot times, 97% of the rows after the first
-snapshot keep all nine values bit for bit. ``write_snapshot`` returns what it wrote (``SnapshotRows``)
-and takes it back on the run's next call; a row whose nine bit patterns
-are unchanged keeps its text, and only the other rows are formatted. The
-y text is not compared, so rows made for another grid object are not
-reused.
+snapshot keep all nine values bit for bit. ``write_snapshot`` returns
+what it wrote (``SnapshotRows``) and takes it back on the run's next
+call; a row whose nine bit patterns are unchanged keeps its text, and
+only the other rows are formatted. The cell centres y, all distinct,
+are formatted once per run, by its first write, and held by the rows;
+a ``previous`` made for another grid object is not reused, y included.
 
 Runs and rows are compared by bit pattern, not by float value:
 ``0.0 == -0.0`` although they print differently, and a NaN equals no
@@ -34,9 +34,10 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .model import CSV_FLOAT, ConservedState, Grid, Numerics, Topography, \
+from .model import ConservedState, Grid, Scenario, Topography, \
     primitives_from_state
 
+CSV_FLOAT = "%.16e"  # a float in the CSV files: 17 digits read back exactly
 SNAPSHOT_COLUMNS = ("y", "h", "q", "p", "hb", "u", "v", "b", "w", "Z")
 
 
@@ -52,19 +53,18 @@ def _column_text(col: np.ndarray) -> list:
 
 
 def _csv_rows(columns):
-    """Comma-joined rows of equal-length columns: float64 arrays, or tuples
-    of strings already formatted (``Grid.center_text``)."""
-    fields = [col if isinstance(col, tuple) else _column_text(col)
-              for col in columns]
-    return list(map(",".join, zip(*fields)))
+    """Comma-joined rows of equal-length columns of strings."""
+    return list(map(",".join, zip(*columns)))
 
 
 class SnapshotRows(NamedTuple):
-    """What ``write_snapshot`` wrote below its header: the grid, the int64
-    bit patterns of the nine value columns (h .. Z), shape (9, n), and the
-    n row strings, an object array."""
+    """What ``write_snapshot`` wrote below its header: the grid, the n
+    strings of its y column, the int64 bit patterns of the nine value
+    columns (h .. Z), shape (9, n), and the n row strings, an object
+    array."""
 
     grid: Grid
+    y_text: list
     bits: np.ndarray
     rows: np.ndarray
 
@@ -75,25 +75,28 @@ def _values(state: ConservedState, topo: Topography) -> np.ndarray:
                       topo.z_center))
 
 
-def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
-                   t: float, scenario_name: str, numerics: Numerics,
+def write_snapshot(path, state: ConservedState, scenario: Scenario, t: float,
                    previous: Optional[SnapshotRows] = None) -> SnapshotRows:
-    """Write one solution snapshot as CSV (see SNAPSHOT_COLUMNS) and return
-    its rows. Given the rows of the run's previous snapshot, the rows whose
-    nine values keep their bit patterns keep their text; a ``previous`` of
-    another grid object counts every row as changed."""
-    values = _values(state, topo)
+    """Write one snapshot of ``scenario`` as CSV (see SNAPSHOT_COLUMNS) and
+    return its rows. Given the rows of the run's previous snapshot, it
+    reuses their y text and the text of each row whose nine values keep
+    their bit patterns; a ``previous`` of another grid object counts every
+    row as changed."""
+    grid, numerics = scenario.grid, scenario.numerics
+    values = _values(state, scenario.topography)
     bits = values.view(np.int64)
     if previous is None or previous.grid is not grid:
+        y_text = _column_text(grid.centers)
         rows = np.empty(grid.n, object)
         changed = np.arange(grid.n)
     else:
+        y_text = previous.y_text
         rows = previous.rows.copy()
         changed = np.flatnonzero((bits != previous.bits).any(axis=0))
-    y_text = tuple(map(grid.center_text.__getitem__, changed.tolist()))
-    rows[changed] = _csv_rows((y_text, *values[:, changed]))
+    rows[changed] = _csv_rows((map(y_text.__getitem__, changed.tolist()),
+                               *map(_column_text, values[:, changed])))
     lines = [
-        f"# scenario: {scenario_name}",
+        f"# scenario: {scenario.name}",
         f"# N: {grid.n}",
         f"# y_min: {CSV_FLOAT % grid.y_min}",
         f"# y_max: {CSV_FLOAT % grid.y_max}",
@@ -105,7 +108,7 @@ def write_snapshot(path, state: ConservedState, topo: Topography, grid: Grid,
     lines += rows.tolist()
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return SnapshotRows(grid, bits, rows)
+    return SnapshotRows(grid, y_text, bits, rows)
 
 
 def read_snapshot(path) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
@@ -155,7 +158,7 @@ def write_diagnostics(path, records) -> None:
     width = len(DiagnosticsRecord.FIELDS)
     table = np.array([rec.row() for rec in records], float).reshape(-1, width)
     lines = [",".join(DiagnosticsRecord.FIELDS)]
-    lines += _csv_rows(table.T)
+    lines += _csv_rows(map(_column_text, table.T))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -202,12 +205,13 @@ def read_comparable(path):
             _meta_value(path, meta, "y_max", float), data)
 
 
-def comparable(state: ConservedState, topo: Topography, grid: Grid):
-    """(N, y_min, y_max, columns) of the snapshot of ``state``, the values
-    ``read_comparable`` reads back from its file: ``%.16e`` reads back
-    exactly."""
-    columns = dict(zip(SNAPSHOT_COLUMNS,
-                       (grid.centers, *_values(state, topo))))
+def comparable(state: ConservedState, scenario: Scenario):
+    """(N, y_min, y_max, columns) of the snapshot of ``state`` on the grid
+    of ``scenario``, the values ``read_comparable`` reads back from its
+    file: ``%.16e`` reads back exactly."""
+    grid = scenario.grid
+    columns = dict(zip(SNAPSHOT_COLUMNS, (grid.centers, *_values(
+        state, scenario.topography))))
     return grid.n, grid.y_min, grid.y_max, columns
 
 

@@ -18,7 +18,6 @@ import numpy as np
 EPS = 1.0e-8
 # floor of a divisor or threshold that would otherwise be zero
 _TINY = 1.0e-300
-CSV_FLOAT = "%.16e"  # a float in the CSV files: 17 digits read back exactly
 
 
 def _readonly(a) -> np.ndarray:
@@ -74,11 +73,6 @@ class Grid:
     @cached_property
     def centers(self) -> np.ndarray:
         return _readonly(self.y_min + (np.arange(self.n) + 0.5) * self.dy)
-
-    @cached_property
-    def center_text(self) -> Tuple[str, ...]:
-        """The y column of a snapshot file, formatted once per grid."""
-        return tuple(map(CSV_FLOAT.__mod__, self.centers.tolist()))
 
     def coriolis_values(self, coriolis: "CoriolisSpec"
                         ) -> Tuple[np.ndarray, np.ndarray]:

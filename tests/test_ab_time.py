@@ -73,9 +73,9 @@ def test_cli_differing_file_bytes_refused(tmp_path, capsys):
                     ignore=shutil.ignore_patterns("__pycache__"))
     fileio = other / "trsw" / "fileio.py"
     text = fileio.read_text()
-    assert 'f"# scenario: {scenario_name}"' in text
-    fileio.write_text(text.replace('f"# scenario: {scenario_name}"',
-                                   'f"# scenario:  {scenario_name}"'))
+    assert 'f"# scenario: {scenario.name}"' in text
+    fileio.write_text(text.replace('f"# scenario: {scenario.name}"',
+                                   'f"# scenario:  {scenario.name}"'))
     args = [_ROOT, str(other), "--scenario", "lake-at-rest", "--cells", "8",
             "--t-final", "0.05", "--pairs", "1"]
     assert ab_time.main(args) == 0

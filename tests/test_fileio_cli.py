@@ -16,23 +16,36 @@ from hypothesis import given, settings, strategies as st
 from trsw import cli, fileio
 from trsw.cli import ConfigError, convergence_mode, main, parse_config
 from trsw.diagnostics import DiagnosticsRecord
-from trsw.fileio import (SNAPSHOT_COLUMNS, compare_snapshots, read_comparable,
-                         read_snapshot, restrict_average, snapshot_filename,
-                         write_diagnostics, write_snapshot)
-from trsw.model import (ConservedState, Numerics, Topography, build_grid,
-                        flat_topography, primitives_from_state)
+from trsw.fileio import (SNAPSHOT_COLUMNS, compare_fields, compare_snapshots,
+                         read_comparable, read_snapshot, restrict_average,
+                         snapshot_filename, write_diagnostics, write_snapshot)
+from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
+                        Topography, build_grid, flat_topography,
+                        primitives_from_state)
 from trsw.scenarios import make_scenario
 from trsw.stepper import run_simulation
 
 
-def _toy_snapshot(path, n=4, value=1.0, y_min=-2.0, y_max=2.0, rest=True):
-    g = build_grid(y_min, y_max, n)
-    topo = flat_topography(g)
+def _scenario(grid, topo, name, numerics=Numerics()):
+    """A scenario of a grid and bottom, for the parts a snapshot writes."""
+    return Scenario(name=name, grid=grid, coriolis=CoriolisSpec(0.0),
+                    topography=topo, height=np.ones_like, b0=np.ones_like,
+                    numerics=numerics)
+
+
+def _toy_rows(path, grid, previous=None, value=1.0, rest=True):
+    """Write a snapshot of a toy state on ``grid``; return its rows."""
+    n = grid.n
     h = np.full(n, value)
     p = np.zeros(n) if rest else np.full(n, 0.25)
     st = ConservedState.from_fields(h, np.zeros(n), p, h)
-    write_snapshot(path, st, topo, g, 0.0, "toy", Numerics())
-    return g, st
+    scenario = _scenario(grid, flat_topography(grid), "toy")
+    return write_snapshot(path, st, scenario, 0.0, previous)
+
+
+def _toy_snapshot(path, n=4, value=1.0, y_min=-2.0, y_max=2.0, rest=True):
+    return _toy_rows(path, build_grid(y_min, y_max, n), value=value,
+                     rest=rest)
 
 
 class TestSnapshotFiles:
@@ -54,8 +67,7 @@ class TestSnapshotFiles:
         s = make_scenario("ex2", cells=64, t_final=0.02)
         res = run_simulation(s)
         path = tmp_path / "snap.csv"
-        write_snapshot(path, res.state, s.topography, s.grid, res.t,
-                       s.name, s.numerics)
+        write_snapshot(path, res.state, s, res.t)
         _, data = read_snapshot(path)
         assert data["h"] == pytest.approx(res.state.h, rel=1e-15)
         assert data["hb"] == pytest.approx(res.state.hb, rel=1e-15)
@@ -129,7 +141,8 @@ class TestNumberFormat:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "snap.csv")
             with np.errstate(all="ignore"):
-                write_snapshot(path, state, topo, grid, t, "bits", numerics)
+                write_snapshot(path, state,
+                               _scenario(grid, topo, "bits", numerics), t)
                 expected = _old_snapshot_text(state, topo, grid, t, "bits",
                                               numerics)
             with open(path) as fh:
@@ -158,8 +171,7 @@ def _assert_run_files_match(tmp_path, s, res):
     """The snapshot and diagnostics files of a run, byte for byte against
     the per-field formatter."""
     snap, diag = tmp_path / "snap.csv", tmp_path / "diag.csv"
-    write_snapshot(snap, res.state, s.topography, s.grid, res.t, s.name,
-                   s.numerics)
+    write_snapshot(snap, res.state, s, res.t)
     write_diagnostics(diag, res.records)
     assert snap.read_text() == _old_snapshot_text(
         res.state, s.topography, s.grid, res.t, s.name, s.numerics)
@@ -217,7 +229,8 @@ class TestRepeatedBitPatterns:
             path = os.path.join(tmp, "snap.csv")
             with np.errstate(all="ignore"):
                 topo = Topography(np.array(column(_POOL, n + 1)))
-                write_snapshot(path, state, topo, grid, 0.0, "pool", numerics)
+                write_snapshot(path, state,
+                               _scenario(grid, topo, "pool", numerics), 0.0)
                 expected = _old_snapshot_text(state, topo, grid, 0.0, "pool",
                                               numerics)
             with open(path) as fh:
@@ -259,8 +272,9 @@ class TestRepeatedBitPatterns:
                 state = ConservedState.from_fields(*fields)
                 topo = Topography(np.array(z_iface))
                 path = os.path.join(tmp, f"snap{k}.csv")
-                rows = write_snapshot(path, state, topo, grid, float(k),
-                                      "chain", numerics, rows)
+                rows = write_snapshot(
+                    path, state, _scenario(grid, topo, "chain", numerics),
+                    float(k), rows)
                 with open(path) as fh:
                     assert fh.read() == _old_snapshot_text(
                         state, topo, grid, float(k), "chain", numerics)
@@ -268,7 +282,8 @@ class TestRepeatedBitPatterns:
             # so the rows of the first grid must not be reused
             other = build_grid(-2.0, 3.0, n)
             path = os.path.join(tmp, "other.csv")
-            write_snapshot(path, state, topo, other, 0.0, "chain", numerics,
+            write_snapshot(path, state,
+                           _scenario(other, topo, "chain", numerics), 0.0,
                            rows)
             with open(path) as fh:
                 assert fh.read() == _old_snapshot_text(
@@ -287,52 +302,60 @@ class TestRepeatedBitPatterns:
 
 
 class TestCenterText:
-    """The y column is formatted once per grid and held by it."""
+    """The y column is formatted once per run, by its first write, and
+    held by the rows that the write returns."""
 
-    def test_text_of_each_center(self):
+    def test_text_of_each_center(self, tmp_path):
         grid = build_grid(-250.0, 250.0, 400)
-        assert grid.center_text == tuple("%.16e" % y for y in grid.centers)
-        assert grid.center_text is grid.center_text
+        rows = _toy_rows(tmp_path / "a.csv", grid)
+        assert rows.y_text == ["%.16e" % y for y in grid.centers]
+        assert _toy_rows(tmp_path / "b.csv", grid, rows).y_text \
+            is rows.y_text
 
-    def test_grids_do_not_share_text(self):
+    def test_grids_do_not_share_text(self, tmp_path):
+        # given the rows of another grid, a write formats its own y
         base = build_grid(-1.0, 3.0, 8)
+        rows = _toy_rows(tmp_path / "base.csv", base)
         for other in (build_grid(-1.0, 3.0, 16), build_grid(-1.0, 5.0, 8),
                       build_grid(-2.0, 3.0, 8)):
-            assert other.center_text != base.center_text
-            assert other.center_text == tuple("%.16e" % y
-                                              for y in other.centers)
+            path = tmp_path / "other.csv"
+            text = _toy_rows(path, other, rows).y_text
+            assert text != rows.y_text
+            assert text == ["%.16e" % y for y in other.centers]
+            assert [line.split(",")[0] for line in
+                    path.read_text().splitlines()[8:]] == text
 
-    def test_dies_with_its_grid(self):
+    def test_dies_with_its_grid(self, tmp_path):
         # a domain no other test uses: a cache keyed by equal grids would
         # otherwise hold an earlier one and not this
         grid = build_grid(-7.25, 3.5, 12)
-        assert len(grid.center_text) == 12
+        rows = _toy_rows(tmp_path / "a.csv", grid)
+        assert len(rows.y_text) == 12
         ref = weakref.ref(grid)
-        del grid
+        del grid, rows
         gc.collect()
-        assert ref() is None  # no cache outside the grid keeps it alive
+        assert ref() is None  # no cache outside the rows keeps it alive
 
     def test_cached_and_fresh_text_give_the_same_files(self, tmp_path):
-        # as the CLI does: a snapshot from within the run, the first to use
-        # the grid's text, and one after it for --compare-with, which
-        # finds the text held
+        # as the CLI does: a snapshot from within the run formats y, and
+        # the one after it for --compare-with takes y from its rows; a
+        # write without them formats y afresh
         s = make_scenario("ex6", cells=400, snapshots=(0.26 * np.pi,))
-        assert "center_text" not in vars(s.grid)
         written = []
 
         def on_snapshot(t, state):
             path = tmp_path / "within.csv"
-            write_snapshot(path, state, s.topography, s.grid, t, s.name,
-                           s.numerics)
-            written.append((path, t, state))
+            written.append((path, t, state, write_snapshot(path, state, s, t)))
 
         res = run_simulation(s, on_snapshot=on_snapshot)
-        assert not res.failed and "center_text" in vars(s.grid)
-        after = tmp_path / "after.csv"
-        write_snapshot(after, res.state, s.topography, s.grid, res.t,
-                       s.name, s.numerics)
-        assert len(written) == 1
-        for path, t, state in written + [(after, res.t, res.state)]:
+        assert not res.failed and len(written) == 1
+        rows = written[0][3]
+        after, fresh = tmp_path / "after.csv", tmp_path / "fresh.csv"
+        assert write_snapshot(after, res.state, s, res.t, rows).y_text \
+            is rows.y_text
+        write_snapshot(fresh, res.state, s, res.t)
+        assert after.read_bytes() == fresh.read_bytes()
+        for path, t, state in [written[0][:3], (after, res.t, res.state)]:
             assert path.read_text() == _old_snapshot_text(
                 state, s.topography, s.grid, t, s.name, s.numerics)
 
@@ -408,10 +431,8 @@ class TestCompare:
         sa = make_scenario("ex2", cells=50, t_final=0.02)
         sb = make_scenario("ex2", cells=100, t_final=0.02)
         ra, rb = run_simulation(sa), run_simulation(sb)
-        write_snapshot(a, ra.state, sa.topography, sa.grid, 0.02, "ex2",
-                       sa.numerics)
-        write_snapshot(b, rb.state, sb.topography, sb.grid, 0.02, "ex2",
-                       sb.numerics)
+        write_snapshot(a, ra.state, sa, 0.02)
+        write_snapshot(b, rb.state, sb, 0.02)
         fwd = compare_snapshots(read_comparable(a), read_comparable(b))
         bwd = compare_snapshots(read_comparable(b), read_comparable(a))
         for field in fwd:
@@ -641,8 +662,7 @@ class TestCliMain:
         ref = tmp_path / "ref.csv"
         s = make_scenario("ex2", cells=50, t_final=0.02)
         res = run_simulation(s)
-        write_snapshot(ref, res.state, s.topography, s.grid, res.t, s.name,
-                       s.numerics)
+        write_snapshot(ref, res.state, s, res.t)
         code = main(["--scenario", "ex2", "--cells", "50",
                      "--t-final", "0.02", "--snapshots", "0.02",
                      "--out", str(out), "--compare-with", str(ref)])
@@ -840,6 +860,31 @@ class TestConvergenceMode:
         # h differs only through the resampled bottom humps (2-3 cells
         # wide at N=50), not through any evolution
         assert rows[0]["l1"]["h"] <= 0.2
+
+    def test_l1_of_the_final_states_bit_for_bit(self, monkeypatch):
+        # each row's L1 of h, q, p and hb is compare_fields of the two
+        # runs' final conserved fields over the coarse dy, to the bit
+        finals = []
+
+        def spy(scenario, **kwargs):
+            result = run_simulation(scenario, **kwargs)
+            finals.append((scenario.grid, result.state))
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", spy)
+        rows = convergence_mode(parse_config([
+            "--scenario", "ex2", "--t-final", "0.05",
+            "--convergence", "50,100,200"]))
+        assert [grid.n for grid, _ in finals] == [50, 100, 200]
+        assert len(rows) == 2
+        for row, (grid_c, state_c), (grid_f, state_f) in zip(
+                rows, finals, finals[1:]):
+            assert (row["n_coarse"], row["n_fine"]) == (grid_c.n, grid_f.n)
+            want = [compare_fields(state_c.array[i], state_f.array[i],
+                                   grid_c.dy)[0] for i in range(4)]
+            assert [row["l1"][name].hex() for name in ("h", "q", "p", "hb")] \
+                == [l1.hex() for l1 in want]
+            assert want[0] > 0.0
 
     def test_cli_prints_table(self, capsys):
         code = main(["--scenario", "ex2", "--t-final", "0.02",

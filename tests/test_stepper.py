@@ -730,6 +730,31 @@ class TestPerRunConstants:
                 if ref() is not None] == []
 
 
+def _step_growth(scenario):
+    """Per step of a run after the first, the peak of the traced memory
+    over the memory at the step's start, in bytes."""
+    import tracemalloc
+
+    grown = []
+    start = []
+
+    def on_step(state, report):
+        current, peak = tracemalloc.get_traced_memory()
+        if start:  # the peak of this step over the memory at its start
+            grown.append(peak - start[0])
+        start[:] = [current]
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        res = run_simulation(scenario, on_step=on_step, collect_records=True)
+    finally:
+        tracemalloc.stop()
+    assert not res.failed and res.steps >= 3
+    assert len(grown) == res.steps - 1
+    return grown
+
+
 class TestWorkspace:
     """A run's stage arrays live in one workspace allocated per run, and
     a step allocates no n-float array but the accepted state's copy and
@@ -738,35 +763,34 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name,t_final", [
         ("ex2", 5e-4), ("ex3b", 0.3), ("ex6", 2.5),
-        # every interface at rest takes the sqrt branch, so the depth
-        # solve gathers all n+1 interfaces: its largest gathers
+        # at rest p = 0, whose roots the depth solve writes in place; the
+        # cubic branch gathers only where round-off makes p nonzero, up to
+        # a fifth of the interfaces at this N
         ("lake-at-rest", 0.002)])
     def test_steps_allocate_no_stage_arrays(self, name, t_final):
-        import tracemalloc
-
         n = 4096
         state_bytes = 4 * n * 8
-        s = make_scenario(name, cells=n, t_final=t_final)
-        grown = []
-        start = []
-
-        def on_step(state, report):
-            current, peak = tracemalloc.get_traced_memory()
-            if start:  # the peak of this step over the memory at its start
-                grown.append(peak - start[0])
-            start[:] = [current]
-            tracemalloc.reset_peak()
-
-        tracemalloc.start()
-        try:
-            res = run_simulation(s, on_step=on_step, collect_records=True)
-        finally:
-            tracemalloc.stop()
-        assert not res.failed and res.steps >= 3
+        grown = _step_growth(make_scenario(name, cells=n, t_final=t_final))
         # the accepted state's copy, a few boolean masks and the depth
-        # solve's gathers of at most n+1 values, no more
-        assert len(grown) == res.steps - 1
+        # solve's gathers of the interfaces that take the cubic branch
         assert max(grown) < 1.5 * state_bytes
+
+    def test_cubic_branch_at_every_interface(self):
+        # a flat f-plane with p != 0 at every interface, so the depth
+        # solve's cubic branch gathers both sides whole: its worst case
+        n = 4096
+        state_bytes = 4 * n * 8
+        g = build_grid(-10.0, 10.0, n)
+        s = Scenario(name="cubic", grid=g, coriolis=CoriolisSpec(1.0),
+                     topography=flat_topography(g),
+                     height=lambda y: 1.0 + 0.1 * np.sin(y),
+                     b0=np.ones_like, v0=lambda y: 0.3 + 0.1 * np.cos(y),
+                     t_final=0.05)
+        grown = _step_growth(s)
+        # at the branch's peak 13 arrays of at most 2(n + 1) floats are
+        # alive (see the workspace's docstring); the accepted state's copy
+        # comes on top
+        assert max(grown) < 13 * 2 * (n + 1) * 8 + state_bytes
 
     @pytest.mark.parametrize("n", [4, 200, 4000, 25600])
     def test_stage_buffers_are_contiguous(self, n):
