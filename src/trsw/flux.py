@@ -7,6 +7,16 @@ premultiplied by a smooth switch H that vanishes where L is locally
 constant, so equilibria see no spurious diffusion from the non-constant
 q and b profiles they carry.
 
+H is evaluated as 1 / (1 + (C psi)^-m), with the power taken only where
+C psi is above 2^-128. At and below it (C psi)^-m overflows, so H is
+exactly 0 there, and pow takes its slow paths: about 10 ns per value at
+0 and 100 ns where it overflows, against 2.5 ns for a normal argument
+(numpy 2.4 on a Xeon guest). Near equilibria, where the switch is meant
+to act, C psi is 0 at most interfaces (88% of ex3b's at N = 25600, 98%
+of ex6's), so the power is masked to the live values, and their flags
+divided by 1 + (C psi)^-m give H: the same bits in less than half the
+time at N = 25600.
+
 One formula serves all four components, and each of its arithmetic
 steps is one numpy call over a group of components: U of both sides is
 a view of the workspace's side rows h, q, p and hb, G is formed once per
@@ -28,6 +38,8 @@ _DEGENERATE = 1.0e-12
 # constants C and m of the diffusion switch H(psi)
 _SWITCH_C = 400.0
 _SWITCH_M = 8
+# C psi at and below which (C psi)^-m overflows and H is 0: 2^-128
+_SWITCH_FLOOR = 2.0 ** (-1024 // _SWITCH_M)
 
 
 def local_speeds(v_side, hb_side, out, work):
@@ -73,15 +85,17 @@ def diffusion_switch(l_left, l_right, dy: float, domain_length: float,
     psi /= dy
     psi *= domain_length
     psi /= denom
-    # evaluate (C psi)^m / (1 + (C psi)^m) through the reciprocal so huge
-    # arguments saturate at 1 instead of overflowing; psi is >= 0 or NaN,
-    # and fmax sends NaN to 0, whose reciprocal term is inf (H = 0)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = np.fmax(psi, 0.0, out=psi)
-        inv *= _SWITCH_C
-        np.power(inv, -float(_SWITCH_M), out=inv)
-    inv += 1.0
-    return np.divide(1.0, inv, out=out)
+    # H = 1 / (1 + (C psi)^-m) with the power only where C psi > 2^-128
+    # (see the module docstring): the other values keep C psi, and their
+    # flags over 1 + C psi give H = 0. fmax sends NaN to 0 first
+    x = np.fmax(psi, 0.0, out=psi)
+    with np.errstate(over="ignore"):
+        # C psi overflows to inf above about 4.5e305, where H = 1
+        x *= _SWITCH_C
+    live = np.greater(x, _SWITCH_FLOOR, out=positive)
+    np.power(x, -float(_SWITCH_M), out=x, where=live)
+    x += 1.0
+    return np.divide(live, x, out=out)
 
 
 def numerical_flux(switch, ws: Workspace):

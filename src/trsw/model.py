@@ -232,18 +232,23 @@ def desingularized_ratio(h, numerator, out=None, work=None) -> np.ndarray:
 
     Equals the exact ratio whenever |h| >= EPS. ``out`` receives the
     result and ``work`` is scratch of the same shape; without them both
-    are fresh.
+    are fresh. Of a numerator of several rows over a row h, the terms of
+    h alone are formed once.
     """
     h = np.asarray(h, float)
     numerator = np.asarray(numerator, float)
     if out is None:
         shape = np.broadcast_shapes(h.shape, numerator.shape)
         out, work = np.empty(shape), np.empty(shape)
-    h2 = np.multiply(h, h, out=work)
-    np.maximum(h2, EPS * EPS, out=out)
-    den = np.add(h2, out, out=work)
-    np.multiply(h, 2.0, out=out)
-    out *= numerator
+    if h.ndim == 1 and out.ndim == 2 and len(out) > 1:
+        # several rows over one h: the terms of h alone in two rows of work
+        w0, w1 = work[0], work[1]
+    else:
+        w0, w1 = work, out
+    h2 = np.multiply(h, h, out=w0)
+    den = np.add(h2, np.maximum(h2, EPS * EPS, out=w1), out=h2)
+    np.multiply(h, 2.0, out=w1)
+    np.multiply(w1, numerator, out=out)
     out /= den
     return out[()] if out.ndim == 0 else out
 

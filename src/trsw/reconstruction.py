@@ -132,9 +132,10 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
     With ``work``, p_side, l_side and h_fallback are (2, m) minus/plus
     pairs and b_mid and r_iface (m,) rows broadcast over them; the depths
     of both sides are written over h_fallback, which is returned.
-    ``work`` is three float and, last, two flag blocks (2, m), with 27 b
-    and a flag of b's shape between them. Without ``work`` the inputs
-    broadcast and the result is fresh, a float for scalars.
+    ``work`` is three float and, last, two flag blocks (2, m), with a
+    float row (27 b) and a flag of b's shape between them. Without
+    ``work`` the inputs broadcast and the result is fresh, a float for
+    scalars.
     """
     if work is None:
         args = np.broadcast_arrays(*(
@@ -143,7 +144,8 @@ def depth_from_equilibrium(p_side, b_mid, l_side, r_iface, h_fallback,
         shape = args[0].shape
         p, b, l, r, fb = (a.ravel() for a in args)
         h = fb[None].copy()  # one side
-        _solve_depth(p[None], b, l[None], r, h, fresh(h.shape, 4, 3))
+        _solve_depth(p[None], b, l[None], r, h, fresh(h.shape, 3)
+                     + fresh(b.shape, 1, 1) + fresh(h.shape, 0, 2))
         return float(h[0, 0]) if not shape else h.reshape(shape)
     return _solve_depth(p_side, b_mid, l_side, r_iface, h_fallback, work)
 
@@ -154,13 +156,16 @@ def _solve_depth(p, b, l, r, h, work):
     d, x, t, b27, ok, rootable, mask = work
     np.subtract(l, r, out=d)
 
+    # 8 d^3 / (27 b) over b with 1 in its place where b <= TINY, so that
+    # every lane divides by a positive number without overflow; ok masks
+    # those lanes out of the test
     np.greater(b, _TINY, out=ok)
-    # 8 d^3 / (27 b), divided only where b > TINY: elsewhere ok masks it out
-    np.multiply(b, 27.0, out=b27, where=ok)
+    np.maximum(b, np.logical_not(ok, out=mask[0]), out=b27)
+    b27 *= 27.0
     np.multiply(d, d, out=x)
     x *= d
     x *= 8.0
-    np.divide(x, b27, out=x, where=ok)
+    x /= b27
     p4 = np.multiply(p, p, out=t)
     p4 *= p4
     # d > 0 is tested on its own because p^4 and d^3 can both underflow to
@@ -169,15 +174,18 @@ def _solve_depth(p, b, l, r, h, work):
     rootable &= np.greater(d, 0.0, out=mask)
     rootable &= ok
 
-    # p = 0 roots are written in place, the cubic ones gather theirs
-    m = np.equal(p, 0.0, out=mask)
-    m &= rootable
-    np.multiply(d, 2.0, out=h, where=m)
-    np.divide(h, b, out=h, where=m)
-    np.sqrt(h, out=h, where=m)
+    # the p = 0 roots are written in place, the cubic ones gather theirs.
+    # Masked loops cost least here: the same roots formed on every side
+    # and copied in take two more passes, which cost as much as the masks
+    # save where most sides have p = 0 and more where few do
+    zero_p = np.equal(p, 0.0, out=mask)
+    zero_p &= rootable
+    np.multiply(d, 2.0, out=h, where=zero_p)
+    np.divide(h, b, out=h, where=zero_p)
+    np.sqrt(h, out=h, where=zero_p)
 
-    m = np.not_equal(p, 0.0, out=mask)
-    m &= rootable
+    # the other rootable sides have p != 0 (a NaN p is not rootable)
+    m = np.not_equal(rootable, zero_p, out=rootable)
     np.copyto(t, b)  # b on every side row, to gather like the others
     # where a cubic root exists, h still holds the fallback
     dm, bm, pm, fbm = d[m], t[m], p[m], h[m]

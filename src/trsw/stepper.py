@@ -83,9 +83,9 @@ def _tendency(u: np.ndarray, flux: np.ndarray, coriolis: CoriolisSpec,
     """Flux divergence plus the Coriolis source on q, per cell, (4, n),
     in ``ws.tend``, for the state ``u`` whose interface states ``ws``
     holds."""
+    # one division by -dy gives the bits of negating and dividing by dy
     tend = np.subtract(flux[:, 1:], flux[:, :-1], out=ws.tend)
-    np.negative(tend, out=tend)
-    tend /= grid.dy
+    tend /= -grid.dy
     tend[1] += source_term(u, ws.p_side, coriolis, grid,
                            out=ws.source_out, work=ws.source_work)
     return tend
@@ -131,7 +131,8 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     ``flux`` comes back with the number of limited interfaces, those whose
     nonzero h or hb flux was scaled down. When no donor drains within dt
     every scale would be exactly dt/dt = 1, so ``flux`` comes back
-    unwritten with a count of 0. The temporaries are flat arrays of the
+    unwritten with a count of 0; it does so before picking the donors
+    when no cell drains within dt. The temporaries are flat arrays of the
     workspace ``ws``, the h and hb rows end to end (see ``trsw.workspace``).
     """
     # rows h and hb end to end, the flux rows with a zero before, between
@@ -139,15 +140,19 @@ def draining_limit(u: np.ndarray, flux: np.ndarray, dt: float, dy: float,
     flux_rows, rho = flux[::3], u[::3]
     ws.drain_ext_zeros[...] = 0.0
     np.copyto(ws.drain_ext_rows, flux_rows)
+    # out through the right face where its flux is positive, and through
+    # the left face where its flux is negative
     outgoing = np.maximum(ws.drain_ext_hi, 0.0, out=ws.drain_out)
-    inflow = np.negative(ws.drain_ext_lo, out=ws.drain_neg)
-    outgoing += np.maximum(inflow, 0.0, out=inflow)
+    outgoing -= np.minimum(ws.drain_ext_lo, 0.0, out=ws.drain_in)
     rho_ext = ws.rho_ext
     np.copyto(ws.rho_mid, rho)
     np.copyto(ws.rho_first, rho[:, 0])
     np.copyto(ws.rho_last, rho[:, -1])
     t_drain = np.multiply(rho_ext, _DRAIN_SAFETY * dy, out=rho_ext)
     t_drain /= np.maximum(outgoing, _TINY, out=outgoing)
+    # no cell, ghosts included, drains within dt, so no donor does
+    if np.greater_equal(t_drain, dt, out=ws.drain_idle).all():
+        return flux, 0
     # the donor is the upwind cell: left of the interface when f > 0
     donor_t = ws.donor
     np.copyto(donor_t, ws.rho_hi)

@@ -85,6 +85,13 @@ and 2kf rows of group scratch). The reconstruction's 5 + 2k rows and
 the depth solve's nine fit in them: n+1 interfaces are fewer than n+4
 padded cells, so kf >= min(k, 4), and 5 + 2k <= 11 + 2 min(k, 4) for
 every k up to 5.
+
+The depth solve's root test runs plain loops over every side: a masked
+(``where=``) loop costs numpy more per value than a plain one (a divide
+1.5 times as much at N = 25600) and 1.2 us more per call at N = 200. It
+divides by b with 1 in its place where b <= TINY, so that no lane
+overflows. The p = 0 roots keep their masked loops, which write only the
+sides that take them.
 """
 
 from __future__ import annotations
@@ -178,8 +185,10 @@ class Workspace:
         # p/h and hb/h, into the rows of L and b, with their work (s6-s7)
         # and hb/2 h (s6), the groups of k fields end to end with their
         # one-sided differences and minmod's high scratch (s5 on, 2k rows),
-        # b_mid (s0), then the depth solve over both sides: 27 b (s1), D
-        # (s2-s3), its powers (s5-s8) and flags 0-4 (its cubic branch
+        # b_mid (s0), then the depth solve over both sides: 27 b, with 27
+        # in place of b <= TINY (s1), D (s2-s3), 8 D^3 / (27 b) (s5-s6),
+        # p^4 and then b on both sides (s7-s8), and flags 0-4, the first
+        # the flag of b <= TINY until the root test (its cubic branch
         # gathers into fresh temporaries), and v (s2-s3)
         self.r_iface, self.r_center = s[4, :m], s[5, :n]
         self.r_iface_tail = self.r_iface[1:]
@@ -228,11 +237,12 @@ class Workspace:
 
         # draining limiter, rows h and hb end to end in flat arrays: the
         # fluxes with a zero before, between and after the rows (s0-s1,
-        # live through the drain), outflows (s2-s3), the negated inflows
-        # (s4-s5), then the edge-padded densities and drain times over
-        # those (s4-s5) and the donor drain times over the outflows
-        # (s2-s3), with the flux-sign, nonzero-flux and below-one masks
-        # in flags 0-1, 3-4 (free until the step's finite check) and 0-1.
+        # live through the drain), outflows (s2-s3), min(f, 0) of the left
+        # faces (s4-s5), then the edge-padded densities and drain times
+        # over those (s4-s5) and the donor drain times over the outflows
+        # (s2-s3), with the cells' idle test in flags 0-1 and the
+        # flux-sign, nonzero-flux and below-one masks in flags 0-1, 3-4
+        # (free until the step's finite check) and 0-1.
         # The fluxes, donors and masks hold 2n+3 values: slot n+1, between
         # the rows, is the junction, which belongs to neither row
         ext = _flat(s[0:2], 2 * m + 3)
@@ -241,7 +251,7 @@ class Workspace:
         self.drain_flux = ext[1:-1]
         self.drain_ext_hi, self.drain_ext_lo = ext[1:], ext[:-1]
         self.drain_out = _flat(s[2:4], 2 * n + 4)
-        self.drain_neg = self.rho_ext = rho = _flat(s[4:6], 2 * n + 4)
+        self.drain_in = self.rho_ext = rho = _flat(s[4:6], 2 * n + 4)
         rho_rows = rho.reshape(2, n + 2)
         self.rho_mid = rho_rows[:, 1:-1]
         self.rho_first, self.rho_last = rho_rows[:, 0], rho_rows[:, -1]
@@ -249,6 +259,7 @@ class Workspace:
         self.donor = _flat(s[2:4], 2 * m + 1)
         self.donor_rows = _flat(s[2:4], 2 * m + 2).reshape(2, m + 1)[:, :m]
         self.junction = m
+        self.drain_idle = _flat(b[0:2], 2 * n + 4)
         self.drain_mask = _flat(b[0:2], 2 * m + 1)
         self.drain_below = (self.drain_mask[:m], self.drain_mask[m + 1:])
         self.limited = b[2, :m]

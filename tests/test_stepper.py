@@ -266,6 +266,28 @@ class TestDrainingLimit:
         assert out is flux and n == 0
         assert np.array_equal(out, before)
 
+    @pytest.mark.parametrize("dry", [False, True])
+    def test_early_return_before_the_donors(self, dry):
+        # with no cell, ghosts included, draining within dt the drain
+        # returns before it picks the donors, whose times it would write
+        # with +inf at the junction. A dry cell fed from both sides drains
+        # at once but donates to neither of its interfaces, so the donor
+        # test still takes the idle return, leaving the flux unwritten
+        u = np.full((4, 6), 0.2)
+        flux = np.full((4, 7), 0.01)
+        if dry:
+            u[::3, 2] = 0.0
+            flux[::3, 3] = -0.01
+        dt, dy = 0.1, 0.1
+        want, count, idle = self._oracle(u, flux, dt, dy)
+        assert idle and count == 0
+        assert self._takes_idle_return(u, flux, dt, dy)
+        ws = Workspace(6)
+        out, n = draining_limit(u, flux, dt, dy, ws)
+        assert out is flux and n == 0
+        assert out.tobytes() == want.tobytes()
+        assert np.isinf(ws.donor[ws.junction]) == dry
+
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_run_matches_padded_formula_drain(self, monkeypatch):
         # a dam break onto a dry bed, whose front the drain limits in many
