@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -73,22 +73,6 @@ class Grid:
     @cached_property
     def centers(self) -> np.ndarray:
         return _readonly(self.y_min + (np.arange(self.n) + 0.5) * self.dy)
-
-    def coriolis_values(self, coriolis: "CoriolisSpec"
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """f of ``coriolis`` at the cell centers and at the interfaces,
-        read-only; computed once per grid and Coriolis parameter, and held
-        by the grid, so it lives exactly as long as the run's grid."""
-        if coriolis not in self._coriolis_values:
-            self._coriolis_values[coriolis] = (
-                _readonly(coriolis.values(self.centers)),
-                _readonly(coriolis.values(self.interfaces)))
-        return self._coriolis_values[coriolis]
-
-    @cached_property
-    def _coriolis_values(self) -> Dict["CoriolisSpec",
-                                       Tuple[np.ndarray, np.ndarray]]:
-        return {}
 
 
 def build_grid(y_min: float, y_max: float, n: int) -> Grid:
@@ -301,6 +285,15 @@ class Scenario:
             raise ValueError(f"snapshot times must lie in [0, t_final], "
                              f"got {bad}")
         object.__setattr__(self, "snapshots", snaps)
+
+    @cached_property
+    def coriolis_values(self) -> Tuple[np.ndarray, np.ndarray]:
+        """f at the cell centers and at the interfaces, read-only; computed
+        on first use and held by the scenario, so it lives as long as the
+        run's scenario."""
+        grid = self.grid
+        return (_readonly(self.coriolis.values(grid.centers)),
+                _readonly(self.coriolis.values(grid.interfaces)))
 
     def initial_state(self) -> ConservedState:
         """Cell averages by midpoint sampling of the initial-condition

@@ -5,14 +5,17 @@ L = p^2/h + (b/2) h^2 + R, where R integrates the Coriolis and topography
 source terms in y. Reconstructing V = (q, p, L, b) with a generalized
 minmod limiter and recovering one-sided interface depths from L keeps
 discrete equilibria (p = 0, L = const) exactly stationary.
+
+The kernels that read the run's fixed data, R's ``source_potential`` and
+``build_interface_states``, take its Scenario: the grid, the bottom, f(y)
+and sigma.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (_TINY, CoriolisSpec, Grid, Numerics, Topography,
-                    desingularized_ratio)
+from .model import _TINY, Scenario, desingularized_ratio
 from .workspace import GHOST, Workspace, fresh
 
 
@@ -77,8 +80,7 @@ def _fill_ghosts(padded: np.ndarray) -> np.ndarray:
     return padded
 
 
-def source_potential(u: np.ndarray, topo: Topography,
-                     coriolis: CoriolisSpec, grid: Grid, ws: Workspace):
+def source_potential(u: np.ndarray, scenario: Scenario, ws: Workspace):
     """Running integral R of f*q + h*b*Z_y, at cell centers and interfaces,
     for the (4, n) state ``u``; the results are the workspace's
     ``r_center`` and ``r_iface``.
@@ -88,11 +90,11 @@ def source_potential(u: np.ndarray, topo: Topography,
     The datum is R = 0 at the left boundary interface, and the first center
     value is the average of the two enclosing interface values.
     """
-    dy = grid.dy
+    dy, topo = scenario.grid.dy, scenario.topography
+    coriolis = scenario.coriolis
     # constant f is the scalar f0, as in the source term; a variable f is
-    # evaluated once per grid
-    f = (coriolis.f0 if coriolis.is_constant
-         else grid.coriolis_values(coriolis)[0])
+    # evaluated once per run
+    f = coriolis.f0 if coriolis.is_constant else scenario.coriolis_values[0]
     hb = u[3]
     fq, inc, inc_z = ws.sp_work
     np.multiply(u[1], f, out=fq)
@@ -201,9 +203,8 @@ def _solve_depth(p, b, l, r, h, work):
     return h
 
 
-def build_interface_states(u: np.ndarray, topo: Topography,
-                           coriolis: CoriolisSpec, grid: Grid,
-                           numerics: Numerics, ws: Workspace) -> None:
+def build_interface_states(u: np.ndarray, scenario: Scenario,
+                           ws: Workspace) -> None:
     """Full reconstruction pipeline from the cell averages of the (4, n)
     state ``u``, not checked here, to the interface states: the
     workspace's (2, n+1) pairs ``l_side``, ``q_side``, ``p_side``,
@@ -219,13 +220,14 @@ def build_interface_states(u: np.ndarray, topo: Topography,
     workspace's groups, and one depth solve takes both sides of w's pair
     and writes the depths over it.
     """
-    sigma, dy = numerics.sigma, grid.dy
+    sigma, dy = scenario.numerics.sigma, scenario.grid.dy
+    topo = scenario.topography
     h, p, hb = u[0], u[2], u[3]
 
     # L = p^2/h + (hb/2) h + R, the kinetic term desingularized so dry
     # cells contribute zero, and b = hb/h: the ratios p/h and hb/h in one
     # call, into the rows of L and b
-    r_center, r_iface = source_potential(u, topo, coriolis, grid, ws)
+    r_center, r_iface = source_potential(u, scenario, ws)
     desingularized_ratio(h, u[2:4], out=ws.ratio_cells,
                          work=ws.ratio_cell_work)
     l_cell = ws.l_cell

@@ -7,7 +7,9 @@ spare for the stencil). The reconstruction pads the fields it limits, and
 the draining limiter reads h and hb from the (4, n) stage state, with one
 edge-copied ghost per side. Stage states are plain (4, n) arrays checked
 for h, hb >= 0, and the stage kernels take them as such; a ConservedState
-is built only for the accepted step, and ``rhs`` alone takes one.
+is built only for the accepted step, and ``rhs`` alone takes one. The
+kernels that read the run's fixed data (grid, bottom, rotation, numerics)
+take its Scenario whole.
 
 ``run_simulation`` owns one Workspace (``trsw.workspace``) for the whole
 run, and every kernel of a stage writes into it. Arrays handed out under
@@ -27,8 +29,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .flux import diffusion_switch, numerical_flux
-from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
-                    Scenario, Topography, check_nonnegative)
+from .model import _TINY, ConservedState, Scenario, check_nonnegative
 from .reconstruction import build_interface_states
 from .workspace import Workspace
 
@@ -44,8 +45,8 @@ class IntegrationError(RuntimeError):
         super().__init__(f"{message} at t={t:.6g}")
 
 
-def source_term(u: np.ndarray, p_side: np.ndarray, coriolis: CoriolisSpec,
-                grid: Grid, out, work) -> np.ndarray:
+def source_term(u: np.ndarray, p_side: np.ndarray, scenario: Scenario,
+                out, work) -> np.ndarray:
     """Coriolis source for the q component of the (4, n) state ``u``.
 
     Constant f uses f * p_bar directly; variable f integrates f*p over the
@@ -53,10 +54,10 @@ def source_term(u: np.ndarray, p_side: np.ndarray, coriolis: CoriolisSpec,
     (2, n+1) minus/plus pair ``p_side``. ``out`` receives the source and
     ``work`` is one scratch array of n values.
     """
-    p = u[2]
+    p, coriolis = u[2], scenario.coriolis
     if coriolis.is_constant:
         return np.multiply(p, coriolis.f0, out=out)
-    f_center, f_iface = grid.coriolis_values(coriolis)
+    f_center, f_iface = scenario.coriolis_values
     src = np.multiply(f_iface[:-1], p_side[1, :-1], out=out)
     centre = np.multiply(f_center, 4.0, out=work)
     centre *= p
@@ -66,33 +67,33 @@ def source_term(u: np.ndarray, p_side: np.ndarray, coriolis: CoriolisSpec,
     return src
 
 
-def assemble_fluxes(u: np.ndarray, topo: Topography, coriolis: CoriolisSpec,
-                    grid: Grid, numerics: Numerics, ws: Workspace) -> None:
+def assemble_fluxes(u: np.ndarray, scenario: Scenario, ws: Workspace) -> None:
     """Interface states plus central-upwind fluxes for the (4, n) state
     ``u``, written into the workspace ``ws``: the fluxes to ``ws.flux``
     and the one-sided speeds (a_plus, a_minus) to ``ws.speeds``."""
-    build_interface_states(u, topo, coriolis, grid, numerics, ws)
+    build_interface_states(u, scenario, ws)
+    grid = scenario.grid
     switch = diffusion_switch(ws.l_cell_left, ws.l_cell_right, grid.dy,
                               grid.length, out=ws.switch,
                               work=ws.switch_work)
     numerical_flux(switch, ws)
 
 
-def _tendency(u: np.ndarray, flux: np.ndarray, coriolis: CoriolisSpec,
-              grid: Grid, ws: Workspace) -> np.ndarray:
+def _tendency(u: np.ndarray, flux: np.ndarray, scenario: Scenario,
+              ws: Workspace) -> np.ndarray:
     """Flux divergence plus the Coriolis source on q, per cell, (4, n),
     in ``ws.tend``, for the state ``u`` whose interface states ``ws``
     holds."""
     # one division by -dy gives the bits of negating and dividing by dy
     tend = np.subtract(flux[:, 1:], flux[:, :-1], out=ws.tend)
-    tend /= -grid.dy
-    tend[1] += source_term(u, ws.p_side, coriolis, grid,
-                           out=ws.source_out, work=ws.source_work)
+    tend /= -scenario.grid.dy
+    tend[1] += source_term(u, ws.p_side, scenario, out=ws.source_out,
+                           work=ws.source_work)
     return tend
 
 
-def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
-        grid: Grid, numerics: Numerics, ws: Workspace) -> np.ndarray:
+def rhs(state: ConservedState, scenario: Scenario,
+        ws: Workspace) -> np.ndarray:
     """Semi-discrete tendencies d/dt (h, q, p, hb) per cell, (4, n), in
     the workspace ``ws``.
 
@@ -100,8 +101,8 @@ def rhs(state: ConservedState, topo: Topography, coriolis: CoriolisSpec,
     (that is time-step dependent and belongs to the stepper).
     """
     u = state.array
-    assemble_fluxes(u, topo, coriolis, grid, numerics, ws)
-    return _tendency(u, ws.flux, coriolis, grid, ws)
+    assemble_fluxes(u, scenario, ws)
+    return _tendency(u, ws.flux, scenario, ws)
 
 
 def cfl_dt(a_max: float, dy: float, cfl: float, t_remaining: float) -> float:
@@ -230,14 +231,13 @@ def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
     at dt, so h and hb stay nonnegative; each later stage state and the new
     state are checked for that once (ValueError), which gives the report
     its minima. Non-finite speeds or output raise IntegrationError."""
-    grid, coriolis = scenario.grid, scenario.coriolis
-    assemble_fluxes(u0, scenario.topography, coriolis, grid,
-                    scenario.numerics, ws)
+    assemble_fluxes(u0, scenario, ws)
     a_plus, a_minus = ws.speeds
     # the stage-1 speeds, read now, as stage 2 writes over them
     a_max = float(max(a_plus.max(initial=0.0), -a_minus.min(initial=0.0)))
     t_remaining = t_event - t
-    dt = cfl_dt(a_max, grid.dy, scenario.numerics.cfl, t_remaining)
+    dy = scenario.grid.dy
+    dt = cfl_dt(a_max, dy, scenario.numerics.cfl, t_remaining)
     if not 0.0 < dt < np.inf:  # a_max is NaN or infinite
         raise IntegrationError(t, "non-finite wave speed")
     landed = dt == t_remaining
@@ -249,12 +249,11 @@ def _rk3_step(u0: np.ndarray, scenario: Scenario, t: float, t_event: float,
     def stage(u):
         if bounds:  # a later stage: check and reconstruct its state
             minima.append(check_nonnegative(u))
-            assemble_fluxes(u, scenario.topography, coriolis, grid,
-                            scenario.numerics, ws)
-        flux, n = draining_limit(u, ws.flux, dt, grid.dy, ws)
+            assemble_fluxes(u, scenario, ws)
+        flux, n = draining_limit(u, ws.flux, dt, dy, ws)
         bounds.append((flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]))
         limited.append(n)
-        return _tendency(u, flux, coriolis, grid, ws)
+        return _tendency(u, flux, scenario, ws)
 
     u_new = ssp_rk3_combine(u0, dt, stage, ws.u1, ws.u2)
     if not np.isfinite(u_new, out=ws.finite).all():

@@ -19,18 +19,12 @@ from trsw.diagnostics import DiagnosticsRecord
 from trsw.fileio import (SNAPSHOT_COLUMNS, compare_fields, compare_snapshots,
                          read_comparable, read_snapshot, restrict_average,
                          snapshot_filename, write_diagnostics, write_snapshot)
-from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
-                        Topography, build_grid, flat_topography,
-                        primitives_from_state)
+from trsw.model import (ConservedState, Numerics, Topography, build_grid,
+                        flat_topography, primitives_from_state)
 from trsw.scenarios import make_scenario
 from trsw.stepper import run_simulation
 
-
-def _scenario(grid, topo, name, numerics=Numerics()):
-    """A scenario of a grid and bottom, for the parts a snapshot writes."""
-    return Scenario(name=name, grid=grid, coriolis=CoriolisSpec(0.0),
-                    topography=topo, height=np.ones_like, b0=np.ones_like,
-                    numerics=numerics)
+from support import scenario_of
 
 
 def _toy_rows(path, grid, previous=None, value=1.0, rest=True):
@@ -39,7 +33,7 @@ def _toy_rows(path, grid, previous=None, value=1.0, rest=True):
     h = np.full(n, value)
     p = np.zeros(n) if rest else np.full(n, 0.25)
     st = ConservedState.from_fields(h, np.zeros(n), p, h)
-    scenario = _scenario(grid, flat_topography(grid), "toy")
+    scenario = scenario_of(grid, name="toy")
     return write_snapshot(path, st, scenario, 0.0, previous)
 
 
@@ -141,8 +135,8 @@ class TestNumberFormat:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "snap.csv")
             with np.errstate(all="ignore"):
-                write_snapshot(path, state,
-                               _scenario(grid, topo, "bits", numerics), t)
+                write_snapshot(path, state, scenario_of(
+                    grid, topo, numerics=numerics, name="bits"), t)
                 expected = _old_snapshot_text(state, topo, grid, t, "bits",
                                               numerics)
             with open(path) as fh:
@@ -229,8 +223,8 @@ class TestRepeatedBitPatterns:
             path = os.path.join(tmp, "snap.csv")
             with np.errstate(all="ignore"):
                 topo = Topography(np.array(column(_POOL, n + 1)))
-                write_snapshot(path, state,
-                               _scenario(grid, topo, "pool", numerics), 0.0)
+                write_snapshot(path, state, scenario_of(
+                    grid, topo, numerics=numerics, name="pool"), 0.0)
                 expected = _old_snapshot_text(state, topo, grid, 0.0, "pool",
                                               numerics)
             with open(path) as fh:
@@ -273,7 +267,8 @@ class TestRepeatedBitPatterns:
                 topo = Topography(np.array(z_iface))
                 path = os.path.join(tmp, f"snap{k}.csv")
                 rows = write_snapshot(
-                    path, state, _scenario(grid, topo, "chain", numerics),
+                    path, state, scenario_of(grid, topo, numerics=numerics,
+                                             name="chain"),
                     float(k), rows)
                 with open(path) as fh:
                     assert fh.read() == _old_snapshot_text(
@@ -282,9 +277,8 @@ class TestRepeatedBitPatterns:
             # so the rows of the first grid must not be reused
             other = build_grid(-2.0, 3.0, n)
             path = os.path.join(tmp, "other.csv")
-            write_snapshot(path, state,
-                           _scenario(other, topo, "chain", numerics), 0.0,
-                           rows)
+            write_snapshot(path, state, scenario_of(
+                other, topo, numerics=numerics, name="chain"), 0.0, rows)
             with open(path) as fh:
                 assert fh.read() == _old_snapshot_text(
                     state, topo, other, 0.0, "chain", numerics)

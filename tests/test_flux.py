@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from trsw import flux, workspace
 from trsw.flux import diffusion_switch, local_speeds, numerical_flux
-from trsw.model import (ConservedState, CoriolisSpec, Numerics, build_grid,
-                        desingularized_ratio, flat_topography)
+from trsw.model import ConservedState, build_grid, desingularized_ratio
 from trsw.reconstruction import minmod
 from trsw.stepper import rhs
 from trsw.workspace import Workspace, fresh
+
+from support import scenario_of
 
 
 def _states_from_sides(h_m, h_p, q_m, q_p, p_m, p_p, b_m, b_p, l_m, l_p):
@@ -341,8 +342,7 @@ class TestNumericalFlux:
         b = np.where(np.arange(n) < half, 4.0, 9.0)
         st = ConservedState.from_fields(h, 0 * h, 0 * h, h * b)
         g = build_grid(-2.0, 2.0, n)
-        tend = rhs(st, flat_topography(g), CoriolisSpec(0.0), g, Numerics(),
-                   Workspace(n))
+        tend = rhs(st, scenario_of(g), Workspace(n))
         assert np.abs(tend).max() <= 1e-13 * 72.0
 
     @settings(max_examples=300, deadline=None)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from trsw.flux import _SWITCH_C, _SWITCH_M, diffusion_switch
-from trsw.model import _TINY, EPS, CoriolisSpec, build_grid, \
-    desingularized_ratio
+from trsw.model import _TINY, EPS, build_grid, desingularized_ratio
 from trsw.reconstruction import depth_from_equilibrium
 from trsw.stepper import _tendency
 from trsw.workspace import Workspace, fresh
+
+from support import scenario_of
 
 _FLOOR = 2.0 ** -128
 
@@ -272,7 +273,7 @@ class TestTendencyOracle:
         with np.errstate(all="ignore"):
             want = np.negative(flux[:, 1:] - flux[:, :-1]) / grid.dy
             want[1] += u[2] * 0.0
-            got = _tendency(u, flux, CoriolisSpec(0.0), grid, Workspace(n))
+            got = _tendency(u, flux, scenario_of(grid), Workspace(n))
         finite = ~np.isnan(want)
         assert np.array_equal(np.isnan(got), ~finite)
         assert got[finite].tobytes() == want[finite].tobytes()

@@ -127,17 +127,19 @@ class TestCoriolis:
         assert not f.is_constant
         assert f.values(10.0) == pytest.approx(1.0)
 
-    def test_grid_values_computed_once_per_spec(self):
+    def test_scenario_values_computed_once(self):
         g = build_grid(-3.0, 5.0, 16)
         f = CoriolisSpec(0.2, 0.1)
-        f_center, f_iface = g.coriolis_values(f)
+        s = Scenario(name="x", grid=g, coriolis=f,
+                     topography=flat_topography(g), height=np.ones_like,
+                     b0=np.ones_like)
+        f_center, f_iface = s.coriolis_values
         assert f_center.tobytes() == f.values(g.centers).tobytes()
         assert f_iface.tobytes() == f.values(g.interfaces).tobytes()
         assert not f_center.flags.writeable
-        again = g.coriolis_values(CoriolisSpec(0.2, 0.1))
+        assert not f_iface.flags.writeable
+        again = s.coriolis_values
         assert again[0] is f_center and again[1] is f_iface
-        other, _ = g.coriolis_values(CoriolisSpec(0.2))
-        assert np.array_equal(other, np.full(16, 0.2))
 
 
 class TestConservedState:

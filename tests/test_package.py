@@ -17,12 +17,17 @@ from trsw.model import Numerics
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _library_example():
+    """The fenced Python block under the README's ``## Library use``."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        library = fh.read().split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
 def _reached_as_trsw_x():
     """Every X written as ``trsw.X`` in the README's library example, the
     benchmark's modules and the acceptance gate, less the submodules."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        library = fh.read().split("## Library use", 1)[1]
-    texts = [re.search(r"```python\n(.*?)```", library, re.S).group(1)]
+    texts = [_library_example()]
     for path in (sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
                  + [os.path.join(ROOT, "tests", "test_acceptance.py")]):
         with open(path) as fh:
@@ -44,6 +49,14 @@ class TestPublicApi:
         reached = _reached_as_trsw_x()
         assert {"make_scenario", "run_simulation", "Scenario"} <= reached
         assert sorted(reached - set(trsw.__all__)) == []
+
+
+class TestLibraryExample:
+    def test_readme_example_runs(self):
+        namespace = {}
+        exec(compile(_library_example(), "README.md", "exec"), namespace)
+        assert not namespace["result"].failed
+        assert namespace["tend"].shape == (4, 400)
 
 
 class TestSettings:
@@ -68,25 +81,87 @@ def _parsed(pattern):
     return trees
 
 
-def _unreached_definitions():
-    """Module-level functions and classes of src/trsw that no code outside
-    the tests names: none of the package, the benchmark or the tools uses
-    them as a name or an attribute, trsw.__all__ does not hold them, and
-    the README does not write them as ``trsw.<module>.<name>``."""
-    package = _parsed("src/trsw/*.py")
+def _bound(function) -> set:
+    """The names a function or lambda binds: its parameters, and in its
+    own body (not in the functions nested in it) the targets of its
+    assignments, loops, withs and comprehensions, its imports, handlers
+    and nested definitions, less those it declares global or nonlocal."""
+    args = function.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    declared = set()
+    body = function.body
+    stack = list(body) if isinstance(body, list) else [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _used_names(tree) -> set:
+    """The names that ``tree`` uses: every imported name, every attribute,
+    and every load of a name that no enclosing function binds. A local or
+    parameter that shares a module-level function's name is then no use
+    of that function."""
+    used = set()
+
+    def visit(node, scopes):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if not any(node.id in scope for scope in scopes):
+                used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            scopes = scopes + (_bound(node),)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(tree, ())
+    return used
+
+
+def _unreached(package, users, public=(), readme=""):
+    """The module-level functions and classes of the trees ``package``
+    that none of the trees ``users`` uses (see _used_names), ``public``
+    does not hold and ``readme`` does not write as
+    ``trsw.<module>.<name>``."""
     defined = {node.name for tree in package for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                     ast.ClassDef))}
-    used = set(trsw.__all__)
-    for tree in package + _parsed("perfbench/*.py") + _parsed("tools/*.py"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        used.update(re.findall(r"\btrsw\.\w+\.(\w+)", fh.read()))
+    used = set(public)
+    for tree in users:
+        used |= _used_names(tree)
+    used.update(re.findall(r"\btrsw\.\w+\.(\w+)", readme))
     return sorted(defined - used)
+
+
+def _unreached_definitions():
+    """Module-level functions and classes of src/trsw that no code outside
+    the tests names: none of the package, the benchmark or the tools uses
+    them, trsw.__all__ does not hold them, and the README does not write
+    them as ``trsw.<module>.<name>``."""
+    package = _parsed("src/trsw/*.py")
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    return _unreached(package, package + _parsed("perfbench/*.py")
+                      + _parsed("tools/*.py"), trsw.__all__, readme)
 
 
 class TestReach:
@@ -94,6 +169,29 @@ class TestReach:
         # a function or class that only the tests call is code the
         # library, the CLI and the benchmark do not need
         assert _unreached_definitions() == []
+
+    def test_a_local_of_the_same_name_is_no_use(self):
+        # every "use" of helper is a parameter or local named like it, and
+        # a walk over all ast.Name nodes would count them; imported names,
+        # attributes and free loads still count, in closures too
+        defining = ast.parse(
+            "def helper(x):\n    return x\n"
+            "def imported():\n    pass\n"
+            "def attribute():\n    pass\n"
+            "def free():\n    pass\n"
+            "def closed():\n    pass\n")
+        using = ast.parse(
+            "from defining import imported\n"
+            "def by_parameter(helper):\n    return helper(1)\n"
+            "def by_local():\n    helper = len\n    return helper([])\n"
+            "def by_loop():\n    return [helper for helper in ()]\n"
+            "def outer():\n    closed = 1\n"
+            "    def inner(helper=0):\n        return closed + helper\n"
+            "    return inner\n"
+            "def uses():\n    return module.attribute, free(), closed()\n")
+        names = {n.id for n in ast.walk(using) if isinstance(n, ast.Name)}
+        assert "helper" in names
+        assert _unreached([defining], [using]) == ["helper"]
 
 
 def _buffer_defaults(tree):

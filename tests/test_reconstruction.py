@@ -17,6 +17,8 @@ from trsw.scenarios import _ex1_bottom, _ex2_bottom, make_scenario
 from trsw.stepper import rhs
 from trsw.workspace import Workspace, fresh
 
+from support import scenario_of
+
 
 @contextlib.contextmanager
 def shifted_datum(shift):
@@ -41,8 +43,7 @@ def uniform_interfaces(h, p, hb, datum=0.0):
                                     np.full(4, p), np.full(4, hb))
     ws = Workspace(4)
     with shifted_datum(datum):
-        build_interface_states(st.array, flat_topography(g),
-                               CoriolisSpec(0.0), g, Numerics(), ws)
+        build_interface_states(st.array, scenario_of(g), ws)
     return ws
 
 
@@ -149,16 +150,16 @@ class TestSourcePotential:
         g = build_grid(0.0, 1.0, 10)
         st = ConservedState.from_fields(np.ones(10), np.ones(10),
                                         np.zeros(10), np.ones(10))
-        rc, ri = source_potential(st.array, flat_topography(g),
-                                  CoriolisSpec(0.0), g, Workspace(10))
+        rc, ri = source_potential(st.array, scenario_of(g), Workspace(10))
         assert np.all(rc == 0.0) and np.all(ri == 0.0)
 
     def test_constant_integrand_exact(self):
         g = build_grid(0.0, 1.0, 10)
         st = ConservedState.from_fields(np.ones(10), np.ones(10),
                                         np.zeros(10), np.ones(10))
-        rc, ri = source_potential(st.array, flat_topography(g),
-                                  CoriolisSpec(1.0), g, Workspace(10))
+        rc, ri = source_potential(
+            st.array, scenario_of(g, coriolis=CoriolisSpec(1.0)),
+            Workspace(10))
         assert ri == pytest.approx(np.linspace(0.0, 1.0, 11), rel=1e-14)
         assert rc == pytest.approx(np.arange(10) * 0.1 + 0.05, rel=1e-13)
 
@@ -168,8 +169,7 @@ class TestSourcePotential:
         # error remains
         s = make_scenario("ex1-steady", cells=100)
         st = s.initial_state()
-        _, ri = source_potential(st.array, s.topography, s.coriolis, s.grid,
-                                 Workspace(100))
+        _, ri = source_potential(st.array, s, Workspace(100))
 
         yy = np.linspace(-2.0, 2.0, 1_000_001)
         w = np.where(yy < 0, 6.0, 4.0)
@@ -192,8 +192,9 @@ class TestSourcePotential:
             h = 1.0 + 0.3 * np.exp(-y * y)
             u = np.sin(y) * np.exp(-0.1 * y * y)
             st = ConservedState.from_fields(h, h * u, 0 * y, h)
-            _, ri = source_potential(st.array, flat_topography(g),
-                                     CoriolisSpec(0.5, 0.2), g, Workspace(n))
+            _, ri = source_potential(
+                st.array, scenario_of(g, coriolis=CoriolisSpec(0.5, 0.2)),
+                Workspace(n))
             yy = np.linspace(-5.0, 5.0, 2_000_001)
             hh = 1.0 + 0.3 * np.exp(-yy * yy)
             gg = (0.5 + 0.2 * yy) * hh * np.sin(yy) * np.exp(-0.1 * yy * yy)
@@ -222,10 +223,8 @@ class TestGlobalPrimitive:
 
         monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
         ws = Workspace(64)
-        build_interface_states(st.array, s.topography, s.coriolis, s.grid,
-                               s.numerics, ws)
-        rc, ri = source_potential(st.array, s.topography, s.coriolis, s.grid,
-                                  Workspace(64))
+        build_interface_states(st.array, s, ws)
+        rc, ri = source_potential(st.array, s, Workspace(64))
         assert len(seen) == 2
         for r_iface in seen:
             assert np.array_equal(r_iface, ri)
@@ -347,7 +346,8 @@ def _fallback_depths(monkeypatch, h, topo, grid):
     monkeypatch.setattr(reconstruction, "depth_from_equilibrium", spy)
     zero = np.zeros_like(h)
     build_interface_states(ConservedState.from_fields(h, zero, zero, h).array,
-                           topo, CoriolisSpec(0.0), grid, Numerics(sigma=1.3),
+                           scenario_of(grid, topo,
+                                       numerics=Numerics(sigma=1.3)),
                            Workspace(grid.n))
     assert len(seen) == 2
     return seen
@@ -471,8 +471,7 @@ class TestBuildInterfaceStates:
         s = make_scenario("ex1-steady", cells=100)
         st = s.initial_state()
         ws = Workspace(100)
-        build_interface_states(st.array, s.topography, s.coriolis, s.grid,
-                               s.numerics, ws)
+        build_interface_states(st.array, s, ws)
         assert np.abs(ws.l_side[0] - 72.0).max() <= 1e-12 * 72.0
         assert np.abs(ws.l_side[1] - 72.0).max() <= 1e-12 * 72.0
         assert np.all(ws.p_side[0] == 0.0) and np.all(ws.p_side[1] == 0.0)
@@ -483,8 +482,7 @@ class TestBuildInterfaceStates:
         st = ConservedState.from_fields(np.ones(16), np.zeros(16),
                                         np.zeros(16), np.ones(16))
         ws = Workspace(16)
-        build_interface_states(st.array, flat_topography(g),
-                               CoriolisSpec(0.0), g, Numerics(), ws)
+        build_interface_states(st.array, scenario_of(g), ws)
         assert np.allclose(ws.h_side[0], 1.0, atol=1e-14)
         assert np.allclose(ws.h_side[1], 1.0, atol=1e-14)
         assert np.allclose(ws.l_side[0], 0.5, atol=1e-14)
@@ -500,8 +498,8 @@ class TestBuildInterfaceStates:
         b = 1.0 + 0.2 * np.cos(y)
         st = ConservedState.from_fields(h, 0 * y, h * v, h * b)
         ws = Workspace(n)
-        build_interface_states(st.array, flat_topography(g),
-                               CoriolisSpec(1.0), g, Numerics(), ws)
+        build_interface_states(
+            st.array, scenario_of(g, coriolis=CoriolisSpec(1.0)), ws)
         assert np.array_equal(ws.p_side[0], ws.h_side[0] * ws.v_side[0])
         assert np.array_equal(ws.p_side[1], ws.h_side[1] * ws.v_side[1])
 
@@ -514,14 +512,15 @@ class TestBuildInterfaceStates:
         assert h[0] == h[1]
 
 
-def _pad_then_compute(state, topo, cor, grid, num, r_datum):
+def _pad_then_compute(state, scenario, r_datum):
     """The reconstruction as it was once written: pad the whole state with
     np.pad, then form b, L and w = h + Z on the padded cells."""
-    sigma, dy = num.sigma, grid.dy
+    grid, topo = scenario.grid, scenario.topography
+    sigma, dy = scenario.numerics.sigma, grid.dy
     pad = np.pad(state.array, ((0, 0), (2, 2)), mode="edge")
     h_pad, q_pad, p_pad, hb_pad = pad
     b_pad = desingularized_ratio(h_pad, hb_pad)
-    r_center, r_iface = source_potential(state.array, topo, cor, grid,
+    r_center, r_iface = source_potential(state.array, scenario,
                                          Workspace(grid.n))
     r_center = r_center + r_datum
     r_iface = r_iface + r_datum
@@ -596,13 +595,12 @@ def _check_against_pad_then_compute(n, seed, f0, beta, r_datum, sigma):
     st_ = ConservedState.from_fields(
         h, h * rng.normal(size=n), h * rng.normal(size=n),
         h * rng.uniform(0.0, 3.0, n))
-    topo = Topography(rng.uniform(-0.5, 0.5, n + 1))
-    cor = CoriolisSpec(f0, beta)
-    num = Numerics(sigma=sigma)
+    s = scenario_of(g, Topography(rng.uniform(-0.5, 0.5, n + 1)),
+                    CoriolisSpec(f0, beta), Numerics(sigma=sigma))
     with np.errstate(all="ignore"), shifted_datum(r_datum):
         got = Workspace(n)
-        build_interface_states(st_.array, topo, cor, g, num, got)
-        want = _pad_then_compute(st_, topo, cor, g, num, r_datum)
+        build_interface_states(st_.array, s, got)
+        want = _pad_then_compute(st_, s, r_datum)
     for name, value in want.items():
         assert getattr(got, name).tobytes() == value.tobytes(), name
 
@@ -679,7 +677,7 @@ class TestDatumInvariance:
     def test_equilibrium_values_shift_with_datum(self):
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
-        args = (st.array, s.topography, s.coriolis, s.grid, s.numerics)
+        args = (st.array, s)
         l0, l1 = Workspace(64), Workspace(64)
         build_interface_states(*args, l0)
         with shifted_datum(5.0):
@@ -691,11 +689,9 @@ class TestDatumInvariance:
     def test_rhs_invariant_at_steady_state(self):
         s = make_scenario("ex1-steady", cells=64)
         st = s.initial_state()
-        t0 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics,
-                 Workspace(64))
+        t0 = rhs(st, s, Workspace(64))
         with shifted_datum(100.0):
-            t1 = rhs(st, s.topography, s.coriolis, s.grid, s.numerics,
-                     Workspace(64))
+            t1 = rhs(st, s, Workspace(64))
         assert np.abs(t1 - t0).max() <= 1e-10
 
     def test_h_and_p_tendencies_invariant_generic(self):
@@ -711,11 +707,11 @@ class TestDatumInvariance:
         v = 0.2 * np.cos(2 * y)
         b = 1.0 + 0.3 * np.tanh(y)
         st = ConservedState.from_fields(h, h * u, h * v, h * b)
-        topo = sample_topography(lambda z: 0.1 * np.sin(z), g)
-        cor = CoriolisSpec(0.7, 0.1)
-        t0 = rhs(st, topo, cor, g, Numerics(), Workspace(n))
+        s = scenario_of(g, sample_topography(lambda z: 0.1 * np.sin(z), g),
+                        CoriolisSpec(0.7, 0.1))
+        t0 = rhs(st, s, Workspace(n))
         with shifted_datum(1000.0):
-            t1 = rhs(st, topo, cor, g, Numerics(), Workspace(n))
+            t1 = rhs(st, s, Workspace(n))
         scale = np.abs(t0).max()
         assert np.abs(t1[0] - t0[0]).max() <= 1e-9 * scale
         assert np.abs(t1[2] - t0[2]).max() <= 1e-9 * scale

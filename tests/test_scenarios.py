@@ -13,8 +13,7 @@ from trsw.workspace import Workspace
 
 
 def max_tendency(scenario, component=None):
-    tend = rhs(scenario.initial_state(), scenario.topography,
-               scenario.coriolis, scenario.grid, scenario.numerics,
+    tend = rhs(scenario.initial_state(), scenario,
                Workspace(scenario.grid.n))
     if component is None:
         return np.abs(tend).max()
@@ -132,8 +131,7 @@ class TestDiscreteEquilibria:
                      b0=lambda y: 2.0 / h_fn(y) ** 2, t_final=0.1)
         st = s.initial_state()
         ws = Workspace(64)
-        build_interface_states(st.array, s.topography, s.coriolis, s.grid,
-                               s.numerics, ws)
+        build_interface_states(st.array, s, ws)
         for l in (ws.l_cell_left, ws.l_cell_right):
             assert np.abs(l - 1.0).max() <= 1e-14
         assert max_tendency(s) <= 1e-13

@@ -17,14 +17,16 @@ from hypothesis import given, settings, strategies as st
 import trsw
 import trsw.cli  # noqa: F401 -- a module the tracer wraps
 from trsw import stepper
-from trsw.model import (ConservedState, CoriolisSpec, Numerics, Scenario,
-                        Topography, build_grid, flat_topography)
+from trsw.model import (ConservedState, CoriolisSpec, Scenario, Topography,
+                        build_grid, flat_topography)
 from trsw.reconstruction import (_fill_ghosts, build_interface_states,
                                  interface_values)
 from trsw.scenarios import make_scenario
 from trsw.stepper import (assemble_fluxes, cfl_dt, draining_limit, rhs,
                           run_simulation, source_term, ssp_rk3_combine)
 from trsw.workspace import Workspace, fresh
+
+from support import scenario_of
 
 
 def _rest_scenario(n=8, t_final=0.0, **kw):
@@ -95,20 +97,20 @@ class TestApplyBoundary:
 
 class TestSourceTerm:
     @staticmethod
-    def _source(state, topo, cor, grid, numerics):
+    def _source(state, scenario):
         """source_term on the interface states of ``state``, each in
         buffers of its own."""
-        ws = Workspace(grid.n)
-        build_interface_states(state.array, topo, cor, grid, numerics, ws)
-        return source_term(state.array, ws.p_side, cor, grid,
-                           *fresh(grid.n, 2))
+        ws = Workspace(scenario.grid.n)
+        build_interface_states(state.array, scenario, ws)
+        return source_term(state.array, ws.p_side, scenario,
+                           *fresh(scenario.grid.n, 2))
 
     def test_constant_f(self):
         s = _rest_scenario()
         st = ConservedState.from_fields(np.ones(8), np.zeros(8),
                                         np.full(8, 0.5), np.ones(8))
-        src = self._source(st, s.topography, CoriolisSpec(1.0), s.grid,
-                           s.numerics)
+        src = self._source(st, dataclasses.replace(
+            s, coriolis=CoriolisSpec(1.0)))
         assert np.allclose(src, 0.5, atol=0.0)
 
     def test_simpson_exact_on_linear_f(self):
@@ -118,14 +120,13 @@ class TestSourceTerm:
         st = ConservedState.from_fields(np.ones(10), np.zeros(10),
                                         np.full(10, c), np.ones(10))
         cor = CoriolisSpec(0.0, 0.1)
-        src = self._source(st, flat_topography(g), cor, g, Numerics())
+        src = self._source(st, scenario_of(g, coriolis=cor))
         assert src == pytest.approx(0.1 * c * g.centers, rel=1e-13)
 
     def test_zero_f(self):
         s = _rest_scenario()
         st = s.initial_state()
-        assert np.all(self._source(st, s.topography, s.coriolis, s.grid,
-                                   s.numerics) == 0.0)
+        assert np.all(self._source(st, s) == 0.0)
 
 
 class TestCflDt:
@@ -542,10 +543,10 @@ class TestRhs:
         h = 1.0 + 0.3 * np.sin(3 * y) + 0.1 * rng.uniform(size=n)
         v = 0.2 * np.cos(y)
         st = ConservedState.from_fields(h, 0 * y, h * v, 2 * h)
-        topo = flat_topography(g)
-        tend = rhs(st, topo, CoriolisSpec(0.0), g, Numerics(), Workspace(n))
+        s = scenario_of(g)
+        tend = rhs(st, s, Workspace(n))
         ws = Workspace(n)
-        assemble_fluxes(st.array, topo, CoriolisSpec(0.0), g, Numerics(), ws)
+        assemble_fluxes(st.array, s, ws)
         flux = ws.flux
         total = tend[0].sum() * g.dy
         assert total == pytest.approx(-(flux[0, -1] - flux[0, 0]),
@@ -553,8 +554,7 @@ class TestRhs:
 
     def test_lake_at_rest_zero_tendency(self):
         s = make_scenario("lake-at-rest", cells=200)
-        tend = rhs(s.initial_state(), s.topography, s.coriolis, s.grid,
-                   s.numerics, Workspace(200))
+        tend = rhs(s.initial_state(), s, Workspace(200))
         scale = 25.0  # max |L| for the 5-deep lake
         assert np.abs(tend).max() <= 1e-13 * scale
 
@@ -713,7 +713,7 @@ def _run_digest(scenario_id, cells, t_final):
 
 class TestPerRunConstants:
     """f and the bottom differences are computed once per run and held by
-    the run's Grid and Topography, so no run sees another's values and
+    the run's Scenario and Topography, so no run sees another's values and
     none of them outlives its run."""
 
     RUNS = (("ex2", 40, 0.05), ("ex6", 40, 2.0), ("ex2", 40, 0.05))
@@ -739,7 +739,7 @@ class TestPerRunConstants:
         result = run_simulation(scenario)
         assert not result.failed
         # the per-run constants the run used, wherever they are held
-        constants = (scenario.grid.coriolis_values(scenario.coriolis)
+        constants = (scenario.coriolis_values
                      + (scenario.topography.dz_iface,
                         scenario.topography.dz_center))
         names = ("grid", "topography", "f_center", "f_iface", "dz_iface",
@@ -868,7 +868,7 @@ class TestWorkspace:
 
         s = make_scenario(name, cells=cells)
         state = s.initial_state()
-        args = (state.array, s.topography, s.coriolis, s.grid, s.numerics)
+        args = (state.array, s)
         ledger = ConservationLedger(state, s.grid)
         assembled = Workspace(cells)
         assemble_fluxes(*args, assembled)
@@ -889,7 +889,7 @@ class TestWorkspace:
             got = bits([ws.flux, *ws.speeds, ws.l_side, ws.q_side, ws.p_side,
                         ws.b_side, ws.h_side, ws.v_side, ws.l_cell_left,
                         ws.l_cell_right])
-            got += bits([rhs(state, *args[1:], make_ws())])
+            got += bits([rhs(state, s, make_ws())])
             # the drain scales its argument: each call gets the flux as
             # assembled
             limited, count = draining_limit(state.array, flux.copy(), 0.2,

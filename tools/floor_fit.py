@@ -158,8 +158,7 @@ def flux_times(trsw, cells: int, repeats: int):
         for k in (1, 2, 4):
             workspace._STACK_CELLS = k * (cells + 1)
             ws = workspace.Workspace(cells)
-            trsw.stepper.assemble_fluxes(u, sc.topography, sc.coriolis,
-                                         sc.grid, sc.numerics, ws)
+            trsw.stepper.assemble_fluxes(u, sc, ws)
             bits = [x.tobytes() for x in (ws.flux, *ws.speeds)]
             if want is None:
                 want = bits
