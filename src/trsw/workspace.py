@@ -22,7 +22,20 @@ until the next stage writes over it.
 Every array is a view of one float block with n + 4 columns (the padded
 cell count), ``block``, or of one boolean block of five rows,
 ``flag_block``. Both start on a 64-byte cache line, whatever the heap
-hands out. The packing rule: a
+hands out.
+
+The stages of a step that runs on a window of its grid (see
+``trsw.stepper``) use a workspace of the window's m cells cut from the
+run's: ``Workspace(m, within=run_ws)``, when ``run_ws.fits(m)``, lays
+its float block over the run workspace's rows past u1, u2 and tend and
+its boolean block over the run's. Across a windowed stage the run's
+workspace holds nothing in those rows (the stage states and the
+tendency, which the RK combination reads, lie before them, and its
+finite mask is written after the last stage), so a window costs no
+memory, and a step whose window grows allocates no block. A window's
+workspace fits up to about three quarters of the run's cells.
+
+The packing rule: a
 buffer of several rows that a stage kernel hands whole to numpy is rows
 of n or n + 1 values laid end to end in whole rows of the block
 (``_packed``), so that numpy runs it as one 1-D loop; on a strided view,
@@ -108,6 +121,7 @@ _DEDICATED = 33  # u1, u2, tend (4 each), flux (4), speeds (2), the side
 #                  pairs of L, b, h, q, p, hb and v (14), the L row of the
 #                  fields
 _BOOLS = 5
+_STEP_ROWS = 12  # u1, u2 and tend, the rows the RK combination reads
 _ALIGN = 64  # bytes, a cache line: where each block starts
 
 
@@ -135,6 +149,14 @@ def _packed(rows: np.ndarray, width: int) -> np.ndarray:
     return _flat(rows, len(rows) * width).reshape(len(rows), width)
 
 
+def _shape(n: int) -> tuple:
+    """The float block's shape for n cells, and k and kf."""
+    pad = n + 2 * GHOST
+    k = min(5, max(1, _STACK_CELLS // pad))
+    kf = min(4, max(1, _STACK_CELLS // (n + 1)))
+    return (_DEDICATED + 11 + 2 * kf, pad), k, kf
+
+
 def fresh(shape, floats: int, flags: int = 0) -> tuple:
     """``floats`` float and ``flags`` boolean arrays of ``shape``, the
     scratch of a depth solve called without buffers."""
@@ -144,15 +166,28 @@ def fresh(shape, floats: int, flags: int = 0) -> tuple:
 
 class Workspace:
     """Preallocated stage buffers of a grid with ``n`` cells; see the
-    module docstring. Attributes are plain views, created once."""
+    module docstring. Attributes are plain views, created once.
 
-    def __init__(self, n: int):
-        m, pad = n + 1, n + 2 * GHOST
-        k = min(5, max(1, _STACK_CELLS // pad))
-        kf = min(4, max(1, _STACK_CELLS // m))
+    With ``within``, a workspace that ``fits`` in it, the blocks are cut
+    from its boolean block and from its float rows past u1, u2 and tend:
+    the workspace of a window of a run's grid, in the run's, whose stages
+    leave those rows alone."""
+
+    def __init__(self, n: int, within: "Workspace" = None):
+        m = n + 1
+        shape, k, kf = _shape(n)
+        pad = shape[1]
         # the fluxes' scratch rows, which hold the reconstruction's too
-        self.block = block = _aligned((_DEDICATED + 11 + 2 * kf, pad))
-        self.flag_block = b = _aligned((_BOOLS, pad), bool)
+        if within is None:
+            self.block = block = _aligned(shape)
+            self.flag_block = b = _aligned((_BOOLS, pad), bool)
+        else:
+            free = within.block[_STEP_ROWS:].reshape(-1)
+            start = -free.ctypes.data % _ALIGN // free.itemsize
+            self.block = block = _flat(free[start:], shape[0] * pad
+                                       ).reshape(shape)
+            self.flag_block = b = _flat(within.flag_block, _BOOLS * pad
+                                        ).reshape(_BOOLS, pad)
         s = block[_DEDICATED:]
 
         # the step: SSP-RK3 stage states and the one tendency buffer
@@ -272,3 +307,9 @@ class Workspace:
         self.energy_rows = (s[0, :n], s[1, :n], s[2, :n], s[3, :n])
         self.record_rows = (s[0, :n], s[1, :n], s[2, :n])
         self.record_diff = s[3, :max(n - 1, 0)]
+
+    def fits(self, n: int) -> bool:
+        """Whether a workspace of n cells fits in this one (``within``)."""
+        (rows, pad), _, _ = _shape(n)
+        free = self.block[_STEP_ROWS:].size - _ALIGN // self.block.itemsize
+        return n <= self.block.shape[1] - 2 * GHOST and rows * pad <= free

@@ -1,10 +1,14 @@
 """Tests of tools/floor_fit.py, the per-step floor and slope of a source
 tree."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import trsw
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,3 +46,27 @@ def test_smoke_run(tmp_path):
         assert sorted(doc[key]) == ["100", "50"]
         for times in doc[key].values():
             assert len(times) == count and min(times) > 0.0
+
+
+def test_flux_times_on_a_tree_whose_kernels_take_the_pieces(monkeypatch):
+    # trees from before the stage kernels took the Scenario have
+    # assemble_fluxes(u, topo, coriolis, grid, numerics, ws); the tool
+    # calls the signature the tree has
+    tools = os.path.join(_ROOT, "tools")
+    monkeypatch.syspath_prepend(tools)
+    spec = importlib.util.spec_from_file_location(
+        "floor_fit", os.path.join(tools, "floor_fit.py"))
+    floor_fit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(floor_fit)
+    assemble = trsw.stepper.assemble_fluxes
+    calls = []
+
+    def by_pieces(u, topo, coriolis, grid, numerics, ws):
+        calls.append(grid.n)
+        assemble(u, SimpleNamespace(topography=topo, coriolis=coriolis,
+                                    grid=grid, numerics=numerics), ws)
+
+    monkeypatch.setattr(trsw.stepper, "assemble_fluxes", by_pieces)
+    times = floor_fit.flux_times(trsw, 50, 1)
+    assert calls == [50, 50, 50]
+    assert len(times) == 3 and min(times) > 0.0
