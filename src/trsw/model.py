@@ -158,8 +158,9 @@ class Numerics:
 def check_nonnegative(u: np.ndarray) -> Tuple[float, float]:
     """Raise ValueError if a (4, n) array of cell averages (h, q, p, hb)
     holds a negative depth or depth-weighted buoyancy; return the minima
-    of h and hb. NaN is skipped, so it neither raises nor is returned."""
-    min_h, min_hb = np.fmin.reduce(u[::3], axis=1, initial=np.inf)
+    of h and hb, +0.0 for a zero of either sign. NaN is skipped, so it
+    neither raises nor is returned."""
+    min_h, min_hb = np.fmin.reduce(u[::3], axis=1, initial=np.inf) + 0.0
     if min_h < 0.0:
         raise ValueError("negative depth in conserved state")
     if min_hb < 0.0:

@@ -16,14 +16,14 @@ Outside it each end of the grid is one run of still water: cells equal
 bit for bit in h, q, p and hb, with q = p = 0, over a level bottom
 (equal values at both interfaces of every cell) and with one sign bit of
 f at every centre and interface of the run. Every cell of such a run
-computes the same tendency in every stage, so the stages run the
-unchanged kernels on the window's cells, in a workspace of the window's
-width, and every cell outside takes the tendency of the window's
-outermost cell on its side. f's magnitude never enters: with q = p = 0
-it meets only signed zeros, whose signs in f*p and so in q are why a run
-keeps one sign of f (ex6 starts with q = -0.0 in its far field; after a
-step the half with f > 0 holds +0.0 there). The RK combination, the
-checks, the accepted state and the records stay on the whole grid.
+computes the same tendency in every stage, and the SSP-RK3 combination
+works cell by cell, so a step is the whole-grid step run on the
+window's cells, in a workspace of the window's width, and every cell
+outside takes the new state of the window's outermost cell on its side
+(``Window.spread``). f's magnitude never enters: with q = p = 0 it meets
+only signed zeros, whose signs in f*p and so in q are why a run keeps
+one sign of f (ex6 starts with q = -0.0 in its far field; after a step
+the half with f > 0 holds +0.0 there).
 
 The window keeps ``HALO`` = 7 cells of each still run. A stage's
 tendency in cell j reads the stage state in cells j-2..j+2: each of its
@@ -49,7 +49,8 @@ D takes the fallback depth whatever its sign. The right end mirrors
 this. The fluxes at the window's outermost interfaces and its speeds are
 then those of the whole grid's boundaries and still runs, so dt, the
 ledger's boundary fluxes and the count of limited interfaces come from
-the window.
+the window, and so do the stage minima (``check_nonnegative`` gives a
+zero one sign).
 
 ``run_simulation`` owns one Workspace (``trsw.workspace``) for the whole
 run, and every kernel of a stage writes into it. Arrays handed out under
@@ -64,13 +65,14 @@ and records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .flux import diffusion_switch, numerical_flux
-from .model import (_TINY, ConservedState, CoriolisSpec, Grid, Numerics,
-                    Scenario, Topography, check_nonnegative)
+from .model import (_TINY, ConservedState, Scenario, Topography,
+                    check_nonnegative)
 from .reconstruction import build_interface_states
 from .workspace import Workspace
 
@@ -81,8 +83,8 @@ HALO = 7
 # a window's width is a multiple of this many cells, so that one that
 # grows by a few cells per step is rebuilt every few steps only, and it
 # leaves at least this many cells out, or the grid is stepped whole: the
-# window's fixed cost per step, its scans, the spread of its tendency
-# and its strided views of the state, is about what a step of that many
+# window's fixed cost per step, its scans, the spread of its new state
+# and its strided view of the state, is about what a step of that many
 # cells costs (ex2 at N = 200 steps no faster on 128 of its cells)
 _WIDTH_STEP = 128
 
@@ -299,20 +301,24 @@ def level_runs(scenario: Scenario) -> Tuple[int, int]:
     return runs[0], runs[1]
 
 
-def _still_run(cells: np.ndarray, limit: int, flags: np.ndarray) -> int:
+def _still_run(cells: np.ndarray, limit: int, flags: np.ndarray,
+               start: int = 0) -> int:
     """The number of leading cells, up to ``limit``, of the (4, m) state
     ``cells`` that are still water, q = p = 0, equal to the first bit for
-    bit. ``flags`` is a (5, m) or larger boolean block of scratch."""
-    if limit <= 0 or cells[1, 0] != 0.0 or cells[2, 0] != 0.0:
+    bit. Cells 0..``start`` are known to be equal, so only those from
+    ``start`` on are compared; a positive ``limit`` must exceed it.
+    ``flags`` is a (5, m) or larger boolean block of scratch."""
+    if limit <= 0 or cells[1, start] != 0.0 or cells[2, start] != 0.0:
         return 0
-    bits = cells[:, :limit].view(np.int64)
-    same = np.equal(bits, bits[:, :1], out=flags[:4, :limit])
-    return _leading(np.logical_and.reduce(same, axis=0,
-                                          out=flags[4, :limit]))
+    bits = cells[:, start:limit].view(np.int64)
+    same = np.equal(bits, bits[:, :1], out=flags[:4, :limit - start])
+    return start + _leading(np.logical_and.reduce(
+        same, axis=0, out=flags[4, :limit - start]))
 
 
 def pick_window(u: np.ndarray, bounds: Tuple[int, int],
-                level: Tuple[int, int], flags: np.ndarray) -> Tuple[int, int]:
+                level: Tuple[int, int], flags: np.ndarray,
+                copies: bool = False) -> Tuple[int, int]:
     """The window [i0, i1) of a step from the (4, n) state ``u``: all but
     ``HALO`` cells of each end's still run, within the runs ``level`` of
     ``level_runs``, lie outside it (see the module docstring).
@@ -320,6 +326,10 @@ def pick_window(u: np.ndarray, bounds: Tuple[int, int],
     The window contains ``bounds``, the previous step's window, (n, 0)
     before the first step: it never narrows, so each end is scanned only
     as far as can move its edge, and a whole grid is not scanned at all.
+    With ``copies``, every cell beyond an edge of ``bounds`` is a copy of
+    the edge's cell, bit for bit, as a windowed step leaves it
+    (``Window.spread``), so each end is scanned from the edge inward
+    only, ``HALO`` cells, and not from the end of the grid.
     A window that grows has its width rounded up to a multiple of
     ``_WIDTH_STEP`` cells, the cells added split between its ends; one
     that would leave fewer than ``_WIDTH_STEP`` cells out, or a grid that
@@ -329,8 +339,9 @@ def pick_window(u: np.ndarray, bounds: Tuple[int, int],
     i0, i1 = bounds
     if i1 - i0 == n:
         return bounds
-    left = _still_run(u, min(level[0], i0 + HALO), flags)
-    right = _still_run(u[:, ::-1], min(level[1], n - i1 + HALO), flags)
+    e0, e1 = (i0, n - i1) if copies else (0, 0)
+    left = _still_run(u, min(level[0], i0 + HALO), flags, e0)
+    right = _still_run(u[:, ::-1], min(level[1], n - i1 + HALO), flags, e1)
     lo, hi = min(i0, max(left - HALO, 0)), max(i1, min(n - right + HALO, n))
     if (lo, hi) == bounds:
         return bounds
@@ -341,26 +352,11 @@ def pick_window(u: np.ndarray, bounds: Tuple[int, int],
     return lo, lo + width
 
 
-@dataclass(frozen=True, eq=False)
-class _WindowScenario:
-    """What the stage kernels read of a scenario, over a window of its
-    cells: the whole grid, whose dy and length hold for every cell (the
-    window's own (y_max - y_min)/m need not equal dy bit for bit, and the
-    diffusion switch scales by the whole domain's length), the bottom and
-    the values of f over the window, the rotation and the numerics."""
-
-    grid: Grid
-    coriolis: CoriolisSpec
-    numerics: Numerics
-    topography: Topography
-    coriolis_values: tuple
-
-
 class Window:
     """The window of a run's steps, with the scenario and the workspace
-    that its stages read, ``cells`` and ``ws``: the run's own, or a
-    restriction of the scenario to the window (``_WindowScenario``) and a
-    workspace of the window's width inside the run's workspace
+    that its stages read, ``cells`` and ``ws``: the run's own, or what
+    the stage kernels read of the scenario over the window and a
+    workspace of the window's width laid over the run's workspace
     ``run_ws``, built when the window changes. A window whose workspace
     does not fit there is the whole grid."""
 
@@ -371,55 +367,63 @@ class Window:
         self.cells, self.ws = scenario, ws
 
     def fit(self, u: np.ndarray) -> Tuple[int, int]:
-        """Pick the window of the step from the (4, n) state ``u``; return
-        its bounds."""
-        bounds = pick_window(u, self.bounds, self.level,
-                             self.run_ws.flag_block)
+        """Pick the window of the step from the (4, n) state ``u``, the
+        initial state or one that ``spread`` built; return its bounds."""
+        scenario, run_ws, (i0, i1) = self.scenario, self.run_ws, self.bounds
+        n = scenario.grid.n
+        if i1 - i0 == n:
+            return self.bounds
+        picked = (u, self.bounds, self.level, run_ws.flag_block)
+        # only the first pick scans from the ends of the grid
+        bounds = (pick_window(*picked) if i0 > i1
+                  else pick_window(*picked, copies=True))
         if bounds == self.bounds:
             return bounds
-        scenario, run_ws = self.scenario, self.run_ws
-        i0, i1 = bounds
-        if not run_ws.fits(i1 - i0):
-            i0, i1 = 0, scenario.grid.n
-        self.bounds = i0, i1
-        self.cells, self.ws = scenario, run_ws
-        if i1 - i0 < scenario.grid.n:
+        i0, i1 = bounds if run_ws.fits(bounds[1] - bounds[0]) else (0, n)
+        self.bounds, self.cells, self.ws = (i0, i1), scenario, run_ws
+        if i1 - i0 < n:
             values = ()
             if not scenario.coriolis.is_constant:
                 f_center, f_iface = scenario.coriolis_values
                 values = (f_center[i0:i1], f_iface[i0:i1 + 1])
-            self.cells = _WindowScenario(
-                scenario.grid, scenario.coriolis, scenario.numerics,
-                Topography(scenario.topography.z_iface[i0:i1 + 1]), values)
+            # the whole grid, whose dy and length hold for every cell (the
+            # window's own (y_max - y_min)/m need not equal dy bit for
+            # bit, and the diffusion switch scales by the whole domain's
+            # length), and the bottom and the values of f over the window
+            self.cells = SimpleNamespace(
+                grid=scenario.grid, coriolis=scenario.coriolis,
+                numerics=scenario.numerics, coriolis_values=values,
+                topography=Topography(scenario.topography.z_iface[i0:i1 + 1]))
             self.ws = Workspace(i1 - i0, within=run_ws)
         return self.bounds
 
-
-def _spread(tend: np.ndarray, out: np.ndarray, i0: int, i1: int):
-    """The (4, n) tendency ``out`` of a step whose window [i0, i1) has the
-    tendency ``tend``, which every cell beyond an edge of it takes from
-    that edge; ``tend`` itself when it is ``out``."""
-    if tend is not out:
-        np.copyto(out[:, i0:i1], tend)
-        out[:, :i0] = tend[:, :1]
-        out[:, i1:] = tend[:, -1:]
-    return out
+    def spread(self, u: np.ndarray) -> np.ndarray:
+        """The (4, n) state of the grid whose window holds the state ``u``:
+        ``u`` itself when the window is the whole grid, else ``u`` copied
+        into the run's u2 rows, which lie past the window's u1, with every
+        cell beyond an edge of the window a copy of that edge's cell."""
+        if self.ws is self.run_ws:
+            return u
+        (i0, i1), out = self.bounds, self.run_ws.u2
+        np.copyto(out[:, i0:i1], u)
+        out[:, :i0], out[:, i1:] = u[:, :1], u[:, -1:]
+        return out
 
 
 def _rk3_step(u0: np.ndarray, t: float, t_event: float,
               window: Window) -> Tuple[ConservedState, StepReport]:
-    """One SSP-RK3 step from the (4, n) state ``u0`` at time t, its stages
-    on the cells of ``window``, fitted to u0 first, in the window's
-    workspace: each stage reads its fluxes and speeds from its ``flux``
-    and ``speeds``, and spreads its tendency over the run's workspace.
+    """One SSP-RK3 step from the (4, n) state ``u0`` at time t, run on
+    the cells of ``window``, fitted to u0 first, in the window's
+    workspace (its ``flux`` and ``speeds``), and spread over the grid.
     cfl_dt sizes the step from the stage-1 speeds; a step that reaches
     t_event ends on it exactly. Every stage drains its fluxes at dt, so h
     and hb stay nonnegative; each later stage state and the new state are
     checked for that once (ValueError), which gives the report its
     minima. Non-finite speeds or output raise IntegrationError."""
     i0, i1 = window.fit(u0)
-    cells, ws, run_ws = window.cells, window.ws, window.run_ws
-    assemble_fluxes(u0[:, i0:i1], cells, ws)
+    cells, ws = window.cells, window.ws
+    u = u0[:, i0:i1]
+    assemble_fluxes(u, cells, ws)
     a_plus, a_minus = ws.speeds
     # the stage-1 speeds, read now, as stage 2 writes over them
     a_max = float(max(a_plus.max(initial=0.0), -a_minus.min(initial=0.0)))
@@ -435,20 +439,20 @@ def _rk3_step(u0: np.ndarray, t: float, t_event: float,
     limited = []  # interfaces with a flux the drain scaled down, per stage
     minima = []  # (min h, min hb) of u1, u2 and the new state
 
-    def stage(u):
-        v = u[:, i0:i1]
+    def stage(v):
         if bounds:  # a later stage: check and reconstruct its state
-            minima.append(check_nonnegative(u))
+            minima.append(check_nonnegative(v))
             assemble_fluxes(v, cells, ws)
         flux, n = draining_limit(v, ws.flux, dt, dy, ws)
         bounds.append((flux[0, 0], flux[0, -1], flux[3, 0], flux[3, -1]))
         limited.append(n)
-        return _spread(_tendency(v, flux, cells, ws), run_ws.tend, i0, i1)
+        return _tendency(v, flux, cells, ws)
 
-    u_new = ssp_rk3_combine(u0, dt, stage, run_ws.u1, run_ws.u2)
-    if not np.isfinite(u_new, out=run_ws.finite).all():
+    u_new = ssp_rk3_combine(u, dt, stage, ws.u1, ws.u2)
+    if not np.isfinite(u_new, out=ws.finite).all():
         raise IntegrationError(t_after)
-    state = ConservedState(u_new)  # checks it and takes its minima
+    # checks the new state and takes its minima
+    state = ConservedState(window.spread(u_new))
     minima.append(state.minima)
 
     min_h, min_hb = (float(min(m)) for m in zip(*minima))

@@ -24,16 +24,14 @@ cell count), ``block``, or of one boolean block of five rows,
 ``flag_block``. Both start on a 64-byte cache line, whatever the heap
 hands out.
 
-The stages of a step that runs on a window of its grid (see
-``trsw.stepper``) use a workspace of the window's m cells cut from the
-run's: ``Workspace(m, within=run_ws)``, when ``run_ws.fits(m)``, lays
-its float block over the run workspace's rows past u1, u2 and tend and
-its boolean block over the run's. Across a windowed stage the run's
-workspace holds nothing in those rows (the stage states and the
-tendency, which the RK combination reads, lie before them, and its
-finite mask is written after the last stage), so a window costs no
-memory, and a step whose window grows allocates no block. A window's
-workspace fits up to about three quarters of the run's cells.
+A step on a window of its grid (see ``trsw.stepper``) runs in a
+workspace of the window's m cells, ``Workspace(m, within=run_ws)``,
+whose blocks start at the run's, on a cache line. It reads none of the
+run's rows, and spreads its new state from its u1, the first 4m floats,
+into the run's u2 rows, from float 4(n + 4) on. So a window costs no
+memory and a step whose window grows allocates no block. Every window
+fits (``run_ws.fits(m)``) but one within about 4% of n cells that takes
+more flux group rows (kf, below) than the run's grid.
 
 The packing rule: a
 buffer of several rows that a stage kernel hands whole to numpy is rows
@@ -121,7 +119,6 @@ _DEDICATED = 33  # u1, u2, tend (4 each), flux (4), speeds (2), the side
 #                  pairs of L, b, h, q, p, hb and v (14), the L row of the
 #                  fields
 _BOOLS = 5
-_STEP_ROWS = 12  # u1, u2 and tend, the rows the RK combination reads
 _ALIGN = 64  # bytes, a cache line: where each block starts
 
 
@@ -169,9 +166,8 @@ class Workspace:
     module docstring. Attributes are plain views, created once.
 
     With ``within``, a workspace that ``fits`` in it, the blocks are cut
-    from its boolean block and from its float rows past u1, u2 and tend:
-    the workspace of a window of a run's grid, in the run's, whose stages
-    leave those rows alone."""
+    from the start of its blocks: the workspace of a window of a run's
+    grid, in the run's."""
 
     def __init__(self, n: int, within: "Workspace" = None):
         m = n + 1
@@ -182,9 +178,7 @@ class Workspace:
             self.block = block = _aligned(shape)
             self.flag_block = b = _aligned((_BOOLS, pad), bool)
         else:
-            free = within.block[_STEP_ROWS:].reshape(-1)
-            start = -free.ctypes.data % _ALIGN // free.itemsize
-            self.block = block = _flat(free[start:], shape[0] * pad
+            self.block = block = _flat(within.block, shape[0] * pad
                                        ).reshape(shape)
             self.flag_block = b = _flat(within.flag_block, _BOOLS * pad
                                         ).reshape(_BOOLS, pad)
@@ -311,5 +305,5 @@ class Workspace:
     def fits(self, n: int) -> bool:
         """Whether a workspace of n cells fits in this one (``within``)."""
         (rows, pad), _, _ = _shape(n)
-        free = self.block[_STEP_ROWS:].size - _ALIGN // self.block.itemsize
-        return n <= self.block.shape[1] - 2 * GHOST and rows * pad <= free
+        return (n <= self.block.shape[1] - 2 * GHOST
+                and rows * pad <= self.block.size)

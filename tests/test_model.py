@@ -8,7 +8,7 @@ import pytest
 
 from trsw.diagnostics import flat_bottom
 from trsw.model import (ConservedState, CoriolisSpec, Grid, Numerics,
-                        Scenario, Topography, build_grid,
+                        Scenario, Topography, build_grid, check_nonnegative,
                         desingularized_ratio, flat_topography,
                         primitives_from_state, sample_topography)
 
@@ -169,6 +169,18 @@ class TestConservedState:
         assert peak < 1.1 * st.array.nbytes
         assert st.array.base is None and not st.array.flags.writeable
         assert st.minima == (1.0, 1.0)
+
+    @pytest.mark.parametrize("zeros", [(-0.0,), (0.0, -0.0), (-0.0, 0.0),
+                                       (-0.0, -0.0), (-0.0, 1.0, 0.0)])
+    def test_zero_minimum_is_positive_zero(self, zeros):
+        # which zero fmin keeps depends on their order, so the minima of
+        # a window and of the whole grid, whose cells outside copy its
+        # edges, could differ in sign; a zero minimum is +0.0 in h and hb
+        h = np.array(zeros)
+        u = np.array([h, -h, h, h[::-1]])
+        for minimum in check_nonnegative(u):
+            assert minimum == 0.0 and math.copysign(1.0, minimum) == 1.0
+        assert check_nonnegative(u + 0.5) == (0.5, 0.5)
 
     def test_field_views(self):
         st = ConservedState.from_fields([1, 2], [3, 4], [5, 6], [7, 8])

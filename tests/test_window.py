@@ -224,16 +224,79 @@ def test_pick_window():
     assert pick_window(u, (n, 0), (n, n), flags) == (0, 640)
 
 
-def test_window_workspace_inside_the_run_workspace():
-    # a window's workspace lies in the run's rows past u1, u2 and tend and
-    # in its boolean block, from a cache line on; one too wide does not fit
+def test_pick_window_scans_from_the_edges():
+    # past a windowed step every cell beyond an edge is a copy of the
+    # edge's cell, and the pick compares only the HALO cells inside it:
+    # a disturbed cell further out, which such a step never leaves, is
+    # not seen, while one inside the halo, from the cell next to the
+    # edge's on, moves the edge as before
+    n = 1000
+    u = np.zeros((4, n))
+    u[0], u[3] = 1.0, 2.0
+    u[0, 500:510] = 1.5
+    flags = np.empty((5, n), bool)
+    u[0, 100] = 1.25
+    assert pick_window(u, (300, 700), (n, n), flags, copies=True) == (
+        300, 700)
+    assert pick_window(u, (300, 700), (n, n), flags) == (77, 717)
+    u[0, 100] = 1.0
+    for cell, window in ((301, (241, 753)), (306, (244, 756)),
+                         (307, (300, 700)), (698, (247, 759)),
+                         (692, (300, 700))):
+        u[0, cell] = 1.25
+        assert pick_window(u, (300, 700), (n, n), flags,
+                           copies=True) == window
+        assert pick_window(u, (300, 700), (n, n), flags) == window
+        u[0, cell] = 1.0
+
+
+def test_window_workspace_at_the_start_of_the_run_workspace():
+    # a window's workspace lies over the run's from its first float, on a
+    # cache line, and its boolean block over the run's; the run's u2
+    # rows, where a windowed step spreads its new state, share no memory
+    # with the window's u1, which holds the window's new state, at any
+    # width that fits
     from trsw.workspace import Workspace
 
-    run_ws = Workspace(1000)
-    assert run_ws.fits(760) and not run_ws.fits(780)
-    ws = Workspace(760, within=run_ws)
-    assert ws.block.ctypes.data % 64 == 0
-    assert np.shares_memory(ws.block, run_ws.block[12:])
-    assert not np.shares_memory(ws.block, run_ws.block[:12])
-    assert np.shares_memory(ws.flag_block, run_ws.flag_block)
-    assert ws.tend.shape == (4, 760)
+    for n in (200, 1000, 4096, 8192):
+        run_ws = Workspace(n)
+        widths = [m for m in range(1, n + 1) if run_ws.fits(m)]
+        assert n in widths and not run_ws.fits(n + 1)
+        for m in widths:
+            ws = Workspace(m, within=run_ws)
+            assert ws.block.ctypes.data == run_ws.block.ctypes.data
+            assert ws.block.ctypes.data % 64 == 0
+            assert ws.flag_block.ctypes.data == run_ws.flag_block.ctypes.data
+            assert ws.u1.shape == run_ws.u2[:, :m].shape == (4, m)
+            assert not np.shares_memory(ws.u1, run_ws.u2)
+
+
+def test_window_wider_than_three_quarters(monkeypatch):
+    # ex4's window grows to 1792 of 2000 cells before it is the whole
+    # grid: windows wider than about 0.77 N, whose workspace used to fall
+    # back to the whole grid, step windowed, bit for bit
+    _, windows = _assert_window_exact(monkeypatch,
+                                      make_scenario("ex4", cells=2000,
+                                                    t_final=4.5),
+                                      width_step=stepper._WIDTH_STEP)
+    wide = sorted({i1 - i0 for i0, i1 in windows} - {2000})
+    assert [w for w in wide if w > 0.77 * 2000] == [1664, 1792]
+
+
+def test_new_state_spread_once_per_step(monkeypatch):
+    # the stages, the combination and the checks run on the window's
+    # cells, and only the new state is spread over the grid
+    spreads = []
+    spread = stepper.Window.spread
+
+    def counted(self, u):
+        spreads.append(u.shape[1])
+        return spread(self, u)
+
+    monkeypatch.setattr(stepper.Window, "spread", counted)
+    reports = []
+    res = run_simulation(make_scenario("ex6", cells=1000, t_final=2.0),
+                         on_step=lambda state, report: reports.append(report))
+    assert not res.failed and res.steps > 1
+    assert spreads == [i1 - i0 for i0, i1 in (r.window for r in reports)]
+    assert max(spreads) < 1000

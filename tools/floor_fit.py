@@ -1,6 +1,6 @@
-"""Per-step wall time of a trsw tree as floor + slope * N, and the cost of
-stacking fields in one ``interface_values`` call and components in one
-``numerical_flux`` group.
+"""Per-step wall time of a trsw tree as floor + slope * W, W the cells a
+step stages, and the cost of stacking fields in one ``interface_values``
+call and components in one ``numerical_flux`` group.
 
     python tools/floor_fit.py [SRC] [--cells 50,100,...,25600] [--steps 30]
         [--repeats 3] [--json OUT]
@@ -11,10 +11,13 @@ and ex3b at each N the tool runs ``run_simulation`` without records for
 ``--steps`` steps and takes the wall time from the first accepted step
 to the last, divided by the steps between them, so building the scenario
 and the first step stay outside; the best of ``--repeats`` runs counts.
-It then fits t(N) = floor + slope * N by least squares on the relative
-residuals (each point weighted by 1/t, so the small grids that set the
-floor count as much as the large ones) and prints each point with its
-residual.
+A step stages only the window of cells between the still water at the
+ends of the grid (``StepReport.window``; the whole grid on trees from
+before it), so W is the mean width of the windows of those steps, and
+the tool prints the share W/N of each point. It then fits t = floor +
+slope * W by least squares on the relative residuals (each point
+weighted by 1/t, so the small grids that set the floor count as much as
+the large ones) and prints each point with its residual.
 
 It also times ``interface_values`` on k = 1 to 5 copies of a random
 padded field of N cells laid end to end, with preallocated outputs and
@@ -68,12 +71,15 @@ class _Done(Exception):
     pass
 
 
-def step_time(trsw, scenario: str, cells: int, steps: int) -> float:
-    """Seconds per step over steps 2..``steps`` of one run."""
-    stamps = []
+def step_time(trsw, scenario: str, cells: int, steps: int) -> tuple:
+    """Seconds per step over steps 2..``steps`` of one run, and the mean
+    number of cells those steps staged, their windows' widths."""
+    stamps, widths = [], []
 
     def on_step(state, report):
         stamps.append(time.perf_counter())
+        i0, i1 = getattr(report, "window", (0, cells))
+        widths.append(i1 - i0)
         if len(stamps) == steps:
             raise _Done
 
@@ -83,13 +89,14 @@ def step_time(trsw, scenario: str, cells: int, steps: int) -> float:
         result = trsw.run_simulation(sc, on_step=on_step,
                                      collect_records=False)
     except _Done:
-        return (stamps[-1] - stamps[0]) / (steps - 1)
+        return ((stamps[-1] - stamps[0]) / (steps - 1),
+                statistics.mean(widths[1:]))
     raise SystemExit(f"error: {scenario} at N = {cells} stopped after "
                      f"{result.steps} steps: {result.failure_message}")
 
 
 def fit(cells, seconds) -> dict:
-    """floor + slope * N, least squares on relative residuals."""
+    """floor + slope * cells, least squares on relative residuals."""
     n, t = np.asarray(cells, float), np.asarray(seconds, float)
     a = np.column_stack([np.ones_like(n), n]) / t[:, None]
     (floor, slope), *_ = np.linalg.lstsq(a, np.ones_like(t), rcond=None)
@@ -203,18 +210,23 @@ def main(argv=None) -> int:
            "machine": {"cpu": platform.processor() or platform.machine(),
                        "python": platform.python_version(),
                        "numpy": np.__version__},
-           "step_s": {}, "fit": {}, "interface_values_s": {},
-           "numerical_flux_s": {}}
+           "step_s": {}, "stepped_cells": {}, "fit": {},
+           "interface_values_s": {}, "numerical_flux_s": {}}
 
     for scenario in _SCENARIOS:
-        times = [min(step_time(trsw, scenario, n, args.steps)
-                     for _ in range(args.repeats)) for n in cells]
-        doc["step_s"][scenario] = times
-        doc["fit"][scenario] = f = fit(cells, times)
+        # a run is deterministic: its repeats stage the same windows
+        times, widths = zip(*(min(step_time(trsw, scenario, n, args.steps)
+                                  for _ in range(args.repeats))
+                              for n in cells))
+        doc["step_s"][scenario] = list(times)
+        doc["stepped_cells"][scenario] = list(widths)
+        doc["fit"][scenario] = f = fit(widths, times)
         print(f"{scenario}: floor {f['floor_s'] * 1e3:.3f} ms + "
-              f"{f['slope_s_per_cell'] * 1e6:.4f} us * N")
-        for n, t, r in zip(cells, times, f["relative_residuals"]):
-            print(f"  N = {n:6d}  {t * 1e3:9.3f} ms/step  residual {r:+.3f}")
+              f"{f['slope_s_per_cell'] * 1e6:.4f} us * W (cells stepped)")
+        for n, w, t, r in zip(cells, widths, times,
+                              f["relative_residuals"]):
+            print(f"  N = {n:6d}  {t * 1e3:9.3f} ms/step  stepped "
+                  f"{w / n:.3f}  residual {r:+.3f}")
 
     print("interface_values, time per field of k stacked fields over one "
           "field per call:")
