@@ -72,11 +72,14 @@ def interface_values(padded: np.ndarray, sigma: float, dy: float, out, work):
     return minus, plus
 
 
-def _fill_ghosts(padded: np.ndarray) -> np.ndarray:
-    """Copy the outermost physical cells into the GHOST cells at both ends
-    of the last axis (zero-order extrapolation)."""
-    padded[..., :GHOST] = padded[..., GHOST:GHOST + 1]
-    padded[..., -GHOST:] = padded[..., -GHOST - 1:-GHOST]
+def _fill_ghosts(padded: np.ndarray, first: int = GHOST,
+                 end: int = -GHOST) -> np.ndarray:
+    """Zero-order extrapolation along the last axis: copy the outer cells
+    of [first, end), by default the physical ones, into every cell beyond."""
+    # from copies, as numpy assigns from an overlapping view of the same
+    # array at half the speed over thousands of cells
+    padded[..., :first] = padded[..., first:first + 1].copy()
+    padded[..., end:] = padded[..., end - 1:end].copy()
     return padded
 
 

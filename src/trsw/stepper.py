@@ -25,32 +25,33 @@ only signed zeros, whose signs in f*p and so in q are why a run keeps
 one sign of f (ex6 starts with q = -0.0 in its far field; after a step
 the half with f > 0 holds +0.0 there).
 
-The window keeps ``HALO`` = 7 cells of each still run. A stage's
-tendency in cell j reads the stage state in cells j-2..j+2: each of its
-two interface fluxes reads the two cells on either side of it. The
-draining limiter scales a flux by its donor's drain time, which reads
-the donor's other interface, one cell further out, but it scales only
-the h and hb fluxes, and between two cells of a still run those are
-signed zeros, which a scale in [0, 1] keeps (a NaN scale makes the step
-fail on the whole grid and on the window alike). So a run of a cells at
-a step's start is a run of a-2 cells in the second stage's state and of
-a-4 in the third's, whose tendency is the run's on cells 0..a-7 only.
-The window's outermost cell stands in for the cells beyond it in every
-stage, so it must be one of them: i0 <= a-7. Its ghosts, copies of it,
-are then the run cells they replace. The bound holds whatever slopes the
-stencil forms. The minmod slope of a run's last cell is 0, so in
-practice a disturbance reaches one cell further per stage, and
-``tests/test_window.py`` runs exact with a halo of 4 to 6 (not 3); only
-its test of ``pick_window`` pins 7. R, a sum from the left end, is 0 at
-i0 as at the left boundary, since every increment over a still run is a
-zero; its sign there may differ from the window's +0.0 where hb = -0.0,
-but R at interfaces enters only D = L - R of the depth solve, and a zero
-D takes the fallback depth whatever its sign. The right end mirrors
-this. The fluxes at the window's outermost interfaces and its speeds are
-then those of the whole grid's boundaries and still runs, so dt, the
-ledger's boundary fluxes and the count of limited interfaces come from
-the window, and so do the stage minima (``check_nonnegative`` gives a
-zero one sign).
+The window's edges are boundaries like the grid's ends: beyond an edge
+lie ghost copies of the edge cell, in the state (the still-run scan) and
+in the bottom and the sign of f (``level_runs``). The window keeps
+``HALO`` = 4 cells of each still run, the stencil's reach on such a
+boundary. A stage's tendency in cell j reads cells j-2..j+2, but a run's
+last cell has an equal neighbour, so one argument of its minmod slope is
+sigma*0, the slope is exactly 0 and the cell reconstructs to its own
+value on both sides. Only the interface between the run and the
+disturbance takes a new flux: each stage moves a disturbance one cell
+into a run. A run of a cells keeps the run's tendency on its first a-1,
+a-2 and a-3 cells in stages 1, 2 and 3, and the run's new state on its
+first a-3. The window's edge cell stands in for every cell beyond it,
+through its ghosts in every stage and ``Window.spread`` after the step,
+so it must lie 4 cells inside the run: i0 <= a-4. The drain adds no
+reach: it scales a flux by its donor's drain time, which reads the
+donor's other interface, but only the h and hb fluxes, and between two
+run cells those are signed zeros, which any scale keeps (a NaN scale
+fails the step on the whole grid and on the window alike). R, a sum from
+the left end, is 0 at i0 as at the left boundary, since every increment
+over a still run is a zero; its sign there may differ from the window's
++0.0 where hb = -0.0, but R at interfaces enters only D = L - R of the
+depth solve, and a zero D takes the fallback depth whatever its sign.
+The right end mirrors this. The fluxes at the window's outermost
+interfaces and its speeds are then those of the whole grid's boundaries
+and still runs, so dt, the ledger's boundary fluxes and the count of
+limited interfaces come from the window, and so do the stage minima
+(``check_nonnegative`` gives a zero one sign).
 
 ``run_simulation`` owns one Workspace (``trsw.workspace``) for the whole
 run, and every kernel of a stage writes into it. Arrays handed out under
@@ -73,13 +74,13 @@ import numpy as np
 from .flux import diffusion_switch, numerical_flux
 from .model import (_TINY, ConservedState, Scenario, Topography,
                     check_nonnegative)
-from .reconstruction import build_interface_states
+from .reconstruction import _fill_ghosts, build_interface_states
 from .workspace import Workspace
 
 # keeps the limited update strictly nonnegative under round-off
 _DRAIN_SAFETY = 1.0 - 1.0e-10
 # cells of each end's still run inside the window (see above)
-HALO = 7
+HALO = 4
 # a window's width is a multiple of this many cells, so that one that
 # grows by a few cells per step is rebuilt every few steps only, and it
 # leaves at least this many cells out, or the grid is stepped whole: the
@@ -317,8 +318,7 @@ def _still_run(cells: np.ndarray, limit: int, flags: np.ndarray,
 
 
 def pick_window(u: np.ndarray, bounds: Tuple[int, int],
-                level: Tuple[int, int], flags: np.ndarray,
-                copies: bool = False) -> Tuple[int, int]:
+                level: Tuple[int, int], flags: np.ndarray) -> Tuple[int, int]:
     """The window [i0, i1) of a step from the (4, n) state ``u``: all but
     ``HALO`` cells of each end's still run, within the runs ``level`` of
     ``level_runs``, lie outside it (see the module docstring).
@@ -326,10 +326,11 @@ def pick_window(u: np.ndarray, bounds: Tuple[int, int],
     The window contains ``bounds``, the previous step's window, (n, 0)
     before the first step: it never narrows, so each end is scanned only
     as far as can move its edge, and a whole grid is not scanned at all.
-    With ``copies``, every cell beyond an edge of ``bounds`` is a copy of
-    the edge's cell, bit for bit, as a windowed step leaves it
-    (``Window.spread``), so each end is scanned from the edge inward
-    only, ``HALO`` cells, and not from the end of the grid.
+    Before the first step each run is scanned from its end of the grid;
+    after it every cell beyond an edge of ``bounds`` is a copy of the
+    edge's cell, bit for bit (the first pick leaves only still-run cells
+    outside, and every later step spreads copies, ``Window.spread``), so
+    each end is scanned from its edge inward only, ``HALO`` cells.
     A window that grows has its width rounded up to a multiple of
     ``_WIDTH_STEP`` cells, the cells added split between its ends; one
     that would leave fewer than ``_WIDTH_STEP`` cells out, or a grid that
@@ -339,7 +340,7 @@ def pick_window(u: np.ndarray, bounds: Tuple[int, int],
     i0, i1 = bounds
     if i1 - i0 == n:
         return bounds
-    e0, e1 = (i0, n - i1) if copies else (0, 0)
+    e0, e1 = (0, 0) if i0 > i1 else (i0, n - i1)
     left = _still_run(u, min(level[0], i0 + HALO), flags, e0)
     right = _still_run(u[:, ::-1], min(level[1], n - i1 + HALO), flags, e1)
     lo, hi = min(i0, max(left - HALO, 0)), max(i1, min(n - right + HALO, n))
@@ -369,14 +370,9 @@ class Window:
     def fit(self, u: np.ndarray) -> Tuple[int, int]:
         """Pick the window of the step from the (4, n) state ``u``, the
         initial state or one that ``spread`` built; return its bounds."""
-        scenario, run_ws, (i0, i1) = self.scenario, self.run_ws, self.bounds
+        scenario, run_ws = self.scenario, self.run_ws
         n = scenario.grid.n
-        if i1 - i0 == n:
-            return self.bounds
-        picked = (u, self.bounds, self.level, run_ws.flag_block)
-        # only the first pick scans from the ends of the grid
-        bounds = (pick_window(*picked) if i0 > i1
-                  else pick_window(*picked, copies=True))
+        bounds = pick_window(u, self.bounds, self.level, run_ws.flag_block)
         if bounds == self.bounds:
             return bounds
         i0, i1 = bounds if run_ws.fits(bounds[1] - bounds[0]) else (0, n)
@@ -400,14 +396,14 @@ class Window:
     def spread(self, u: np.ndarray) -> np.ndarray:
         """The (4, n) state of the grid whose window holds the state ``u``:
         ``u`` itself when the window is the whole grid, else ``u`` copied
-        into the run's u2 rows, which lie past the window's u1, with every
-        cell beyond an edge of the window a copy of that edge's cell."""
+        into the run's u2 rows, which lie past the window's u1, with the
+        cells beyond the window's edges its ghosts, copies of the edge
+        cells (the reconstruction's ghost fill)."""
         if self.ws is self.run_ws:
             return u
         (i0, i1), out = self.bounds, self.run_ws.u2
         np.copyto(out[:, i0:i1], u)
-        out[:, :i0], out[:, i1:] = u[:, :1], u[:, -1:]
-        return out
+        return _fill_ghosts(out, i0, i1)
 
 
 def _rk3_step(u0: np.ndarray, t: float, t_event: float,

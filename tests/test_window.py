@@ -3,9 +3,13 @@ still-water runs at the ends of its grid ends in the bits of a run that
 steps every cell, with the same snapshots, records and step reports.
 
 Each comparison runs a scenario twice: as it is, and with
-``stepper.pick_window`` patched to return the whole grid. All but one
-run with ``_WIDTH_STEP`` = 1, so that windows are no wider than the halo
-makes them and each edge sits exactly ``HALO`` cells inside its run.
+``stepper.pick_window`` patched to return the whole grid. Most run with
+``_WIDTH_STEP`` = 1, so that windows are no wider than the halo makes
+them and each edge sits exactly ``HALO`` cells inside its run; those of
+ex6's and ex4's windows and of a pick too wide for the run's workspace
+run at the default width step. A seeded corpus of states with still
+ends is exact at ``HALO`` and not at ``HALO - 1``, so a halo above or
+below the stencil's reach fails.
 """
 
 import dataclasses
@@ -39,9 +43,9 @@ def _run(scenario):
     return outputs, [r.window for r in reports]
 
 
-def _assert_window_exact(monkeypatch, scenario, width_step=1):
-    """Run ``scenario`` windowed and whole; assert equal outputs and
-    return them with the windows of the windowed run."""
+def _window_and_whole(monkeypatch, scenario, width_step=1):
+    """Run ``scenario`` windowed and whole: the outputs and the windows
+    of each run."""
     monkeypatch.setattr(stepper, "_WIDTH_STEP", width_step)
     with np.errstate(all="ignore"):
         windowed, windows = _run(scenario)
@@ -49,6 +53,14 @@ def _assert_window_exact(monkeypatch, scenario, width_step=1):
             whole.setattr(stepper, "pick_window",
                           lambda u, bounds, level, flags: (0, u.shape[1]))
             stepped, full = _run(scenario)
+    return windowed, windows, stepped, full
+
+
+def _assert_window_exact(monkeypatch, scenario, width_step=1):
+    """Run ``scenario`` windowed and whole; assert equal outputs and
+    return them with the windows of the windowed run."""
+    windowed, windows, stepped, full = _window_and_whole(
+        monkeypatch, scenario, width_step)
     n = scenario.grid.n
     assert set(full) == {(0, n)}
     assert windowed == stepped
@@ -110,6 +122,101 @@ def test_seeded_piecewise_state(monkeypatch, seed):
     # still water; runs that end flagged end so on both paths
     _, windows = _assert_window_exact(monkeypatch, _embedded(seed, 40))
     assert windows[0][0] == 40 - HALO
+
+
+def _still_ends(seed):
+    """A seeded state of 20 to 199 disturbed cells between still runs of
+    8 to 39 cells at both ends, over a bottom that is level over each run
+    and not between them: smooth fields for half the seeds and
+    piecewise-constant ones for the others, dry cells among the disturbed
+    ones for a third of the seeds and a dry end for a fifth, q = -0.0 in
+    the runs for half of them, and f = 0, an f-plane or a beta-plane. The
+    run ends at its 40th step."""
+    from test_mirror import _from_fields, _piecewise
+
+    rng = np.random.default_rng(seed)
+    ends = [int(a) for a in rng.integers(8, 40, 2)]
+    m = int(rng.integers(20, 200))
+    ranges = ((0.1, 2.0), (-1.0, 1.0), (-1.0, 1.0), (0.2, 3.0))
+    if seed % 2:
+        pieces = int(rng.integers(2, 6))
+        h, u, v, b = (_piecewise(rng, m, lo, hi, pieces) for lo, hi in ranges)
+    else:
+        x = np.linspace(0.0, 1.0, m)
+        h, u, v, b = (lo + (hi - lo) * np.sin(rng.uniform(1.0, 8.0) * x
+                                              + rng.uniform(0.0, 3.0)) ** 2
+                      for lo, hi in ranges)
+    if seed % 3 == 0:
+        h[rng.integers(0, m, m // 8 + 1)] = 0.0
+    still = [rng.uniform(0.1, 2.0, 2), rng.uniform(0.2, 3.0, 2)]
+    if seed % 5 == 0:
+        still[0][seed % 2] = 0.0  # one end dry
+    rest = -0.0 if seed // 2 % 2 else 0.0
+    h, b = (np.concatenate((np.full(ends[0], x[0]), inner,
+                            np.full(ends[1], x[1])))
+            for x, inner in zip(still, (h, b)))
+    u, v = (np.concatenate((np.full(ends[0], r), inner, np.full(ends[1], r)))
+            for r, inner in ((rest, u), (0.0, v)))
+    n = len(h)
+    z = np.zeros(n + 1)
+    z[ends[0] + 1:n - ends[1]] = rng.uniform(0.0, 0.5) * np.sin(
+        np.linspace(0.0, np.pi, m + 1)[1:-1]) ** 2
+    coriolis = (CoriolisSpec(0.0), CoriolisSpec(rng.uniform(-2.0, 2.0)),
+                CoriolisSpec(rng.uniform(-1.0, 1.0),
+                             rng.uniform(-3.0, 3.0)))[seed // 3 % 3]
+    scenario = _from_fields(
+        Scenario(name=f"still-ends-{seed}", grid=build_grid(-1.0, 1.0, n),
+                 coriolis=coriolis, topography=Topography(z),
+                 height=np.ones_like, b0=np.ones_like, t_final=1.0),
+        h, u, v, b, z)
+    return _ending_at_step(scenario, 40)
+
+
+class _Enough(Exception):
+    pass
+
+
+def _ending_at_step(scenario, steps):
+    """``scenario`` ending when its step ``steps`` does, or as it is if
+    it ends sooner."""
+    times = []
+
+    def count(state, report):
+        times.append(report.t)
+        if len(times) == steps:
+            raise _Enough
+
+    try:
+        with np.errstate(all="ignore"):
+            run_simulation(scenario, on_step=count, collect_records=False)
+    except _Enough:
+        return dataclasses.replace(scenario, t_final=times[-1])
+    return scenario
+
+
+_STILL_ENDS = range(24)
+
+
+@pytest.mark.parametrize("seed", _STILL_ENDS)
+def test_halo_is_the_stencils_reach(monkeypatch, seed):
+    # each edge sits HALO cells inside its run, where the first step's
+    # disturbance reaches the edge cell in the last stage: exact
+    scenario = _still_ends(seed)
+    _, windows = _assert_window_exact(monkeypatch, scenario)
+    assert _narrower(windows, scenario.grid.n)
+
+
+def test_halo_below_the_stencils_reach_is_not_exact(monkeypatch):
+    # one cell less and some state of the corpus leaves the window's bits
+    # for the whole grid's, so a halo above the reach fails here and one
+    # below it fails the test above
+    monkeypatch.setattr(stepper, "HALO", HALO - 1)
+    for seed in _STILL_ENDS:
+        windowed, _, stepped, _ = _window_and_whole(monkeypatch,
+                                                    _still_ends(seed))
+        if windowed != stepped:
+            return
+    pytest.fail(f"every state is exact with a halo of {HALO - 1}")
 
 
 def test_equator_inside_a_still_run(monkeypatch):
@@ -203,6 +310,15 @@ def test_ex6_steps_a_small_share(monkeypatch):
     assert share < 0.16 * 4000 * len(windows)
 
 
+def _rounded(lo, hi):
+    """[lo, hi) widened to a multiple of the width step, the cells added
+    split between its ends, and shifted to start no further left than
+    the grid's first cell."""
+    width = -(-(hi - lo) // stepper._WIDTH_STEP) * stepper._WIDTH_STEP
+    lo = max(lo - (width - (hi - lo)) // 2, 0)
+    return lo, lo + width
+
+
 def test_pick_window():
     n = 1000
     u = np.zeros((4, n))
@@ -214,38 +330,39 @@ def test_pick_window():
     assert pick_window(u, (0, n), (n, n), flags) == (0, n)
     # the window keeps HALO cells of each run, rounded out to the width
     # step, and contains the window before it
-    # (the 24 cells [493, 517) take 104 more, 52 on each side)
-    assert pick_window(u, (n, 0), (n, n), flags) == (441, 569)
-    assert pick_window(u, (300, 400), (n, n), flags) == (281, 537)
+    assert pick_window(u, (n, 0), (n, n), flags) == _rounded(500 - HALO,
+                                                             510 + HALO)
+    assert pick_window(u, (300, 700), (n, n), flags) == (300, 700)
     # the level runs bound the still ones
-    assert pick_window(u, (n, 0), (100, n), flags) == (49, 561)
+    assert pick_window(u, (n, 0), (100, n), flags) == _rounded(100 - HALO,
+                                                               510 + HALO)
     # no still water at an end: the window reaches it
     u[1, 0] = 1e-300
-    assert pick_window(u, (n, 0), (n, n), flags) == (0, 640)
+    assert pick_window(u, (n, 0), (n, n), flags) == _rounded(0, 510 + HALO)
 
 
 def test_pick_window_scans_from_the_edges():
-    # past a windowed step every cell beyond an edge is a copy of the
-    # edge's cell, and the pick compares only the HALO cells inside it:
-    # a disturbed cell further out, which such a step never leaves, is
-    # not seen, while one inside the halo, from the cell next to the
-    # edge's on, moves the edge as before
+    # before the first step each run is scanned from its end of the grid;
+    # past it every cell beyond an edge is a copy of the edge's cell, and
+    # the pick compares only the HALO cells inside it: a disturbed cell
+    # further out, which no windowed step leaves, is not seen, while one
+    # inside the halo, from the cell next to the edge's on, moves the edge
     n = 1000
     u = np.zeros((4, n))
     u[0], u[3] = 1.0, 2.0
     u[0, 500:510] = 1.5
     flags = np.empty((5, n), bool)
     u[0, 100] = 1.25
-    assert pick_window(u, (300, 700), (n, n), flags, copies=True) == (
-        300, 700)
-    assert pick_window(u, (300, 700), (n, n), flags) == (77, 717)
+    assert pick_window(u, (n, 0), (n, n), flags) == _rounded(100 - HALO,
+                                                             510 + HALO)
+    assert pick_window(u, (300, 700), (n, n), flags) == (300, 700)
     u[0, 100] = 1.0
-    for cell, window in ((301, (241, 753)), (306, (244, 756)),
-                         (307, (300, 700)), (698, (247, 759)),
-                         (692, (300, 700))):
+    for cell, window in ((301, _rounded(301 - HALO, 700)),
+                         (299 + HALO, _rounded(299, 700)),
+                         (300 + HALO, (300, 700)),
+                         (698, _rounded(300, 699 + HALO)),
+                         (699 - HALO, (300, 700))):
         u[0, cell] = 1.25
-        assert pick_window(u, (300, 700), (n, n), flags,
-                           copies=True) == window
         assert pick_window(u, (300, 700), (n, n), flags) == window
         u[0, cell] = 1.0
 
@@ -281,6 +398,32 @@ def test_window_wider_than_three_quarters(monkeypatch):
                                       width_step=stepper._WIDTH_STEP)
     wide = sorted({i1 - i0 for i0, i1 in windows} - {2000})
     assert [w for w in wide if w > 0.77 * 2000] == [1664, 1792]
+
+
+def test_pick_too_wide_for_the_run_workspace(monkeypatch):
+    # a pick of 3968 of 4120 cells leaves more than the width step out,
+    # but its workspace takes a fourth flux group row, and 52 rows of
+    # 3972 floats exceed the run block's 50 of 4124: the run steps the
+    # whole grid, bit for bit
+    from test_mirror import _from_fields
+    from trsw.workspace import Workspace
+
+    n, still = 4120, 76 + HALO
+    h = np.ones(n)
+    h[still:n - still] += 0.05 * np.cos(np.linspace(0.0, 9.0, n - 2 * still))
+    flat = np.zeros(n + 1)
+    scenario = _ending_at_step(_from_fields(
+        Scenario(name="too-wide", grid=build_grid(-1.0, 1.0, n),
+                 coriolis=CoriolisSpec(0.0), topography=Topography(flat),
+                 height=np.ones_like, b0=np.ones_like, t_final=1.0),
+        h, np.zeros(n), np.zeros(n), np.ones(n), flat), 5)
+    flags = np.empty((5, n), bool)
+    assert pick_window(scenario.initial_state().array, (n, 0),
+                       level_runs(scenario), flags) == (76, 4044)
+    assert not Workspace(n).fits(3968)
+    _, windows = _assert_window_exact(monkeypatch, scenario,
+                                      width_step=stepper._WIDTH_STEP)
+    assert windows == [(0, n)] * 5
 
 
 def test_new_state_spread_once_per_step(monkeypatch):
